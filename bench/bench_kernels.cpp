@@ -1,13 +1,15 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
-// experiments: matmul, conv2d forward/backward, im2col, crossbar MVM, the
-// batched crossbar matmul on every registered execution target, and
-// Monte-Carlo perturbation sampling.
+// experiments: matmul, conv2d forward/backward, im2col, the digital conv and
+// dense kernels, crossbar MVM, the batched crossbar matmul on every
+// registered execution target, and Monte-Carlo perturbation sampling.
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "analog/crossbar.h"
 #include "analog/variation.h"
+#include "exec/digital_kernels.h"
 #include "exec/target.h"
 #include "nn/conv2d.h"
 #include "tensor/ops.h"
@@ -45,6 +47,48 @@ void BM_Im2col(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Im2col)->Arg(16)->Arg(32);
+
+// The digital conv GEMM (out = bias + W*cols, relu epilogue) over one
+// image's padded im2col matrix, at the auto-dispatched simd level. Args:
+// out channels, K2 = in_c*kh*kw, output pixels — LeNet-5 conv1 and conv2.
+void BM_DigitalConvGemm(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), nd = state.range(2);
+  const int64_t ldc = exec::digital::round_up_block(nd);
+  Rng rng(9);
+  Tensor w({m, k}), b({m}), cols({k, ldc}), out({m, nd});
+  rng.fill_normal(w, 0.0f, 0.3f);
+  rng.fill_normal(b, 0.0f, 0.1f);
+  rng.fill_normal(cols, 0.0f, 1.0f);
+  for (auto _ : state) {
+    exec::digital::conv_gemm(w.data(), b.data(), m, k, cols.data(), ldc, nd,
+                             /*relu=*/true, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * nd);
+}
+BENCHMARK(BM_DigitalConvGemm)->Args({6, 25, 784})->Args({16, 150, 100})->UseRealTime();
+
+// The dense kernel y = x*W^T + b over a packed weight panel, packing
+// included (Dense repacks its live weight every forward). Args: batch rows,
+// in features, out features — LeNet-5 fc1 at batch 1 and 32.
+void BM_DigitalDense(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(10);
+  Tensor x({m, k}), w({n, k}), b({n}), y({m, n});
+  rng.fill_normal(x, 0.0f, 1.0f);
+  rng.fill_normal(w, 0.0f, 0.3f);
+  std::vector<double> panel(static_cast<size_t>(exec::digital::packed_nt_size(n, k)));
+  for (auto _ : state) {
+    exec::digital::pack_nt(w.data(), nullptr, n, k, panel.data());
+    exec::digital::matmul_nt_packed(x.data(), m, k, panel.data(), n, b.data(),
+                                    /*relu=*/true, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_DigitalDense)->Args({1, 400, 120})->Args({32, 400, 120})->UseRealTime();
 
 void BM_Conv2DForward(benchmark::State& state) {
   const int64_t c = state.range(0);
@@ -141,7 +185,8 @@ int main(int argc, char** argv) {
         name.c_str(),
         [t](benchmark::State& s) { BM_CrossbarMatmulTarget(s, t); })
         ->Arg(128)
-        ->Arg(512);
+        ->Arg(512)
+        ->UseRealTime();  // the matmul runs on the pool, not the main thread
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

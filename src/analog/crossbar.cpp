@@ -165,8 +165,7 @@ void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
   if (dev_.readout.adc_bits > 0) {
     // Full scale: every row driving g_max differentially.
     const float fs = static_cast<float>(rows_) * (dev_.g_max - dev_.g_min);
-    for (int64_t c = 0; c < cols_; ++c)
-      currents[c] = quantize_uniform(currents[c], -fs, fs, 1 << dev_.readout.adc_bits);
+    quantize_uniform_span(currents, cols_, -fs, fs, 1 << dev_.readout.adc_bits);
   }
   for (int64_t c = 0; c < cols_; ++c) y[c] += scale_ * currents[c];
 }

@@ -10,6 +10,13 @@ namespace cn::analog {
 /// Values are clamped to the range first.
 float quantize_uniform(float x, float lo, float hi, int levels);
 
+/// quantize_uniform over a span in place, bit-identical to calling it per
+/// element: the range is validated and `step` computed once, and rounding
+/// is inline and exact (std::round's half-away-from-zero on the
+/// non-negative level index, NaN passing through) instead of a libm call.
+/// The ADC periphery of every crossbar read runs through this.
+void quantize_uniform_span(float* x, int64_t n, float lo, float hi, int levels);
+
 /// Quantizes every element of t in place.
 void quantize_tensor(Tensor& t, float lo, float hi, int levels);
 

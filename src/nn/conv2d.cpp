@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "exec/digital_kernels.h"
 #include "tensor/threadpool.h"
 
 namespace cn::nn {
@@ -77,6 +78,20 @@ Tensor Conv2D::forward_relu(const Tensor& x) {
                        /*pre_pool=*/nullptr, /*relu=*/true);
 }
 
+const Tensor& Conv2D::live_weight() {
+  if (var_active_) {
+    // w_eff_ took f's shape in set_weight_factors; a weight replaced with
+    // another shape since must not be read past its end.
+    if (!factors_.same_shape(w_.value))
+      throw std::invalid_argument(label_ + ": factor shape mismatch");
+    const float* w = w_.value.data();
+    const float* f = factors_.data();
+    float* e = w_eff_.data();
+    for (int64_t i = 0; i < w_eff_.size(); ++i) e[i] = w[i] * f[i];
+  }
+  return effective_weight();
+}
+
 Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
                              const PrePool* pre_pool, bool relu,
                              const PrePool* post_pool) {
@@ -98,8 +113,12 @@ Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
   const int64_t img_out = out_c_ * POH * POW;
   Tensor y({N, out_c_, POH, POW});
 
+  // out(out_c, OH*OW) = bias + W(out_c, K2) * cols(K2, OH*OW), with cols rows
+  // padded to whole 16-pixel kernel blocks.
+  const int64_t Nd = OH * OW;
+  const int64_t ldc = exec::digital::round_up_block(Nd);
   parallel_for(0, N, [&](int64_t lo, int64_t hi) {
-    std::vector<float> cols(static_cast<size_t>(K2 * OH * OW));
+    std::vector<float> cols(static_cast<size_t>(K2 * ldc));
     std::vector<float> staged;
     if (pre_pool) staged.resize(static_cast<size_t>(img_pooled));
     std::vector<float> full;  // per-image conv output when a post-pool runs
@@ -111,24 +130,9 @@ Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
                    staged.data());
         img = staged.data();
       }
-      im2col(img, geom_, cols.data());
+      im2col(img, geom_, cols.data(), ldc);
       float* out = post_pool ? full.data() : y.data() + n * img_out;
-      // out(out_c, OH*OW) = W(out_c, K2) * cols(K2, OH*OW)
-      const int64_t M = out_c_, Kd = K2, Nd = OH * OW;
-      for (int64_t i = 0; i < M; ++i) {
-        float* orow = out + i * Nd;
-        const float bi = pb[i];
-        for (int64_t j = 0; j < Nd; ++j) orow[j] = bi;
-        const float* wrow = pw + i * Kd;
-        for (int64_t k = 0; k < Kd; ++k) {
-          const float wv = wrow[k];
-          if (wv == 0.0f) continue;
-          const float* crow = cols.data() + k * Nd;
-          for (int64_t j = 0; j < Nd; ++j) orow[j] += wv * crow[j];
-        }
-        if (relu)
-          for (int64_t j = 0; j < Nd; ++j) orow[j] = std::max(orow[j], 0.0f);
-      }
+      exec::digital::conv_gemm(pw, pb, out_c_, K2, cols.data(), ldc, Nd, relu, out);
       if (post_pool)
         pool_image(full.data(), *post_pool, out_c_, POH, POW,
                    y.data() + n * img_out);

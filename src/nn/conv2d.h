@@ -45,12 +45,10 @@ class Conv2D final : public Layer, public PerturbableWeight {
                        const PrePool* pre_pool, bool relu,
                        const PrePool* post_pool = nullptr);
 
-  /// The weight tensor forward() would use right now: refreshes w ∘ f when
-  /// variation factors are active. Used by the fused graph executor.
-  const Tensor& live_weight() {
-    if (var_active_) w_eff_ = mul(w_.value, factors_);
-    return effective_weight();
-  }
+  /// The weight tensor forward() would use right now: refreshes w ∘ f in
+  /// place when variation factors are active. Used by the fused graph
+  /// executor.
+  const Tensor& live_weight();
 
   std::vector<Param*> params() override { return {&w_, &b_}; }
   void collect_analog(std::vector<PerturbableWeight*>& out) override {

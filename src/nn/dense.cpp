@@ -1,9 +1,10 @@
 #include "nn/dense.h"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "exec/digital_kernels.h"
 #include "tensor/ops.h"
+#include "tensor/threadpool.h"
 
 namespace cn::nn {
 
@@ -16,35 +17,28 @@ Dense::Dense(int64_t in_features, int64_t out_features, std::string label)
 }
 
 Tensor Dense::forward(const Tensor& x, bool train) {
-  if (x.rank() != 2 || x.dim(1) != in_)
-    throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
+  Tensor y = forward_impl(x, /*relu=*/false);
   if (train) x_cache_ = x;
-  // live_weight() refreshes the effective weight so nominal-weight edits
-  // between forwards (optimizer steps, tests) are always reflected.
-  return forward_fused(x, live_weight(), b_.value.data(), /*relu=*/false);
+  return y;
 }
 
-Tensor Dense::forward_relu(const Tensor& x) {
-  return forward_fused(x, live_weight(), b_.value.data(), /*relu=*/true);
-}
+Tensor Dense::forward_relu(const Tensor& x) { return forward_impl(x, /*relu=*/true); }
 
-const Tensor& Dense::live_weight() {
-  if (var_active_) w_eff_ = mul(w_.value, factors_);
-  return effective_weight();
-}
-
-Tensor Dense::forward_fused(const Tensor& x, const Tensor& w, const float* b,
-                            bool relu) {
+Tensor Dense::forward_impl(const Tensor& x, bool relu) {
   if (x.rank() != 2 || x.dim(1) != in_)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
-  Tensor y = matmul_nt(x, w);  // (N, out)
-  const int64_t N = y.dim(0);
-  for (int64_t n = 0; n < N; ++n) {
-    float* row = y.data() + n * out_;
-    for (int64_t o = 0; o < out_; ++o) row[o] += b[o];
-    if (relu)
-      for (int64_t o = 0; o < out_; ++o) row[o] = std::max(row[o], 0.0f);
-  }
+  if (w_.value.shape() != Shape{out_, in_} || (var_active_ && !factors_.same_shape(w_.value)))
+    throw std::invalid_argument(label_ + ": weight shape changed to " +
+                                to_string(w_.value.shape()));
+  w_panel_.resize(static_cast<size_t>(exec::digital::packed_nt_size(out_, in_)));
+  exec::digital::pack_nt(w_.value.data(), var_active_ ? factors_.data() : nullptr,
+                         out_, in_, w_panel_.data());
+  const int64_t N = x.dim(0);
+  Tensor y({N, out_});
+  parallel_for(0, N, [&](int64_t lo, int64_t hi) {
+    exec::digital::matmul_nt_packed(x.data() + lo * in_, hi - lo, in_, w_panel_.data(),
+                                    out_, b_.value.data(), relu, y.data() + lo * out_);
+  }, 8);
   return y;
 }
 
@@ -61,20 +55,19 @@ Tensor Dense::backward(const Tensor& grad_out) {
     const float* row = grad_out.data() + n * out_;
     for (int64_t o = 0; o < out_; ++o) b_.grad[o] += row[o];
   }
-  return matmul(grad_out, effective_weight());
+  if (var_active_) return matmul(grad_out, mul(w_.value, factors_));
+  return matmul(grad_out, w_.value);
 }
 
 void Dense::set_weight_factors(const Tensor& f) {
   if (!f.same_shape(w_.value))
     throw std::invalid_argument(label_ + ": factor shape mismatch");
-  w_eff_ = mul(w_.value, f);
   factors_ = f;
   var_active_ = true;
 }
 
 void Dense::clear_weight_factors() {
   var_active_ = false;
-  w_eff_ = Tensor();
   factors_ = Tensor();
 }
 
@@ -82,7 +75,6 @@ std::unique_ptr<Layer> Dense::clone() const {
   auto c = std::make_unique<Dense>(in_, out_, label_);
   c->w_ = w_;
   c->b_ = b_;
-  c->w_eff_ = w_eff_;
   c->factors_ = factors_;
   c->var_active_ = var_active_;
   return c;

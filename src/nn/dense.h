@@ -1,6 +1,8 @@
 // Fully-connected layer with analog-weight (variation) support.
 #pragma once
 
+#include <vector>
+
 #include "nn/layer.h"
 
 namespace cn::nn {
@@ -18,16 +20,6 @@ class Dense final : public Layer, public PerturbableWeight {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor forward_relu(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-
-  /// Eval/exec kernel through an explicit weight (out, in) and bias (out)
-  /// buffer, with an optional branchless ReLU epilogue folded into the
-  /// bias-add loop. forward() routes through this with the live weight, so
-  /// the fused and unfused paths share one accumulation order.
-  Tensor forward_fused(const Tensor& x, const Tensor& w, const float* b, bool relu);
-
-  /// The weight tensor forward() would use right now: refreshes w ∘ f when
-  /// variation factors are active. Used by the fused graph executor.
-  const Tensor& live_weight();
 
   std::vector<Param*> params() override { return {&w_, &b_}; }
   void collect_analog(std::vector<PerturbableWeight*>& out) override {
@@ -50,14 +42,20 @@ class Dense final : public Layer, public PerturbableWeight {
   Param& bias() { return b_; }
 
  private:
-  const Tensor& effective_weight() const { return var_active_ ? w_eff_ : w_.value; }
+  /// Eval/exec kernel: packs the live weight (w, or w ∘ f when variation
+  /// factors are active, re-read on every call so weight edits between
+  /// forwards are reflected) transposed into the exec::digital panel
+  /// layout, then y = x·Wᵀ + b with an optional relu epilogue. forward() and
+  /// forward_relu() share it, so fused and unfused graphs share one
+  /// accumulation order.
+  Tensor forward_impl(const Tensor& x, bool relu);
 
   int64_t in_, out_;
   Param w_, b_;
-  Tensor w_eff_;        // W ∘ f when variation active
-  Tensor factors_;      // f, kept to chain dL/dW = dL/dW_eff ∘ f
+  Tensor factors_;                // f when variation active
   bool var_active_ = false;
-  Tensor x_cache_;      // input saved by forward(train)
+  std::vector<double> w_panel_;   // live weight, packed by forward_impl
+  Tensor x_cache_;                // input saved by forward(train)
 };
 
 }  // namespace cn::nn

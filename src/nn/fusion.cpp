@@ -8,7 +8,6 @@
 #include <string>
 
 #include "nn/batchnorm.h"
-#include "nn/dense.h"
 #include "nn/pooling.h"
 #include "obs/metrics.h"
 
@@ -262,11 +261,6 @@ Tensor FusedPlan::run_node(GraphNode& n, const Tensor& x) {
                                  conv->bias().value.data(), pp, n.relu_epilogue,
                                  post);
     }
-  }
-  if (n.op == OpKind::kDense) {
-    if (auto* d = dynamic_cast<Dense*>(n.layer))
-      return d->forward_fused(x, d->live_weight(), d->bias().value.data(),
-                              n.relu_epilogue);
   }
   if (n.relu_epilogue) return n.layer->forward_relu(x);
   return n.layer->forward(x, /*train=*/false);

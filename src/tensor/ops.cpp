@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
+#include "exec/digital_kernels.h"
 #include "tensor/threadpool.h"
 
 namespace cn {
@@ -194,21 +196,14 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const int64_t M = a.dim(0), K = a.dim(1), N = b.dim(0);
   if (b.dim(1) != K)
     throw std::invalid_argument("matmul_nt: inner dim mismatch");
+  std::vector<double> packed(static_cast<size_t>(exec::digital::packed_nt_size(N, K)));
+  exec::digital::pack_nt(b.data(), nullptr, N, K, packed.data());
   Tensor c({M, N});
   const float* pa = a.data();
-  const float* pb = b.data();
   float* pc = c.data();
   parallel_for(0, M, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* arow = pa + i * K;
-      float* crow = pc + i * N;
-      for (int64_t j = 0; j < N; ++j) {
-        const float* brow = pb + j * K;
-        double acc = 0.0;
-        for (int64_t k = 0; k < K; ++k) acc += static_cast<double>(arow[k]) * brow[k];
-        crow[j] = static_cast<float>(acc);
-      }
-    }
+    exec::digital::matmul_nt_packed(pa + lo * K, hi - lo, K, packed.data(), N,
+                                    /*bias=*/nullptr, /*relu=*/false, pc + lo * N);
   }, 8);
   return c;
 }
@@ -261,23 +256,34 @@ float dot(const Tensor& a, const Tensor& b) {
 
 // ---------- im2col / col2im ----------
 
-void im2col(const float* img, const ConvGeom& g, float* cols) {
+namespace {
+// ROW_COPY (stride 1 only): output columns [lo, hi) of a row copy one input
+// row and the rest are zero padding; otherwise each element is gathered.
+template <bool ROW_COPY>
+void im2col_rows(const float* img, const ConvGeom& g, float* cols, int64_t ld) {
   const int64_t OH = g.out_h(), OW = g.out_w();
-  const int64_t ncols = OH * OW;
   int64_t row = 0;
   for (int64_t c = 0; c < g.in_c; ++c) {
     const float* chan = img + c * g.in_h * g.in_w;
     for (int64_t kh = 0; kh < g.k_h; ++kh) {
       for (int64_t kw = 0; kw < g.k_w; ++kw, ++row) {
-        float* out = cols + row * ncols;
+        float* out = cols + row * ld;
+        const int64_t lo = std::clamp<int64_t>(g.pad - kw, 0, OW);
+        const int64_t hi = std::clamp<int64_t>(g.in_w + g.pad - kw, lo, OW);
         for (int64_t oh = 0; oh < OH; ++oh) {
           const int64_t ih = oh * g.stride + kh - g.pad;
+          float* dst = out + oh * OW;
           if (ih < 0 || ih >= g.in_h) {
-            std::fill(out + oh * OW, out + (oh + 1) * OW, 0.0f);
+            std::fill(dst, dst + OW, 0.0f);
             continue;
           }
           const float* src = chan + ih * g.in_w;
-          float* dst = out + oh * OW;
+          if (ROW_COPY) {
+            for (int64_t ow = 0; ow < lo; ++ow) dst[ow] = 0.0f;
+            for (int64_t ow = lo; ow < hi; ++ow) dst[ow] = src[ow + kw - g.pad];
+            for (int64_t ow = hi; ow < OW; ++ow) dst[ow] = 0.0f;
+            continue;
+          }
           for (int64_t ow = 0; ow < OW; ++ow) {
             const int64_t iw = ow * g.stride + kw - g.pad;
             dst[ow] = (iw < 0 || iw >= g.in_w) ? 0.0f : src[iw];
@@ -286,6 +292,17 @@ void im2col(const float* img, const ConvGeom& g, float* cols) {
       }
     }
   }
+}
+}  // namespace
+
+void im2col(const float* img, const ConvGeom& g, float* cols, int64_t ld) {
+  if (ld == 0) ld = g.out_h() * g.out_w();
+  // Below 8 pixels a row is cheaper gathered than copied between the border
+  // memsets the copy form compiles to.
+  if (g.stride == 1 && g.out_w() >= 8)
+    im2col_rows<true>(img, g, cols, ld);
+  else
+    im2col_rows<false>(img, g, cols, ld);
 }
 
 void col2im(const float* cols, const ConvGeom& g, float* img) {

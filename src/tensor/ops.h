@@ -53,7 +53,8 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
 /// C = A^T(K,M) * B(K,N) -> (M,N).
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// C = A(M,K) * B^T(N,K) -> (M,N).
+/// C = A(M,K) * B^T(N,K) -> (M,N). Each output is one double accumulator
+/// summed in ascending k (the exec::digital dense kernel).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// Transpose of a rank-2 tensor.
 Tensor transpose(const Tensor& a);
@@ -76,8 +77,11 @@ struct ConvGeom {
   int64_t out_w() const { return (in_w + 2 * pad - k_w) / stride + 1; }
 };
 
-/// im2col for one image: input (C,H,W) -> cols (C*kh*kw, OH*OW).
-void im2col(const float* img, const ConvGeom& g, float* cols);
+/// im2col for one image: input (C,H,W) -> cols (C*kh*kw, OH*OW), cols rows
+/// `ld` floats apart (ld >= OH*OW; 0 means OH*OW). Lanes [OH*OW, ld) of each
+/// row are left untouched. Stride-1 geometries with rows of 8+ pixels copy
+/// zero-bordered input rows.
+void im2col(const float* img, const ConvGeom& g, float* cols, int64_t ld = 0);
 /// col2im scatter-add: cols (C*kh*kw, OH*OW) -> img (C,H,W) (img must be zeroed).
 void col2im(const float* cols, const ConvGeom& g, float* img);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/rng.h"
 
@@ -154,6 +155,58 @@ TEST(Im2col, PaddingProducesZeros) {
   const int64_t center_row = 4;  // (0*3+1)*3+1
   EXPECT_FLOAT_EQ(cols[center_row * 4 + 0], 1.0f);
   EXPECT_FLOAT_EQ(cols[center_row * 4 + 3], 4.0f);
+}
+
+// Plain per-element im2col: the definition the strided and stride-1 fast
+// paths must reproduce.
+void im2col_reference(const float* img, const ConvGeom& g, float* cols) {
+  const int64_t OH = g.out_h(), OW = g.out_w();
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.in_c; ++c)
+    for (int64_t kh = 0; kh < g.k_h; ++kh)
+      for (int64_t kw = 0; kw < g.k_w; ++kw, ++row)
+        for (int64_t oh = 0; oh < OH; ++oh)
+          for (int64_t ow = 0; ow < OW; ++ow) {
+            const int64_t ih = oh * g.stride + kh - g.pad;
+            const int64_t iw = ow * g.stride + kw - g.pad;
+            const bool in = ih >= 0 && ih < g.in_h && iw >= 0 && iw < g.in_w;
+            cols[row * OH * OW + oh * OW + ow] =
+                in ? img[(c * g.in_h + ih) * g.in_w + iw] : 0.0f;
+          }
+}
+
+TEST(Im2col, RowStrideAndStride1FastPathMatchReference) {
+  // Every geometry twice: dense rows (ld 0) and rows padded to a multiple of
+  // 16 whose pad lanes carry a sentinel im2col must leave alone. Pads larger
+  // than the kernel make whole rows and output columns pure padding.
+  Rng rng(12);
+  const float kSentinel = -7.25f;
+  for (int64_t stride : {1, 2, 3})
+    for (int64_t pad : {0, 1, 2, 4})
+      for (int64_t k : {1, 3, 5})
+        for (int64_t hw : {1, 4, 7, 12}) {
+          ConvGeom g{2, hw, hw + 1, k, k, stride, pad};
+          if (g.out_h() <= 0 || g.out_w() <= 0 || hw + 2 * pad < k) continue;
+          const int64_t K2 = g.in_c * k * k, P = g.out_h() * g.out_w();
+          Tensor img({g.in_c * g.in_h * g.in_w});
+          rng.fill_normal(img, 0.0f, 1.0f);
+          std::vector<float> want(static_cast<size_t>(K2 * P));
+          im2col_reference(img.data(), g, want.data());
+          std::vector<float> dense(static_cast<size_t>(K2 * P), kSentinel);
+          im2col(img.data(), g, dense.data());
+          EXPECT_EQ(dense, want) << "stride " << stride << " pad " << pad << " k " << k
+                                 << " hw " << hw;
+          const int64_t ld = (P + 15) / 16 * 16 + 16;
+          std::vector<float> strided(static_cast<size_t>(K2 * ld), kSentinel);
+          im2col(img.data(), g, strided.data(), ld);
+          for (int64_t r = 0; r < K2; ++r)
+            for (int64_t j = 0; j < ld; ++j) {
+              const float got = strided[static_cast<size_t>(r * ld + j)];
+              const float exp = j < P ? want[static_cast<size_t>(r * P + j)] : kSentinel;
+              ASSERT_EQ(got, exp) << "row " << r << " lane " << j << " stride " << stride
+                                  << " pad " << pad << " k " << k << " hw " << hw;
+            }
+        }
 }
 
 TEST(Col2im, IsAdjointOfIm2col) {
