@@ -2,6 +2,8 @@
 // experiments: matmul, conv2d forward/backward, im2col, the digital conv and
 // dense kernels, crossbar MVM, the batched crossbar matmul on every
 // registered execution target, and Monte-Carlo perturbation sampling.
+// Legs that run on the thread pool time real (wall) time: the main thread's
+// CPU time would leave out the workers' share.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -32,7 +34,7 @@ void BM_Matmul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_Im2col(benchmark::State& state) {
   const int64_t hw = state.range(0);
@@ -102,7 +104,7 @@ void BM_Conv2DForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv2DForward)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2DForward)->Arg(16)->Arg(32)->UseRealTime();
 
 void BM_Conv2DBackward(benchmark::State& state) {
   const int64_t c = state.range(0);
@@ -117,7 +119,7 @@ void BM_Conv2DBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_Conv2DBackward)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2DBackward)->Arg(16)->Arg(32)->UseRealTime();
 
 void BM_CrossbarMatvec(benchmark::State& state) {
   const int64_t n = state.range(0);

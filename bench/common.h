@@ -29,6 +29,7 @@
 #include "models/lenet.h"
 #include "models/vgg.h"
 #include "nn/serialize.h"
+#include "obs/json.h"
 
 namespace cn::bench {
 
@@ -299,13 +300,11 @@ class BenchJson {
   }
 
   void set(const std::string& key, const std::string& v) {
-    entries_.emplace_back(key, "\"" + escaped(v) + "\"");
+    entries_.emplace_back(key, "\"" + obs::json_escaped(v) + "\"");
   }
   void set(const std::string& key, const char* v) { set(key, std::string(v)); }
   void set(const std::string& key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    entries_.emplace_back(key, buf);
+    entries_.emplace_back(key, obs::json_num(v));
   }
   void set(const std::string& key, int64_t v) {
     entries_.emplace_back(key, std::to_string(v));
@@ -321,7 +320,8 @@ class BenchJson {
     std::ofstream os(path);
     os << "{\n";
     for (size_t i = 0; i < entries_.size(); ++i) {
-      os << "  \"" << escaped(entries_[i].first) << "\": " << entries_[i].second;
+      os << "  \"" << obs::json_escaped(entries_[i].first)
+         << "\": " << entries_[i].second;
       if (i + 1 < entries_.size()) os << ',';
       os << '\n';
     }
@@ -330,20 +330,6 @@ class BenchJson {
   }
 
  private:
-  static std::string escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
-
   std::string name_;
   std::vector<std::pair<std::string, std::string>> entries_;
 };

@@ -14,14 +14,11 @@
 // Subcommand:
 //   correctnet_cli faults [--config PATH] [--out PATH] [--chips N]
 //                         [--epochs N] [--comp-epochs N] [--train N] [--test N]
-//                         [--sigma S] [--target NAME] [--fusion on|off]
+//                         [--sigma S] [--fusion on|off]
 //                         [--metrics-out F] [--trace-out F]
 //                         [--log-level quiet|info|debug] [--quiet]
 //
-// `--list-targets` prints the execution-target registry (src/exec/target.h);
-// `--target NAME` selects the target crossbar farms execute with (main
-// command: process default; faults subcommand: the campaign `target` key).
-// `--fusion on|off` steers the layer-graph fusion knob the same way (main:
+// `--fusion on|off` steers the layer-graph fusion knob (main:
 // nn::set_fusion_enabled process default; faults: the campaign `fusion` key).
 // CORRECTNET_FUSION does the same from the environment; default on.
 //
@@ -53,7 +50,6 @@
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
-#include "exec/target.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
 #include "models/vgg.h"
@@ -85,7 +81,6 @@ struct Args {
   int64_t train = 2500;
   int64_t test = 600;
   std::string save_prefix;
-  std::string target;  // crossbar execution target (process default override)
   std::string fusion;  // on|off: layer-graph fusion (process default override)
   std::string metrics_out;  // write the metrics snapshot here at the end
   std::string trace_out;    // enable tracing, write Chrome trace JSON here
@@ -100,25 +95,13 @@ struct Args {
                "          [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]\n"
                "          [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]\n"
                "          [--mc N] [--rl] [--train N] [--test N] [--save-prefix P]\n"
-               "          [--target NAME] [--fusion on|off]\n"
+               "          [--fusion on|off]\n"
                "          [--metrics-out F] [--trace-out F]\n"
                "          [--log-level quiet|info|debug]\n"
                "          [--statusz-port N] [--metrics-stream F]\n"
-               "       %s --list-targets\n"
                "       %s --version\n",
-               argv0, argv0, argv0);
+               argv0, argv0);
   std::exit(2);
-}
-
-// Sets the process-wide default execution target (everything that programs
-// crossbars after this — campaign farms, demo runs — lowers through it).
-void apply_target(const char* argv0, const std::string& name) {
-  try {
-    cn::exec::set_default_target(name);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-    std::exit(2);
-  }
 }
 
 // Sets the process-wide layer-graph fusion override (nn::fusion_enabled
@@ -131,17 +114,6 @@ void apply_fusion(const char* argv0, const std::string& v) {
                  v.c_str());
     std::exit(2);
   }
-}
-
-int list_targets() {
-  const std::string def = cn::exec::default_target().name();
-  std::printf("registered execution targets (* = default):\n");
-  for (const cn::exec::Target* t : cn::exec::registered_targets())
-    std::printf("%c %-14s %-12s %-10s %s\n", t->name() == def ? '*' : ' ',
-                t->name().c_str(), t->available() ? "available" : "unavailable",
-                t->bit_exact() ? "bit-exact" : "approx",
-                t->description().c_str());
-  return 0;
 }
 
 Args parse(int argc, char** argv) {
@@ -167,7 +139,6 @@ Args parse(int argc, char** argv) {
     else if (k == "--train") a.train = std::atoll(next());
     else if (k == "--test") a.test = std::atoll(next());
     else if (k == "--save-prefix") a.save_prefix = next();
-    else if (k == "--target") a.target = next();
     else if (k == "--fusion") a.fusion = next();
     else if (k == "--metrics-out") a.metrics_out = next();
     else if (k == "--trace-out") a.trace_out = next();
@@ -183,7 +154,6 @@ Args parse(int argc, char** argv) {
 
 struct FaultArgs {
   std::string config;  // key=value campaign file; empty = built-in quick grid
-  std::string target;  // overrides the config's `target` key
   std::string fusion;  // on|off: overrides the config's `fusion` key
   std::string out = "faultsim_report.json";
   int64_t chips = 0;  // >0 overrides the config's chip count
@@ -208,8 +178,8 @@ struct FaultArgs {
   std::fprintf(stderr,
                "usage: %s faults [--config PATH] [--out PATH] [--chips N]\n"
                "          [--epochs N] [--comp-epochs N] [--train N] [--test N]\n"
-               "          [--sigma S] [--remap] [--parallel N] [--target NAME]\n"
-               "          [--fusion on|off] [--metrics-out F] [--trace-out F]\n"
+               "          [--sigma S] [--remap] [--parallel N] [--fusion on|off]\n"
+               "          [--metrics-out F] [--trace-out F]\n"
                "          [--log-level quiet|info|debug] [--quiet]\n"
                "          [--statusz-port N] [--metrics-stream F]\n",
                argv0);
@@ -225,7 +195,6 @@ FaultArgs parse_faults(int argc, char** argv) {
       return argv[++i];
     };
     if (k == "--config") a.config = next();
-    else if (k == "--target") a.target = next();
     else if (k == "--fusion") a.fusion = next();
     else if (k == "--out") a.out = next();
     else if (k == "--chips") a.chips = std::atoll(next());
@@ -273,9 +242,6 @@ int run_faults(int argc, char** argv) {
               : core::KeyValueConfig::from_file(args.config);
       if (args.chips > 0) cfg.set("chips", std::to_string(args.chips));
       if (args.remap) cfg.set("remap", "1");
-      // Validated like the config-file twin: the Campaign ctor resolves the
-      // name against the exec registry and throws on a typo.
-      if (!args.target.empty()) cfg.set("target", args.target);
       if (!args.fusion.empty()) {
         if (args.fusion != "on" && args.fusion != "1" && args.fusion != "off" &&
             args.fusion != "0")
@@ -332,13 +298,11 @@ int run_faults(int argc, char** argv) {
   campaign.add_model("corrected", r.corrected_model, true);
 
   std::printf("\nrunning fault campaign: %lld scenarios (%lld fault specs x %lld "
-              "protection variants%s), target %s, concurrency %lld\n",
+              "protection variants%s), concurrency %lld\n",
               static_cast<long long>(campaign.num_scenarios()),
               static_cast<long long>(campaign.num_faults()),
               static_cast<long long>(campaign.num_models()),
               campaign.remap_enabled() ? " x 2 remap variants" : "",
-              campaign.target().empty() ? exec::default_target().name().c_str()
-                                        : campaign.target().c_str(),
               static_cast<long long>(runtime::effective_concurrency(
                   campaign.parallel_scenarios(), campaign.num_scenarios())));
   const faultsim::CampaignReport report = campaign.run(ds.test);
@@ -420,10 +384,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", obs::build_info_line().c_str());
     return 0;
   }
-  if (argc > 1 && std::strcmp(argv[1], "--list-targets") == 0) return list_targets();
   if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
   const Args args = parse(argc, argv);
-  if (!args.target.empty()) apply_target(argv[0], args.target);
   if (!args.fusion.empty()) apply_fusion(argv[0], args.fusion);
   if (args.statusz_port >= 0 || !args.metrics_stream.empty()) {
     try {

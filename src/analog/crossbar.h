@@ -31,30 +31,6 @@ struct Scratch;
 
 namespace cn::analog {
 
-/// Runtime ISA levels of the built-in simd kernel family. Since the batched
-/// path moved to the execution-target registry (src/exec/), this enum and
-/// the force/reset functions below are a thin shim over the "simd" family's
-/// level selection (exec::simd) — kept because the forced-dispatch parity
-/// tests and benches pin levels through it. Arrays lowered with a *pinned*
-/// target (e.g. "simd-avx2") ignore the forced level by design; the default
-/// "simd" target re-reads it on every call.
-enum class SimdLevel : int { kGeneric = 0, kAvx2 = 1, kAvx512f = 2 };
-
-/// Widest level this build + host can execute.
-SimdLevel simd_max_level();
-
-/// Pins the simd family's dispatch to `level` for subsequent matmuls (the
-/// forced-dispatch parity tests). Returns false — leaving dispatch unchanged
-/// — when the build or host cannot execute the level. Not synchronized with
-/// concurrently running matmuls; flip it only between calls.
-bool force_simd_level(SimdLevel level);
-
-/// Restores runtime auto-selection.
-void reset_simd_level();
-
-/// The level the simd family's next auto-dispatched matmul will use.
-SimdLevel current_simd_level();
-
 /// Readout-periphery knobs of a crossbar tile: everything that perturbs or
 /// quantizes the signal path at read time rather than at programming time.
 /// Nested so device specs (and faultsim scenario overrides) can set or copy
@@ -211,7 +187,7 @@ class CrossbarTile {
 
   /// (Re-)lowers the programmed conductances through the execution target
   /// (after programming or fault injection): the target may precompute
-  /// whatever representation it executes from (double copies, int8 planes).
+  /// whatever representation it executes from (e.g. double copies).
   void lower();
 
   int64_t rows_, cols_;

@@ -65,21 +65,4 @@ void adc_quantize(Tensor& currents, int bits, float full_scale) {
   quantize_tensor(currents, -full_scale, full_scale, 1 << bits);
 }
 
-float quantize_symmetric_int8(const float* x, int64_t n, int64_t stride,
-                              int8_t* q) {
-  float absmax = 0.0f;
-  for (int64_t i = 0; i < n; ++i) absmax = std::max(absmax, std::fabs(x[i * stride]));
-  if (absmax == 0.0f) {
-    std::fill(q, q + n, int8_t{0});
-    return 0.0f;
-  }
-  const float scale = absmax / 127.0f;
-  const float inv = 127.0f / absmax;
-  for (int64_t i = 0; i < n; ++i) {
-    const float r = std::round(x[i * stride] * inv);
-    q[i] = static_cast<int8_t>(std::clamp(r, -127.0f, 127.0f));
-  }
-  return scale;
-}
-
 }  // namespace cn::analog

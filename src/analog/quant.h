@@ -32,13 +32,4 @@ void dac_quantize_span(float* x, int64_t n, int bits);
 /// over [-full_scale, full_scale]. bits <= 0 disables quantization.
 void adc_quantize(Tensor& currents, int bits, float full_scale);
 
-/// Symmetric int8 quantizer over a strided span: scale = max |x| / 127,
-/// q[i] = round(x[i * stride] / scale), clamped to [-127, 127] (the -128
-/// code is unused so the grid stays symmetric, like the ADC's signed range).
-/// Returns the scale; an all-zero span returns 0 with q zeroed. The int8
-/// execution target quantizes both tile conductance differences and input
-/// voltages with this.
-float quantize_symmetric_int8(const float* x, int64_t n, int64_t stride,
-                              int8_t* q);
-
 }  // namespace cn::analog

@@ -1,22 +1,17 @@
-// Internal: constructors of the built-in execution targets. The registry
-// (target.cpp) references these directly instead of relying on static
-// registrar objects — in a static library, registrars living in otherwise
-// unreferenced translation units would be dead-stripped and the builtins
+// Internal: constructor of the built-in execution target. The registry
+// (target.cpp) references it directly instead of relying on a static
+// registrar object — in a static library, a registrar living in an otherwise
+// unreferenced translation unit would be dead-stripped and the builtin
 // would silently vanish from the registry.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "exec/target.h"
 
 namespace cn::exec::detail {
 
-/// Appends the simd kernel family: the auto-dispatching "simd" target plus
-/// one pinned registration per ISA level.
-void append_simd_targets(std::vector<std::unique_ptr<Target>>& out);
-
-std::unique_ptr<Target> make_int8_target();
-std::unique_ptr<Target> make_hugetile_target();
+/// The "simd" kernel family: widest supported ISA level picked per call.
+std::unique_ptr<Target> make_simd_target();
 
 }  // namespace cn::exec::detail

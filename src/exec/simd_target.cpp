@@ -1,10 +1,7 @@
 // The simd kernel family: register-blocked current kernels at three ISA
-// levels (generic / avx2 / avx512f), previously private tables inside
-// analog/crossbar.cpp, now registered as execution targets.
-//
-// Registrations: "simd" auto-dispatches per call (widest supported level, or
-// the level forced via exec::simd::force_level — the analog::force_simd_level
-// shim), and one pinned target per level proves all variants bit-identical.
+// levels (generic / avx2 / avx512f), registered as the "simd" execution
+// target. Dispatch picks the widest supported level per call, or the level
+// forced via exec::simd::force_level (how the parity tests run every level).
 //
 // This translation unit must stay contraction-free (see the avx attribute
 // and src/CMakeLists.txt): a fused multiply-add would round differently from
@@ -98,7 +95,7 @@ block_currents_avx512(const double* gp, const double* gn, int64_t rows,
 #endif
 
 // One kernel table per ISA level (level-major: generic, avx2, avx512f), so
-// dispatch can be pinned per level for the parity targets. Builds without
+// dispatch can be forced per level for the parity tests. Builds without
 // x86 target attributes alias every level to the generic kernels.
 #define CN_KERNEL_LEVEL(fn)                                                   \
   {{fn<1, false>, fn<2, false>, fn<3, false>, fn<4, false>, fn<5, false>,     \
@@ -126,25 +123,16 @@ int detect_level() {
   return 0;
 }
 
-// -1 = auto (host detection); otherwise a pinned level.
+// -1 = auto (host detection); otherwise a forced level.
 std::atomic<int> g_forced_level{-1};
-
-const char* level_name(int level) {
-  switch (level) {
-    case 1: return "avx2";
-    case 2: return "avx512f";
-    default: return "generic";
-  }
-}
 
 /// One lowered tile: padded double-precision conductance copies
 /// (float->double conversion is exact, so results match the scalar float
 /// path bit for bit while the hot loop skips per-element converts), executed
-/// at a pinned level, or at the per-call auto level when pinned < 0.
+/// at the per-call dispatch level.
 class SimdTileExec final : public TileExec {
  public:
-  SimdTileExec(const TileView& t, int pinned_level)
-      : rows_(t.rows), cols_(t.cols), pinned_(pinned_level) {
+  explicit SimdTileExec(const TileView& t) : rows_(t.rows), cols_(t.cols) {
     const size_t n = static_cast<size_t>(rows_ * cols_);
     gd_pos_.assign(n + 8, 0.0);
     gd_neg_.assign(n + 8, 0.0);
@@ -157,50 +145,34 @@ class SimdTileExec final : public TileExec {
   int64_t row_block() const override {
     // AVX-512's 32 registers hold an 8-row accumulator block; narrower ISAs
     // spill past 4 rows.
-    return effective_level() == 2 ? 8 : 4;
+    return simd::current_level() == 2 ? 8 : 4;
   }
 
   void currents(const float* x, int64_t nitems, int64_t xis, int64_t xws,
                 float* cur, int64_t ldcur, Scratch&) const override {
     const BlockKernel* kernels =
-        kKernelTable[effective_level()][xis == 1 ? 1 : 0];
+        kKernelTable[simd::current_level()][xis == 1 ? 1 : 0];
     kernels[nitems - 1](gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, xis,
                         xws, cur, ldcur);
   }
 
  private:
-  int effective_level() const {
-    return pinned_ < 0 ? simd::current_level() : pinned_;
-  }
-
   int64_t rows_, cols_;
-  int pinned_;
   std::vector<double> gd_pos_, gd_neg_;
 };
 
-/// pinned_level < 0: the auto-dispatching "simd" family target.
 class SimdTarget final : public Target {
  public:
-  explicit SimdTarget(int pinned_level) : pinned_(pinned_level) {}
-
-  std::string name() const override {
-    return pinned_ < 0 ? "simd" : std::string("simd-") + level_name(pinned_);
-  }
+  std::string name() const override { return "simd"; }
   std::string description() const override {
-    if (pinned_ < 0)
-      return "register-blocked float kernels, widest supported ISA level "
-             "picked per call (default)";
-    return std::string("register-blocked float kernels pinned to the ") +
-           level_name(pinned_) + " ISA level";
+    return "register-blocked float kernels, widest supported ISA level "
+           "picked per call (default)";
   }
-  bool available() const override { return pinned_ <= simd::max_level(); }
+  bool available() const override { return true; }
   bool bit_exact() const override { return true; }
   std::unique_ptr<TileExec> lower(const TileView& tile) const override {
-    return std::make_unique<SimdTileExec>(tile, pinned_);
+    return std::make_unique<SimdTileExec>(tile);
   }
-
- private:
-  int pinned_;
 };
 
 }  // namespace
@@ -229,10 +201,8 @@ int current_level() {
 
 namespace detail {
 
-void append_simd_targets(std::vector<std::unique_ptr<Target>>& out) {
-  out.push_back(std::make_unique<SimdTarget>(-1));
-  for (int level = 0; level <= 2; ++level)
-    out.push_back(std::make_unique<SimdTarget>(level));
+std::unique_ptr<Target> make_simd_target() {
+  return std::make_unique<SimdTarget>();
 }
 
 }  // namespace detail

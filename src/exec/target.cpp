@@ -1,6 +1,5 @@
 #include "exec/target.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 
@@ -13,7 +12,6 @@ struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<Target>> targets;
   const Target* builtin_default = nullptr;  // the "simd" family
-  const Target* env_default = nullptr;      // CORRECTNET_TARGET
   const Target* override_default = nullptr; // set_default_target
   bool initialized = false;
 };
@@ -50,19 +48,13 @@ const Target& resolve_locked(const Registry& r, const std::string& name,
   return *t;
 }
 
-// Builtins register lazily on first registry use rather than via static
-// registrar objects (see builtin.h). CORRECTNET_TARGET is validated here, so
-// a typo'd CI matrix value fails the first crossbar construction loudly
-// instead of silently running the default target.
+// The builtin registers lazily on first registry use rather than via a
+// static registrar object (see builtin.h).
 void ensure_init_locked(Registry& r) {
   if (r.initialized) return;
   r.initialized = true;
-  detail::append_simd_targets(r.targets);
-  r.targets.push_back(detail::make_int8_target());
-  r.targets.push_back(detail::make_hugetile_target());
-  r.builtin_default = find_locked(r, "simd");
-  if (const char* env = std::getenv("CORRECTNET_TARGET"); env && *env)
-    r.env_default = &resolve_locked(r, env, "CORRECTNET_TARGET");
+  r.targets.push_back(detail::make_simd_target());
+  r.builtin_default = r.targets.back().get();
 }
 
 }  // namespace
@@ -109,9 +101,7 @@ const Target& default_target() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lk(r.mu);
   ensure_init_locked(r);
-  if (r.override_default) return *r.override_default;
-  if (r.env_default) return *r.env_default;
-  return *r.builtin_default;
+  return r.override_default ? *r.override_default : *r.builtin_default;
 }
 
 void set_default_target(const std::string& name) {

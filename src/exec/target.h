@@ -4,21 +4,12 @@
 // a programmed tile (TileView) into a TileExec, an immutable executable the
 // batched matmul dispatches to. Targets self-describe (name, availability on
 // this host, whether results are bit-identical to the scalar matvec
-// reference) and live in a process-wide registry, so frontends can enumerate
-// them (`correctnet_cli --list-targets`), configs can select them by name
-// (the campaign `target` key), and new backends plug in without touching the
-// dispatch sites.
+// reference) and live in a process-wide registry.
 //
-// Built-in registrations:
-//   simd          auto-dispatching kernel family (generic/avx2/avx512f picked
-//                 per call; responds to force_simd_level) — the default
-//   simd-generic  the portable kernels, pinned
-//   simd-avx2     AVX2 kernels, pinned (x86-64 GCC builds on AVX2 hosts)
-//   simd-avx512f  AVX-512F kernels, pinned
-//   int8          digital half quantized to int8 end-to-end (approximate;
-//                 documented accuracy bounds, see docs/ARCHITECTURE.md)
-//   huge-tile     cache-blocked row-streaming kernels for large tiles
-//                 (bit-exact)
+// The one built-in registration is "simd": register-blocked kernels at three
+// ISA levels (generic/avx2/avx512f), the widest supported level picked per
+// call. exec::simd::force_level pins the level for tests that prove every
+// level bit-identical.
 //
 // The lowering seam is deliberately narrow — conductance arrays in, current
 // rows out — so an offload target (GPU, accelerator API) can fill it without
@@ -28,13 +19,11 @@
 // currents bit-identical to CrossbarTile's per-column scalar reference under
 // every fault model and remap setting (per-column accumulation in ascending
 // wordline order, double accumulators, no FMA contraction — see the parity
-// suites in tests/test_crossbar_exec.cpp). Approximate targets (int8) are
-// exempt but must stay inside their pinned regression tolerances.
+// suites in tests/test_crossbar_exec.cpp).
 //
-// The process default target is, in increasing precedence: "simd", the
-// CORRECTNET_TARGET environment variable (validated at first registry use;
-// how CI forces a target under every test binary), set_default_target().
-// Already-constructed arrays keep the target they were lowered with.
+// The process default target is "simd" unless set_default_target()
+// overrides it. Already-constructed arrays keep the target they were lowered
+// with.
 #pragma once
 
 #include <cstdint>
@@ -55,28 +44,11 @@ struct TileView {
   float g_min = 0.0f, g_max = 0.0f;  // device conductance range
 };
 
-/// Per-worker scratch buffers for TileExec::currents: grown on demand,
-/// reused across calls so the hot loop never allocates. One Scratch per
-/// thread — TileExec itself must stay stateless across calls.
-struct Scratch {
-  double* doubles(size_t n) {
-    if (d_.size() < n) d_.resize(n);
-    return d_.data();
-  }
-  int32_t* ints(size_t n) {
-    if (i32_.size() < n) i32_.resize(n);
-    return i32_.data();
-  }
-  int8_t* bytes(size_t n) {
-    if (i8_.size() < n) i8_.resize(n);
-    return i8_.data();
-  }
-
- private:
-  std::vector<double> d_;
-  std::vector<int32_t> i32_;
-  std::vector<int8_t> i8_;
-};
+/// Per-worker state handed to TileExec::currents, one per thread, so that
+/// TileExec itself stays stateless across calls. Empty: the simd kernels
+/// keep their accumulators in registers. A target that needs per-worker
+/// buffers adds them here.
+struct Scratch {};
 
 /// One tile lowered for execution. Implementations are immutable after
 /// construction and must be safe to call concurrently (matmul workers share
@@ -108,7 +80,7 @@ class Target {
 
   /// Registry key ([a-z0-9-], unique).
   virtual std::string name() const = 0;
-  /// One-line human description for --list-targets.
+  /// One-line human description.
   virtual std::string description() const = 0;
   /// Capability probe: can this build + host execute the target?
   virtual bool available() const = 0;
@@ -116,7 +88,7 @@ class Target {
   /// the contract in the header comment).
   virtual bool bit_exact() const = 0;
   /// Lowers one programmed tile into an executable. May throw when the tile
-  /// shape is outside the target's envelope (e.g. int8 accumulator range).
+  /// shape is outside the target's envelope.
   virtual std::unique_ptr<TileExec> lower(const TileView& tile) const = 0;
 };
 
@@ -140,18 +112,16 @@ std::vector<const Target*> registered_targets();
 /// target is passed down (see precedence in the header comment).
 const Target& default_target();
 
-/// Overrides the process default (CLI --target). Throws like get_target.
+/// Overrides the process default. Throws like get_target.
 void set_default_target(const std::string& name);
 
-/// Drops the set_default_target override, restoring the startup default
-/// (CORRECTNET_TARGET when set, else "simd").
+/// Drops the set_default_target override, restoring "simd".
 void reset_default_target();
 
-/// Dispatch-level shim of the built-in simd family (0 = generic, 1 = avx2,
+/// Dispatch level of the built-in simd family (0 = generic, 1 = avx2,
 /// 2 = avx512f): the "simd" target re-reads the forced level on every call,
-/// which is what keeps analog::force_simd_level working on arrays that were
-/// lowered before the flip. Pinned registrations (simd-generic/...) ignore
-/// it. Not synchronized with running matmuls; flip only between calls.
+/// so forcing works on arrays that were lowered before the flip. Not
+/// synchronized with running matmuls; flip only between calls.
 namespace simd {
 int max_level();              // widest level this build + host can execute
 bool force_level(int level);  // false (no change) when unsupported

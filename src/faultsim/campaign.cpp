@@ -6,9 +6,9 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "exec/target.h"
 #include "nn/fusion.h"
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -20,30 +20,8 @@
 
 namespace cn::faultsim {
 
-namespace {
-
-// Number formatting matching bench::BenchJson (%.6g, ordered keys).
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
+using obs::json_escaped;
+using obs::json_num;
 
 int64_t CampaignReport::total_catastrophic() const {
   int64_t n = 0;
@@ -160,9 +138,6 @@ Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
     throw std::invalid_argument("Campaign: statusz_port must be <= 65535");
   if (opts_.slo_p99_ms < 0)
     throw std::invalid_argument("Campaign: slo_p99_ms must be >= 0 (0 = off)");
-  // Resolve the execution target against the registry now: a typo'd name
-  // must fail before any training or scenario work, not at the first farm.
-  if (!opts_.target.empty()) exec::get_target(opts_.target);
 }
 
 void Campaign::add_model(const std::string& name, const nn::Sequential& model,
@@ -293,7 +268,6 @@ CampaignReport Campaign::run(const data::Dataset& test) {
     // functions of chip_seed(s), so the slot count never changes results.
     if (fo.max_live == 0 && conc > 1) fo.max_live = 1;
     fo.tile = opts_.tile;
-    fo.target = opts_.target;
     if (cell.remap_on) fo.remap = opts_.remap;
     runtime::ChipFarm farm(*me.model, opts_.dev, fo, lists[cell.fi]);
     runtime::McEngineOptions eo;
@@ -337,7 +311,7 @@ const std::vector<std::string>& campaign_config_keys() {
   // against it, so a key added here without documentation (or vice versa)
   // fails tier-1.
   static const std::vector<std::string> keys = {
-      "chips", "seed", "batch", "catastrophic", "tile", "target", "control",
+      "chips", "seed", "batch", "catastrophic", "tile", "control",
       "parallel_scenarios",
       "program_sigma", "read_sigma", "adc_bits", "dac_bits", "levels",
       "stuck.rates", "stuck.high_fraction", "drift.times", "drift.nu",
@@ -357,7 +331,6 @@ Campaign campaign_from_config(const core::KeyValueConfig& cfg) {
   opts.seed = static_cast<uint64_t>(cfg.integer("seed", static_cast<int64_t>(opts.seed)));
   opts.batch_size = cfg.integer("batch", opts.batch_size);
   opts.tile = cfg.integer("tile", opts.tile);
-  opts.target = cfg.str("target", opts.target);
   opts.parallel_scenarios =
       cfg.integer("parallel_scenarios", opts.parallel_scenarios);
   opts.catastrophic_below = cfg.number("catastrophic", opts.catastrophic_below);

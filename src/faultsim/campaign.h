@@ -51,11 +51,6 @@ struct CampaignOptions {
   // parallelism — on wide boxes use 0 (auto) or >= the core count.
   int64_t parallel_scenarios = 0;
   double catastrophic_below = 0.2;  // accuracy counted as catastrophic failure
-  // Execution target every scenario's crossbar farms lower with, validated
-  // against the exec registry by the Campaign ctor. Empty = process default.
-  // Bit-exact targets never change a report; approximate ones (int8) shift
-  // accuracies within their pinned bounds.
-  std::string target;
   analog::RramDeviceParams dev;     // baseline device every scenario starts from
   // Fault-aware remapping protection axis: when `remap.enabled`, every
   // (fault, model) cell runs twice — remap off, then remap on with these
@@ -156,8 +151,6 @@ class Campaign {
   bool remap_enabled() const { return opts_.remap.enabled; }
   /// The scenario-concurrency knob (0 = auto); frontends print it.
   int64_t parallel_scenarios() const { return opts_.parallel_scenarios; }
-  /// The configured execution target ("" = process default).
-  const std::string& target() const { return opts_.target; }
   /// Grid size = fault specs x protection variants x remap variants.
   int64_t num_scenarios() const {
     return num_models() * num_faults() * (opts_.remap.enabled ? 2 : 1);
@@ -196,7 +189,6 @@ const std::vector<std::string>& campaign_config_keys();
 /// docs/CONFIG.md is the per-key reference (type, default, validation),
 /// kept honest by a tier-1 test. Summary:
 ///   chips, seed, batch, catastrophic, tile    — CampaignOptions scalars
-///   target = simd|simd-generic|int8|...       — execution target (registry-validated)
 ///   parallel_scenarios = 0|1|N — scenario-level concurrency (0 = auto)
 ///   program_sigma, read_sigma, adc_bits, dac_bits, levels — baseline device
 ///   control = 0|1            — include the fault-free control scenario (default 1)

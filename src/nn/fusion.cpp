@@ -14,9 +14,9 @@
 namespace cn::nn {
 
 // ---------------------------------------------------------------------------
-// Process-wide knob. Same shape as the exec-target default: an explicit
-// override wins, otherwise CORRECTNET_FUSION is read and validated once at
-// first use (so a typo'd CI matrix value fails loudly), default on.
+// Process-wide knob: an explicit override wins, otherwise CORRECTNET_FUSION
+// is read and validated once at first use (so a typo'd CI matrix value fails
+// loudly), default on.
 // ---------------------------------------------------------------------------
 
 namespace {

@@ -2,9 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -263,6 +266,31 @@ std::string ExpositionServer::handle(const std::string& path,
   return "not found: " + path + "\n(try /metrics, /healthz, /statusz)\n";
 }
 
+std::string ExpositionServer::read_request_line(int fd) const {
+  // HTTP/1.0, GET only, so the first line is all that matters. Waits in
+  // short slices so that stop() is noticed while a client dawdles.
+  constexpr std::chrono::milliseconds kSlice{50};
+  const auto deadline =
+      std::chrono::steady_clock::now() + kExpositionConnectionDeadline;
+  std::string req;
+  char buf[1024];
+  while (req.find('\n') == std::string::npos && req.size() < 8192) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0 || stop_.load(std::memory_order_relaxed)) return "";
+    pollfd p{fd, POLLIN, 0};
+    const int r =
+        ::poll(&p, 1, static_cast<int>(std::min(left, kSlice).count()));
+    if (r == 0 || (r < 0 && errno == EINTR)) continue;
+    if (r < 0) return "";
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    req.append(buf, static_cast<size_t>(n));
+  }
+  return req;
+}
+
 void ExpositionServer::acceptor_loop() {
   while (!stop_.load(std::memory_order_relaxed)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -270,14 +298,10 @@ void ExpositionServer::acceptor_loop() {
       if (errno == EINTR) continue;
       return;  // listen fd shut down by stop()
     }
-    // Read up to the end of the request line; HTTP/1.0, GET only, so the
-    // first line is all that matters.
-    std::string req;
-    char buf[1024];
-    while (req.find('\n') == std::string::npos && req.size() < 8192) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      req.append(buf, static_cast<size_t>(n));
+    const std::string req = read_request_line(fd);
+    if (req.empty()) {
+      ::close(fd);
+      continue;
     }
     std::string method, path;
     {
@@ -304,6 +328,11 @@ void ExpositionServer::acceptor_loop() {
               : "text/plain; charset=utf-8";
       resp = http_response(status, ctype, body);
     }
+    // A client that stops reading must not hold the acceptor either.
+    timeval tv{};
+    tv.tv_sec = kExpositionConnectionDeadline.count() / 1000;
+    tv.tv_usec = (kExpositionConnectionDeadline.count() % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     send_all(fd, resp);
     ::close(fd);
   }

@@ -17,6 +17,10 @@
 // bound to 127.0.0.1 by default. One scraper at 10 Hz is the design load
 // (bench_runtime pins the overhead); requests are served on the acceptor
 // thread, so a slow client delays the next scrape, never the serving path.
+// Each connection gets kExpositionConnectionDeadline in total to deliver
+// its request line, and response sends time out after the same span, so an
+// idle or trickling client cannot wedge other scrapes; stop() does not wait
+// for a dawdling client at all.
 //
 // The PR 7 invariant extends to the live tier: request handling only reads
 // registry atomics and formats strings — no rng streams, no numeric paths —
@@ -29,12 +33,17 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace cn::obs {
+
+/// Total time one accepted connection may take to send its request line
+/// before it is dropped; also the send timeout for its response.
+inline constexpr std::chrono::milliseconds kExpositionConnectionDeadline{2000};
 
 struct ExpositionServerOptions {
   int port = 0;                   // 0 = ephemeral (port() reports the bound one)
@@ -77,6 +86,9 @@ class ExpositionServer {
 
  private:
   void acceptor_loop();
+  /// The request line from `fd`, or "" when the connection misses the
+  /// deadline, closes early, or stop() begins.
+  std::string read_request_line(int fd) const;
 
   ExpositionServerOptions opts_;
   int listen_fd_ = -1;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/slo.h"
 #include "obs/snapshot_stream.h"
@@ -17,27 +18,6 @@
 namespace cn::obs {
 
 namespace {
-
-// Number formatting matching bench::BenchJson (%.6g).
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 // Index of the most significant set bit (u > 0).
 int msb_index(uint64_t u) {

@@ -2,33 +2,10 @@
 
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/log.h"
 
 namespace cn::obs {
-
-namespace {
-
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 MetricsSnapshotter::MetricsSnapshotter(MetricsSnapshotterOptions opts,
                                        MetricsRegistry& reg)

@@ -5,23 +5,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace cn::obs {
 
 namespace {
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 uint64_t us_since(Tracer::Clock::time_point origin, Tracer::Clock::time_point t) {
   if (t <= origin) return 0;

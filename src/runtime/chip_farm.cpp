@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "exec/target.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/threadpool.h"
@@ -17,10 +16,6 @@ ChipFarm::ChipFarm(const nn::Sequential& base, const analog::VariationModel& vm,
   if (opts.remap.enabled)
     throw std::invalid_argument(
         "ChipFarm: remapping needs crossbar mode (factor chips have no tiles)");
-  if (!opts.target.empty())
-    throw std::invalid_argument(
-        "ChipFarm: execution targets need crossbar mode (factor chips run "
-        "digitally)");
   init_slots();
 }
 
@@ -34,15 +29,7 @@ ChipFarm::ChipFarm(const nn::Sequential& base, const analog::RramDeviceParams& d
   if (opts.first_site != 0 && faults_.empty())
     throw std::invalid_argument(
         "ChipFarm: crossbar first_site needs a fault list (no factor sites)");
-  // Resolve eagerly: an unknown or unavailable target name must fail the
-  // farm's construction, not the first chip materialization minutes later.
-  if (!opts_.target.empty()) target_ = &exec::get_target(opts_.target);
   init_slots();
-}
-
-std::string ChipFarm::target_name() const {
-  if (!crossbar_) return "";
-  return target_ ? target_->name() : exec::default_target().name();
 }
 
 void ChipFarm::init_slots() {
@@ -115,8 +102,7 @@ void ChipFarm::populate(int64_t slot, int64_t s) {
     }
     sl.model = std::make_unique<nn::Sequential>(analog::program_to_crossbars(
         base_, dev_, rng, opts_.tile,
-        effective.empty() ? nullptr : &effective, opts_.first_site, rp,
-        target_));
+        effective.empty() ? nullptr : &effective, opts_.first_site, rp));
     analog::set_read_seeds(*sl.model, read_seed(s));
     // remap_stats_ is sized only for farm-level remapping; a drill-only
     // repair still runs the controller but keeps no per-chip accounting.

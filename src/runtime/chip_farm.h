@@ -44,11 +44,6 @@ struct ChipFarmOptions {
                            // when a crossbar farm carries a fault list
   int64_t tile = 128;      // crossbar mode: tile edge length
   remap::RemapParams remap;  // crossbar mode: fault-aware remapping (default off)
-  // Crossbar mode: execution target of the batched path, resolved against
-  // the exec registry at farm construction (fails fast on a typo). Empty =
-  // process default (exec::default_target()). Factor farms execute
-  // digitally and reject a non-empty value.
-  std::string target;
 };
 
 class ChipFarm {
@@ -70,9 +65,6 @@ class ChipFarm {
   bool crossbar_mode() const { return crossbar_; }
   uint64_t seed() const { return opts_.seed; }
   int64_t first_site() const { return opts_.first_site; }
-  /// Execution target crossbar chips are lowered with: the per-farm
-  /// override, or the process default. Factor farms return "" (digital).
-  std::string target_name() const;
 
   /// Deterministic seed of logical chip s (independent of slot layout).
   uint64_t chip_seed(int64_t s) const;
@@ -134,9 +126,6 @@ class ChipFarm {
   analog::RramDeviceParams dev_;
   analog::FaultList faults_;  // crossbar mode only; empty = fault-free
   bool crossbar_ = false;
-  // Resolved opts_.target (registry-owned); nullptr = process default,
-  // re-read at every populate so CLI-level set_default_target applies.
-  const exec::Target* target_ = nullptr;
   ChipFarmOptions opts_;
 
   struct Slot {

@@ -8,10 +8,9 @@
 // across a pool) applied to the analog-chip simulator: batching feeds the
 // crossbar matmul path whole tile passes instead of per-request MVMs.
 //
-// Execution-target selection rides the farm (ChipFarmOptions::target /
-// exec::default_target()): workers serve through whatever target the farm's
-// crossbar chips were lowered with — swapping targets swaps the served
-// kernels without touching the scheduler.
+// Workers serve through whatever execution target the farm's crossbar chips
+// were lowered with (exec::default_target()) — swapping targets swaps the
+// served kernels without touching the scheduler.
 //
 // Latency/throughput counters are kept per server and snapshot via stats();
 // per-request enqueue->complete latency feeds an obs::LatencyHistogram, so

@@ -7,10 +7,9 @@
 // chip_seed(s) and results reduce in chip order, McResult.samples is
 // bit-identical for any thread count and any number of live slots.
 //
-// Execution-target selection rides the farm (ChipFarmOptions::target /
-// exec::default_target()): the engine evaluates whatever target the farm's
-// crossbar chips were lowered with, and bit-exact targets leave every
-// McResult byte-identical by the registry's parity contract.
+// The engine evaluates whatever execution target the farm's crossbar chips
+// were lowered with (exec::default_target()), and bit-exact targets leave
+// every McResult byte-identical by the registry's parity contract.
 #pragma once
 
 #include "core/montecarlo.h"

@@ -1,11 +1,9 @@
 // Shared helpers for suites that assert the bit-exactness contract between
 // execution paths (batched crossbar vs scalar matvec, fused vs unfused
-// graphs). The contract is a property of the execution target: under an
-// approximate ambient target (the CORRECTNET_TARGET=int8 CI matrix leg)
-// those assertions are vacuously out of force, so the tests skip — loudly,
-// with the target named — instead of failing. Per-target parity itself is
-// proven with explicit targets in tests/test_crossbar_exec.cpp, which runs
-// identically under every leg.
+// graphs).
+//
+// for_each_simd_level runs a parity check once per exec::simd dispatch level
+// the build and host support, so one tier-1 run covers every kernel variant.
 //
 // expect_bitwise_equal / expect_within_ulps are the shared parity
 // assertions: one failure per call with the first mismatching index, both
@@ -107,13 +105,23 @@ inline void expect_within_ulps(const Tensor& got, const Tensor& want,
                      what);
 }
 
-}  // namespace cn::testutil
+// Calls fn(level) once per exec::simd dispatch level from 0 (generic) up
+// to exec::simd::max_level(), with that level forced, and asserts that every
+// supported level ran. Auto-selection is restored on the way out.
+template <class Fn>
+void for_each_simd_level(Fn&& fn) {
+  struct ResetLevel {
+    ~ResetLevel() { exec::simd::reset_level(); }
+  } reset;  // also on exceptions out of fn
+  int ran = 0;
+  for (int level = 0; level <= exec::simd::max_level(); ++level) {
+    if (!exec::simd::force_level(level) || exec::simd::current_level() != level)
+      continue;
+    fn(level);
+    ++ran;
+  }
+  EXPECT_EQ(ran, exec::simd::max_level() + 1)
+      << "a supported simd level could not be forced";
+}
 
-#define CN_SKIP_UNLESS_BIT_EXACT_TARGET()                                  \
-  do {                                                                     \
-    const cn::exec::Target& cn_ambient = cn::exec::default_target();       \
-    if (!cn_ambient.bit_exact())                                           \
-      GTEST_SKIP() << "ambient execution target '" << cn_ambient.name()    \
-                   << "' is approximate; the bit-exactness contract this " \
-                      "test asserts is not in force";                      \
-  } while (0)
+}  // namespace cn::testutil

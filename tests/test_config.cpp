@@ -157,6 +157,17 @@ TEST(ConfigDocs, CampaignTableMatchesDeclaredKeySet) {
         << "declared in campaign_config_keys()";
 }
 
+TEST(CampaignConfig, UnknownKeyThrows) {
+  // campaign_from_config validates its key set before building anything.
+  // `target` picked an execution target until the simd kernels became the
+  // only one; a config that still sets it must fail, not be ignored.
+  EXPECT_NO_THROW(faultsim::campaign_from_config(
+      KeyValueConfig::from_string("stuck.rates = 0.01\n")));
+  EXPECT_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
+                   "stuck.rates = 0.01\ntarget = simd\n")),
+               std::runtime_error);
+}
+
 TEST(KeyValueConfig, MissingFileThrows) {
   EXPECT_THROW(KeyValueConfig::from_file("/nonexistent/campaign.cfg"),
                std::runtime_error);

@@ -1,14 +1,15 @@
 // Crossbar-backed execution of whole models, the equivalence between the
-// device-level substrate and the fast factor-injection path, and the
-// per-execution-target parity of the batched matmul path vs the per-column
-// matvec loop across every periphery configuration and fault model: every
-// bit-exact target must match bit for bit, the int8 target must stay inside
-// its pinned tolerances.
+// device-level substrate and the fast factor-injection path, and the parity
+// of the batched matmul path vs the per-column matvec loop across every
+// periphery configuration and fault model, at every simd dispatch level the
+// host supports: each must match bit for bit.
 #include "analog/crossbar_layers.h"
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,17 +32,21 @@ RramDeviceParams ideal() {
   return dev;
 }
 
-// For every registered bit-exact target this host can execute, builds an
-// array from (dev, faults) explicitly on that target and asserts
-// y == matvec row by row for matmul and matmul_cols on a random batch. Each
-// target's array is programmed from a freshly re-seeded rng, so all targets
-// execute identical conductances; matvec itself is target-independent. Read
-// noise stays off: with a noise stream the two paths intentionally derive
-// different per-row rngs.
+// Shape of one parity input: wordlines, bitlines, batch rows, tile edge.
+struct ParityShape {
+  int64_t in = 23, out = 11, batch = 6, tile = 8;  // multiple tiles both ways
+};
+
+// Builds an array from (dev, faults) on the "simd" target and, at every simd
+// dispatch level the host supports, asserts y == matvec row by row for
+// matmul and matmul_cols on a random batch. matvec itself is
+// level-independent. Read noise stays off: with a noise stream the two paths
+// intentionally derive different per-row rngs.
 void expect_paths_bit_identical(const RramDeviceParams& dev,
                                 const FaultList* faults, uint64_t seed,
-                                const std::string& what) {
-  constexpr int64_t kIn = 23, kOut = 11, kBatch = 6;
+                                const std::string& what,
+                                ParityShape shape = {}) {
+  const int64_t kIn = shape.in, kOut = shape.out, kBatch = shape.batch;
   Rng rng(seed);
   Tensor w({kOut, kIn});
   rng.fill_normal(w, 0.0f, 0.5f);
@@ -50,29 +55,28 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
   Tensor x_cm({kIn, kBatch});
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
-  int targets_run = 0;
-  for (const exec::Target* t : exec::registered_targets()) {
-    if (!t->bit_exact() || !t->available()) continue;
-    ++targets_run;
-    Rng prog(seed + 1);
-    CrossbarArray xbar(w, dev, prog, /*tile=*/8, faults, nullptr,
-                       t);  // multiple tiles both ways
-    Tensor y_batch = xbar.matmul(x);
-    Tensor y_cols = xbar.matmul_cols(x_cm);
-    Tensor xi({kIn});
-    for (int64_t n = 0; n < kBatch; ++n) {
-      std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-      Tensor yi = xbar.matvec(xi);
-      const std::string row = what + " [" + t->name() + "] row " +
-                              std::to_string(n);
-      testutil::expect_bitwise_equal(y_batch.data() + n * kOut, yi.data(),
-                                     kOut, row + " matmul");
-      testutil::expect_bitwise_equal(y_cols.data() + n * kOut, yi.data(),
-                                     kOut, row + " matmul_cols");
-    }
+  Rng prog(seed + 1);
+  CrossbarArray xbar(w, dev, prog, shape.tile, faults, nullptr,
+                     &exec::get_target("simd"));
+  std::vector<Tensor> ref;
+  Tensor xi({kIn});
+  for (int64_t n = 0; n < kBatch; ++n) {
+    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
+    ref.push_back(xbar.matvec(xi));
   }
-  // simd, simd-generic and huge-tile are always executable.
-  ASSERT_GE(targets_run, 3) << what;
+  testutil::for_each_simd_level([&](int level) {
+    const Tensor y_batch = xbar.matmul(x);
+    const Tensor y_cols = xbar.matmul_cols(x_cm);
+    for (int64_t n = 0; n < kBatch; ++n) {
+      const std::string row = what + " [simd level " + std::to_string(level) +
+                              "] row " + std::to_string(n);
+      const float* want = ref[static_cast<size_t>(n)].data();
+      testutil::expect_bitwise_equal(y_batch.data() + n * kOut, want, kOut,
+                                     row + " matmul");
+      testutil::expect_bitwise_equal(y_cols.data() + n * kOut, want, kOut,
+                                     row + " matmul_cols");
+    }
+  });
 }
 
 TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
@@ -138,152 +142,39 @@ TEST(CrossbarExec, EveryFaultModelKeepsBatchedAndMatvecBitIdentical) {
 }
 
 TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
-  // The runtime dispatcher normally picks the widest ISA the host supports,
-  // so parity was only ever proven for that one level. Pin dispatch to every
-  // supported level on the same inputs: each must reproduce the per-column
-  // matvec loop bit for bit (fp-contract stays off in the SIMD variants, so
-  // there is no FMA to round differently).
-  struct DispatchGuard {
-    ~DispatchGuard() { reset_simd_level(); }
-  } guard;
-
+  // The runtime dispatcher normally picks the widest ISA the host supports.
+  // Force every supported level on odd sizes (tail lanes, a partial item
+  // block): each must reproduce the per-column matvec loop bit for bit
+  // (fp-contract stays off in the SIMD variants, so there is no FMA to
+  // round differently).
   RramDeviceParams dev = ideal();
   dev.program_sigma = 0.2f;
   dev.conductance_levels = 16;
   dev.readout.adc_bits = 8;
-  constexpr int64_t kIn = 37, kOut = 13, kBatch = 9;  // odd sizes: tail lanes
-  Rng rng(400);
-  Tensor w({kOut, kIn});
-  rng.fill_normal(w, 0.0f, 0.5f);
-  Rng prog(401);
-  // Explicitly on the auto "simd" target: forcing a dispatch level is a simd
-  // family knob, and the test must hold under any ambient default target.
-  CrossbarArray xbar(w, dev, prog, /*tile=*/8, nullptr, nullptr,
-                     exec::find_target("simd"));
-  Tensor x({kBatch, kIn});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  Tensor x_cm({kIn, kBatch});
-  for (int64_t n = 0; n < kBatch; ++n)
-    for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
+  ParityShape odd;
+  odd.in = 37;
+  odd.out = 13;
+  odd.batch = 9;
+  expect_paths_bit_identical(dev, nullptr, 400, "odd sizes", odd);
 
-  // Reference: the scalar per-column loop (dispatch-independent).
-  std::vector<Tensor> ref;
-  Tensor xi({kIn});
-  for (int64_t n = 0; n < kBatch; ++n) {
-    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-    ref.push_back(xbar.matvec(xi));
-  }
-
-  const SimdLevel levels[] = {SimdLevel::kGeneric, SimdLevel::kAvx2,
-                              SimdLevel::kAvx512f};
-  int tested = 0;
-  for (SimdLevel level : levels) {
-    if (level > simd_max_level()) continue;  // host can't execute it
-    ASSERT_TRUE(force_simd_level(level));
-    ASSERT_EQ(current_simd_level(), level);
-    ++tested;
-    const Tensor y_batch = xbar.matmul(x);
-    const Tensor y_cols = xbar.matmul_cols(x_cm);
-    for (int64_t n = 0; n < kBatch; ++n) {
-      const std::string row = "level " + std::to_string(static_cast<int>(level)) +
-                              " row " + std::to_string(n);
-      testutil::expect_bitwise_equal(y_batch.data() + n * kOut,
-                                     ref[static_cast<size_t>(n)].data(), kOut,
-                                     row + " matmul");
-      testutil::expect_bitwise_equal(y_cols.data() + n * kOut,
-                                     ref[static_cast<size_t>(n)].data(), kOut,
-                                     row + " matmul_cols");
-    }
-  }
-  EXPECT_GE(tested, 1);  // generic always runs
-  // Unsupported levels must be rejected without changing the pin.
-  if (simd_max_level() < SimdLevel::kAvx512f) {
-    EXPECT_FALSE(force_simd_level(SimdLevel::kAvx512f));
-  }
-  reset_simd_level();
-  EXPECT_EQ(current_simd_level(), simd_max_level());
+  // Unsupported levels are rejected without changing the selection.
+  EXPECT_FALSE(exec::simd::force_level(-1));
+  EXPECT_FALSE(exec::simd::force_level(exec::simd::max_level() + 1));
+  EXPECT_EQ(exec::simd::current_level(), exec::simd::max_level());
 }
 
-TEST(CrossbarExec, HugeTileTargetIsBitExactAcrossColumnChunks) {
-  // The cache-blocked target walks bitlines in 1024-column chunks; a tile
-  // wider than one chunk must still reproduce the scalar reference bit for
-  // bit (per-column accumulation order is chunk-invariant).
+TEST(CrossbarExec, WideTileKeepsBatchedAndMatvecBitIdentical) {
+  // One tile far wider than the register-blocked kernels' column block:
+  // per-column accumulation order must not depend on the tile width.
   RramDeviceParams dev = ideal();
   dev.program_sigma = 0.2f;
   dev.readout.adc_bits = 8;
-  constexpr int64_t kIn = 40, kOut = 1100, kBatch = 5;  // cols span 2 chunks
-  Rng rng(500);
-  Tensor w({kOut, kIn});
-  rng.fill_normal(w, 0.0f, 0.5f);
-  Rng prog(501);
-  CrossbarArray xbar(w, dev, prog, /*tile=*/2048, nullptr, nullptr,
-                     &exec::get_target("huge-tile"));
-  Tensor x({kBatch, kIn});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  const Tensor y_batch = xbar.matmul(x);
-  Tensor xi({kIn});
-  for (int64_t n = 0; n < kBatch; ++n) {
-    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-    const Tensor yi = xbar.matvec(xi);
-    testutil::expect_bitwise_equal(y_batch.data() + n * kOut, yi.data(), kOut,
-                                   "huge-tile row " + std::to_string(n));
-  }
-}
-
-// Max |y_int8 - y_ref| over the batch, relative to max |y_ref|, between an
-// int8-target array and its own scalar float matvec (identical
-// conductances).
-double int8_max_rel_err(const RramDeviceParams& dev, uint64_t seed) {
-  constexpr int64_t kIn = 23, kOut = 11, kBatch = 6;
-  Rng rng(seed);
-  Tensor w({kOut, kIn});
-  rng.fill_normal(w, 0.0f, 0.5f);
-  Tensor x({kBatch, kIn});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  Rng prog(seed + 1);
-  CrossbarArray xbar(w, dev, prog, /*tile=*/8, nullptr, nullptr,
-                     &exec::get_target("int8"));
-  const Tensor y = xbar.matmul(x);
-  double max_err = 0.0, max_ref = 0.0;
-  Tensor xi({kIn});
-  for (int64_t n = 0; n < kBatch; ++n) {
-    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-    const Tensor yi = xbar.matvec(xi);
-    for (int64_t o = 0; o < kOut; ++o) {
-      max_err = std::max(max_err,
-                         std::abs(static_cast<double>(y[n * kOut + o]) - yi[o]));
-      max_ref = std::max(max_ref, std::abs(static_cast<double>(yi[o])));
-    }
-  }
-  EXPECT_GT(max_ref, 0.0);
-  return max_err / max_ref;
-}
-
-TEST(CrossbarExec, Int8TargetStaysInsidePinnedTolerances) {
-  // The int8 target is approximate by design; what is pinned is how
-  // approximate. The bounds below are ~2x the worst error measured across
-  // these seeds (see docs/ARCHITECTURE.md for the analytic bound) — a
-  // regression that widens int8 quantization error trips them.
-  RramDeviceParams plain = ideal();
-  plain.program_sigma = 0.2f;
-  double worst_plain = 0.0;
-  for (uint64_t seed : {600u, 610u, 620u, 630u})
-    worst_plain = std::max(worst_plain, int8_max_rel_err(plain, seed));
-  EXPECT_GT(worst_plain, 0.0);    // quantization genuinely engages
-  EXPECT_LE(worst_plain, 0.02);   // pinned: 2% of the output range
-
-  // With the full periphery stack (levels + DAC + ADC) the int8 delta can
-  // push a borderline current across an ADC bucket edge, so the bound is
-  // wider than the raw quantization error.
-  RramDeviceParams full = ideal();
-  full.program_sigma = 0.15f;
-  full.conductance_levels = 16;
-  full.readout.adc_bits = 8;
-  full.readout.dac_bits = 6;
-  double worst_full = 0.0;
-  for (uint64_t seed : {700u, 710u, 720u, 730u})
-    worst_full = std::max(worst_full, int8_max_rel_err(full, seed));
-  EXPECT_LE(worst_full, 0.07);    // pinned: 7% (worst measured 3.4%)
+  ParityShape wide;
+  wide.in = 40;
+  wide.out = 1100;
+  wide.batch = 5;
+  wide.tile = 2048;
+  expect_paths_bit_identical(dev, nullptr, 500, "wide tile", wide);
 }
 
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
@@ -320,12 +211,6 @@ TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   EXPECT_GT(diff, 0.0);
 }
 
-// Digital-agreement tolerance: loose enough for the ambient target's int8
-// quantization when the CI matrix forces CORRECTNET_TARGET=int8.
-float ambient_tol(float exact_tol) {
-  return exec::default_target().bit_exact() ? exact_tol : 0.05f;
-}
-
 TEST(CrossbarDense, IdealMatchesDigitalLayer) {
   Rng rng(1);
   nn::Dense d(6, 4, "fc");
@@ -338,7 +223,7 @@ TEST(CrossbarDense, IdealMatchesDigitalLayer) {
   Tensor y_ref = d.forward(x, false);
   Tensor y_xbar = xd.forward(x, false);
   for (int64_t i = 0; i < y_ref.size(); ++i)
-    EXPECT_NEAR(y_xbar[i], y_ref[i], ambient_tol(1e-3f));
+    EXPECT_NEAR(y_xbar[i], y_ref[i], 1e-3f);
 }
 
 TEST(CrossbarConv2D, IdealMatchesDigitalLayer) {
@@ -354,7 +239,7 @@ TEST(CrossbarConv2D, IdealMatchesDigitalLayer) {
   Tensor y_xbar = xc.forward(x, false);
   ASSERT_EQ(y_ref.shape(), y_xbar.shape());
   for (int64_t i = 0; i < y_ref.size(); ++i)
-    EXPECT_NEAR(y_xbar[i], y_ref[i], ambient_tol(2e-3f));
+    EXPECT_NEAR(y_xbar[i], y_ref[i], 2e-3f);
 }
 
 TEST(CrossbarLayers, BackwardThrows) {
@@ -381,9 +266,8 @@ TEST(ProgramToCrossbars, WholeModelIdealAccuracyMatches) {
   nn::Sequential xm = program_to_crossbars(m, ideal(), prog);
   const float acc_ref = core::evaluate(m, ds.test);
   const float acc_xbar = core::evaluate(xm, ds.test, /*batch=*/20);
-  // Bit-exact targets flip no logits on the ideal device; an approximate
-  // ambient target (int8 CI leg) may flip a borderline sample or two.
-  EXPECT_NEAR(acc_xbar, acc_ref, ambient_tol(1e-6f));
+  // The bit-exact kernels flip no logits on the ideal device.
+  EXPECT_NEAR(acc_xbar, acc_ref, 1e-6f);
 }
 
 TEST(ProgramToCrossbars, VariationDegradesLikeFactorModel) {

@@ -4,8 +4,14 @@
 // against hand-computed numbers, the exposition server's HTTP endpoints, the
 // JSONL metrics snapshotter's deltas-sum-to-totals contract, and the tier's
 // own load-bearing invariant: a CampaignReport is byte-identical with the
-// exposition server live and a scraper hammering it mid-run.
+// exposition server live and a scraper hammering it mid-run. Idle and
+// trickling connections must not wedge the server.
 #include "obs/exposition.h"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -13,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <map>
 #include <random>
@@ -492,6 +499,91 @@ TEST(ExpositionServer, RoutesAndReadiness) {
   EXPECT_TRUE(pc2.check(body)) << pc2.err;
   srv.stop();
   srv.stop();  // idempotent
+}
+
+// ---------- idle and slow clients ----------
+
+// A raw client connection to 127.0.0.1:port that sends nothing by itself;
+// -1 on failure.
+int connect_local(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// How long a /healthz answer may take while another client dawdles: the
+// per-connection deadline plus a margin for a loaded host.
+constexpr auto kHealthzBound =
+    obs::kExpositionConnectionDeadline + std::chrono::seconds(3);
+
+// Each test bounds its own wait and closes the dawdling connection before
+// asserting, which also frees a server without a deadline, so a regression
+// fails the test instead of hanging it.
+
+TEST(ExpositionServer, IdleConnectionDoesNotWedgeHealthz) {
+  obs::ExpositionServer srv;
+  srv.set_ready(true);
+  const int idle = connect_local(srv.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // accepted
+  auto healthz = std::async(std::launch::async, [&] {
+    return obs::http_get_local(srv.port(), "/healthz");
+  });
+  const bool answered =
+      healthz.wait_for(kHealthzBound) == std::future_status::ready;
+  ::close(idle);
+  ASSERT_TRUE(answered) << "/healthz stalled behind an idle connection";
+  EXPECT_EQ(http_status(healthz.get()), 200);
+}
+
+TEST(ExpositionServer, TricklingConnectionDoesNotWedgeHealthz) {
+  obs::ExpositionServer srv;
+  srv.set_ready(true);
+  const int slow = connect_local(srv.port());
+  ASSERT_GE(slow, 0);
+  // One byte every 200 ms and never a newline: each byte arrives well
+  // inside any per-read timeout, so only a total deadline drops it.
+  std::atomic<bool> done{false};
+  std::thread trickler([&] {
+    for (int i = 0; i < 100 && !done.load(); ++i) {
+      if (::send(slow, "G", 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // accepted
+  auto healthz = std::async(std::launch::async, [&] {
+    return obs::http_get_local(srv.port(), "/healthz");
+  });
+  const bool answered =
+      healthz.wait_for(kHealthzBound) == std::future_status::ready;
+  done = true;
+  trickler.join();
+  ::close(slow);
+  ASSERT_TRUE(answered) << "/healthz stalled behind a trickling connection";
+  EXPECT_EQ(http_status(healthz.get()), 200);
+}
+
+TEST(ExpositionServer, StopIsPromptWithIdleConnectionOpen) {
+  obs::ExpositionServer srv;
+  const int idle = connect_local(srv.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // accepted
+  auto stopped = std::async(std::launch::async, [&] { srv.stop(); });
+  // Well inside the connection deadline: stop() must not wait it out.
+  const bool prompt =
+      stopped.wait_for(obs::kExpositionConnectionDeadline / 2) ==
+      std::future_status::ready;
+  ::close(idle);
+  stopped.get();
+  EXPECT_TRUE(prompt) << "stop() waited on an idle connection";
 }
 
 TEST(ExpositionServer, StatuszSectionsComeAndGo) {

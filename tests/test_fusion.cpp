@@ -396,56 +396,41 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
 
 TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   // Crossbar lowering keeps bn standalone (conductances are programmed, not
-  // re-scalable), so fused vs unfused on a chip is bitwise for every target
-  // — including the approximate int8 one, which is merely the same
-  // approximation on both sides.
+  // re-scalable), so fused vs unfused on a chip is bitwise at every simd
+  // dispatch level.
   FusionGuard guard;
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
   dev.g_max = 1e-4f;
   dev.program_sigma = 0.1f;
-  int targets_run = 0;
-  for (const uint64_t seed : {3u, 8u}) {
+  struct Case {
+    uint64_t model_seed, input_seed, prog_seed;
+    bool batchnorm;
+  };
+  for (const Case& c : {Case{3, 104, 10, false}, Case{8, 109, 15, true},
+                        Case{13, 131, 19, false}}) {
+    const uint64_t seed = c.model_seed;
     testutil::RandomModelSpec spec;
     spec.seed = seed;
-    spec.allow_batchnorm = (seed == 8);
+    spec.allow_batchnorm = c.batchnorm;
     testutil::RandomModel rm = testutil::make_random_model(spec);
-    const Tensor x = testutil::random_input(rm, seed + 101, 2);
-    for (const exec::Target* t : exec::registered_targets()) {
-      if (!t->available()) continue;
-      ++targets_run;
-      Rng prog(seed + 7);
-      nn::Sequential chip = analog::program_to_crossbars(
-          rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr, t);
+    const Tensor x = testutil::random_input(rm, c.input_seed, 2);
+    Rng prog(c.prog_seed);
+    nn::Sequential chip = analog::program_to_crossbars(
+        rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
+        &exec::get_target("simd"));
+    testutil::for_each_simd_level([&](int level) {
       const Tensor unfused = forward_with_fusion(chip, x, false);
       const Tensor fused = forward_with_fusion(chip, x, true);
       testutil::expect_bitwise_equal(fused, unfused,
-                                     "target " + t->name() + " seed " +
-                                         std::to_string(seed));
-      nn::FusedPlan plan(chip);
-      EXPECT_EQ(plan.stats().bn_folded, 0) << t->name();
-      EXPECT_EQ(plan.stats().pools_fused, 0) << t->name();
-      EXPECT_EQ(plan.stats().post_pools_fused, 0) << t->name();
-    }
+                                     "simd level " + std::to_string(level) +
+                                         " seed " + std::to_string(seed));
+    });
+    nn::FusedPlan plan(chip);
+    EXPECT_EQ(plan.stats().bn_folded, 0) << seed;
+    EXPECT_EQ(plan.stats().pools_fused, 0) << seed;
+    EXPECT_EQ(plan.stats().post_pools_fused, 0) << seed;
   }
-  // simd, simd-generic, huge-tile and int8 are always executable.
-  EXPECT_GE(targets_run, 8);
-
-  // Pinned SIMD dispatch (the simd target's generic lane) preserves parity.
-  testutil::RandomModelSpec spec;
-  spec.seed = 13;
-  spec.allow_batchnorm = false;
-  testutil::RandomModel rm = testutil::make_random_model(spec);
-  const Tensor x = testutil::random_input(rm, 131, 2);
-  Rng prog(19);
-  nn::Sequential chip = analog::program_to_crossbars(
-      rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
-      exec::find_target("simd"));
-  ASSERT_TRUE(analog::force_simd_level(analog::SimdLevel::kGeneric));
-  const Tensor unfused = forward_with_fusion(chip, x, false);
-  const Tensor fused = forward_with_fusion(chip, x, true);
-  analog::reset_simd_level();
-  testutil::expect_bitwise_equal(fused, unfused, "pinned generic simd");
 }
 
 // ---------- campaign byte-identity ----------

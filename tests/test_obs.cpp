@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -23,7 +24,9 @@
 #include "data/synthetic.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
+#include "obs/json.h"
 #include "obs/log.h"
+#include "obs/snapshot_stream.h"
 #include "obs/trace.h"
 #include "runtime/chip_farm.h"
 #include "runtime/inference_server.h"
@@ -345,6 +348,91 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   EXPECT_NE(j.find("\"snap.count\": 7"), std::string::npos);
   EXPECT_NE(j.find("\"snap.lat_us.count\": 100"), std::string::npos);
   EXPECT_NE(j.find("\"snap.lat_us.p99_us\":"), std::string::npos);
+}
+
+// ---------- JSON string escaping ----------
+
+// Decodes the body of a JSON string literal (the bytes between the quotes),
+// independently of obs/json.h: RFC 8259's two-character escapes plus
+// \u00XX. Returns false on a raw control byte, a lone backslash, or any
+// other malformed escape.
+bool decode_json_string(const std::string& body, std::string* out) {
+  out->clear();
+  for (size_t i = 0; i < body.size(); ++i) {
+    const auto c = static_cast<unsigned char>(body[i]);
+    if (c < 0x20 || c == '"') return false;
+    if (c != '\\') {
+      out->push_back(static_cast<char>(c));
+      continue;
+    }
+    if (++i >= body.size()) return false;
+    switch (body[i]) {
+      case '"': out->push_back('"'); break;
+      case '\\': out->push_back('\\'); break;
+      case '/': out->push_back('/'); break;
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u': {
+        if (i + 4 >= body.size() || body.compare(i + 1, 2, "00") != 0)
+          return false;
+        const std::string hex = body.substr(i + 3, 2);
+        if (!std::isxdigit(static_cast<unsigned char>(hex[0])) ||
+            !std::isxdigit(static_cast<unsigned char>(hex[1])))
+          return false;
+        out->push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
+        i += 4;
+        break;
+      }
+      default: return false;
+    }
+  }
+  return true;
+}
+
+TEST(JsonEscape, EveryAsciiByteRoundTrips) {
+  std::string ascii;
+  for (int b = 0; b < 0x80; ++b) ascii.push_back(static_cast<char>(b));
+  const std::string esc = obs::json_escaped(ascii);
+  for (const char c : esc)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  std::string back;
+  ASSERT_TRUE(decode_json_string(esc, &back)) << esc;
+  EXPECT_EQ(back, ascii);
+  EXPECT_TRUE(valid_json("\"" + esc + "\""));
+  // The escapes existing reports contain are unchanged; other control
+  // bytes take the \u00XX form.
+  EXPECT_EQ(obs::json_escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(obs::json_escaped("\t\r\x01"), "\\u0009\\u000d\\u0001");
+}
+
+TEST(JsonEscape, SnapshotLineForControlByteNameIsValidJson) {
+  obs::MetricsRegistry reg;
+  const std::string name = "ctl.\t\r\x01\x1f.events";
+  obs::Counter& c = reg.counter(name);
+  const std::string path = "test_obs_ctl_stream.jsonl";
+  std::remove(path.c_str());
+  {
+    obs::MetricsSnapshotterOptions o;
+    o.path = path;
+    o.interval_s = 3600;  // stop() writes the only line
+    obs::MetricsSnapshotter snap(o, reg);
+    c.add(3);
+    snap.stop();
+  }
+  std::string text = slurp(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(text.empty());
+  ASSERT_EQ(text.back(), '\n');
+  text.pop_back();
+  for (const char ch : text)
+    EXPECT_GE(static_cast<unsigned char>(ch), 0x20) << "raw control byte";
+  EXPECT_TRUE(valid_json(text)) << text;
+  EXPECT_NE(text.find("\"" + obs::json_escaped(name) + "\": 3"),
+            std::string::npos)
+      << text;
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingUnderSchedulerIsExact) {

@@ -295,19 +295,16 @@ TEST(RemapArray, CompositeFaultListRepairsAgainstThePerModelTargets) {
   EXPECT_GT(on.remap_stats().absorbed(), 0);
   EXPECT_LT(err_on, err_off);
 
-  // And the bit-exactness contract holds for the composite list too (only
-  // asserted when the ambient target honors it; see exec_testutil.h).
-  if (cn::exec::default_target().bit_exact()) {
-    Tensor x({4, 20});
-    wrng.fill_normal(x, 0.0f, 1.0f);
-    const Tensor y_batch = on.matmul(x);
-    Tensor xi({20});
-    for (int64_t n = 0; n < 4; ++n) {
-      std::copy(x.data() + n * 20, x.data() + (n + 1) * 20, xi.data());
-      const Tensor yi = on.matvec(xi);
-      for (int64_t o = 0; o < 14; ++o)
-        ASSERT_EQ(y_batch[n * 14 + o], yi[o]) << n << "," << o;
-    }
+  // And the bit-exactness contract holds for the composite list too.
+  Tensor x({4, 20});
+  wrng.fill_normal(x, 0.0f, 1.0f);
+  const Tensor y_batch = on.matmul(x);
+  Tensor xi({20});
+  for (int64_t n = 0; n < 4; ++n) {
+    std::copy(x.data() + n * 20, x.data() + (n + 1) * 20, xi.data());
+    const Tensor yi = on.matvec(xi);
+    for (int64_t o = 0; o < 14; ++o)
+      ASSERT_EQ(y_batch[n * 14 + o], yi[o]) << n << "," << o;
   }
 }
 
@@ -351,7 +348,6 @@ TEST(RemapArray, MatmulAndMatvecStayBitIdenticalUnderRemap) {
   // Remapping re-lowers the tile before any batched execution, so the
   // bit-exactness contract must survive it — including with the full
   // periphery stack on.
-  CN_SKIP_UNLESS_BIT_EXACT_TARGET();
   analog::RramDeviceParams dev = quiet_dev();
   dev.program_sigma = 0.15f;
   dev.conductance_levels = 16;

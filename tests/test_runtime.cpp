@@ -137,7 +137,6 @@ TEST(Scheduler, NestedCallInsideAPoolWorkerRunsSequentially) {
 TEST(CrossbarMatmul, MatchesMatvecExactlyUnderQuantization) {
   // Stress every deterministic device feature: programming variation,
   // conductance levels, DAC and ADC quantization, multiple tiles.
-  CN_SKIP_UNLESS_BIT_EXACT_TARGET();
   analog::RramDeviceParams dev = quiet_dev();
   dev.program_sigma = 0.2f;
   dev.conductance_levels = 16;
@@ -170,7 +169,6 @@ TEST(CrossbarMatmul, MatchesMatvecExactlyUnderQuantization) {
 }
 
 TEST(CrossbarLayers, BatchedForwardMatchesPerColumnPath) {
-  CN_SKIP_UNLESS_BIT_EXACT_TARGET();
   auto& f = fixture();
   analog::RramDeviceParams dev = quiet_dev();
   dev.program_sigma = 0.3f;
