@@ -35,14 +35,13 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 cn::faultsim::Campaign make_campaign(const cn::nn::Sequential& model, bool quick,
-                                     int64_t parallel, int fusion) {
+                                     int64_t parallel) {
   using namespace cn;
   faultsim::CampaignOptions co;
   co.chips = quick ? 2 : 6;
   co.seed = 42;
   co.batch_size = 128;
   co.parallel_scenarios = parallel;
-  co.fusion = fusion;
   co.dev.program_sigma = 0.1f;
   faultsim::Campaign c(co);
   c.add_model("baseline", model, false);
@@ -98,15 +97,14 @@ int main(int argc, char** argv) {
   std::printf("  [train] LeNet5-Digits (%d epochs)...\n", cfg.epochs);
   core::train(model, ds.train, ds.test, cfg);
 
-  const int64_t scenarios = make_campaign(model, quick, 1, 1).num_scenarios();
+  const int64_t scenarios = make_campaign(model, quick, 1).num_scenarios();
   std::printf("  [campaign] %lld scenarios, sequential leg...\n",
               static_cast<long long>(scenarios));
 
-  // Every leg pins the campaign `fusion` key explicitly (the timing legs and
-  // determinism contracts run fused; the dedicated fusion-off leg below is
-  // the only unfused run), so results don't depend on the ambient knob.
-  auto timed_run = [&](int64_t parallel, int fusion, double& wall) {
-    faultsim::Campaign c = make_campaign(model, quick, parallel, fusion);
+  // The timing legs and determinism contracts run fused; the dedicated
+  // fusion-off leg below is the only unfused run.
+  auto timed_run = [&](int64_t parallel, double& wall) {
+    faultsim::Campaign c = make_campaign(model, quick, parallel);
     const auto t0 = Clock::now();
     faultsim::CampaignReport r = c.run(ds.test);
     wall = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -114,11 +112,11 @@ int main(int argc, char** argv) {
   };
 
   double wall_seq = 0.0, wall_par = 0.0, wall_rep = 0.0;
-  const faultsim::CampaignReport seq = timed_run(1, 1, wall_seq);
+  const faultsim::CampaignReport seq = timed_run(1, wall_seq);
   const int64_t conc = runtime::effective_concurrency(threads, scenarios);
   std::printf("  [campaign] parallel leg (%lld scenarios at a time)...\n",
               static_cast<long long>(conc));
-  const faultsim::CampaignReport par = timed_run(threads, 1, wall_par);
+  const faultsim::CampaignReport par = timed_run(threads, wall_par);
 
   const int64_t chip_evals = scenarios * seq.chips;
   const double images = static_cast<double>(chip_evals * test_count);
@@ -140,7 +138,7 @@ int main(int argc, char** argv) {
   // run must reproduce it byte for byte.
   const std::string seq_json = normalized_json(seq);
   const bool scheduling_identical = normalized_json(par) == seq_json;
-  const faultsim::CampaignReport repeat = timed_run(threads, 1, wall_rep);
+  const faultsim::CampaignReport repeat = timed_run(threads, wall_rep);
   const bool rerun_identical = normalized_json(repeat) == seq_json;
   std::printf("  [campaign] sequential-vs-parallel byte-identical: %s\n",
               scheduling_identical ? "yes" : "NO");
@@ -148,15 +146,16 @@ int main(int argc, char** argv) {
               rerun_identical ? "yes" : "NO");
 
   // Fusion parity: the same sequential campaign with layer-graph fusion
-  // forced off must reproduce the fused report byte for byte (no shipped
+  // switched off (every model runs its no-pass plan) must reproduce the fused report byte for byte (no shipped
   // model carries batchnorm; every other rewrite is bitwise-exact — the
   // docs/ARCHITECTURE.md tolerance contract). The delta is runtime only;
   // the speedup is reported, not asserted (campaign time is dominated by
   // crossbar evaluation, which fusion does not rewrite).
   std::printf("  [campaign] fusion-off leg...\n");
   double wall_foff = 0.0;
-  const faultsim::CampaignReport foff = timed_run(1, 0, wall_foff);
-  nn::reset_fusion_enabled();  // campaign fusion overrides are process-wide
+  nn::set_fusion_enabled(false);
+  const faultsim::CampaignReport foff = timed_run(1, wall_foff);
+  nn::set_fusion_enabled(true);
   const bool fusion_identical = normalized_json(foff) == seq_json;
   const double fusion_speedup = wall_seq > 0.0 ? wall_foff / wall_seq : 0.0;
   std::printf("  [campaign] fused: %.2fs  unfused: %.2fs  speedup: %.2fx  "

@@ -21,8 +21,10 @@
 #include <cstring>
 #include <future>
 #include <thread>
+#include <vector>
 
 #include "common.h"
+#include "data/batcher.h"
 #include "exec/target.h"
 #include "faultsim/fault_models.h"
 #include "nn/activations.h"
@@ -80,13 +82,14 @@ int main(int argc, char** argv) {
   json.set("test_images", test_count);
 
   // ---------- layer-graph fusion: fused vs unfused digital forward ----------
-  // Two digital-path legs, both timing core::evaluate over the test set with
-  // the fusion knob forced off vs on. Timed reps interleave the legs (min of
-  // several multi-eval samples), so clock drift hits both sides equally.
+  // Two digital-path legs, each timing FusedPlan::execute over the test set
+  // in batches of 128: the no-pass plan (FusedPlan(m, /*fuse=*/false))
+  // against the fused one. Timed reps interleave the legs (min of several
+  // multi-pass samples), so clock drift hits both sides equally.
   //
   //   (a) the trained LeNet5 — no batchnorm, so every engaged rewrite (relu
-  //       epilogues, both pools into the conv epilogues, the flatten
-  //       reshape) is bitwise-exact by contract, asserted on sampled images;
+  //       epilogues, both pools into the conv epilogues) is bitwise-exact by
+  //       contract, asserted on sampled images;
   //   (b) a conv-bn stack (conv+bn+relu+pool blocks plus an eval dropout) —
   //       the workload where ALL passes engage, bn-fold included; parity is
   //       asserted per the pinned kBnFold* tolerance contract.
@@ -95,29 +98,34 @@ int main(int argc, char** argv) {
   // pipeline exists to win wall-clock, so below 1.15x fails.
   {
     const int reps = quick ? 5 : 5;
-    const int inner = quick ? 6 : 2;  // evaluates per timed sample
+    const int inner = quick ? 6 : 2;  // test-set passes per timed sample
+    std::vector<Tensor> batches;
+    data::Batcher batcher(ds.test, 128);
+    for (int64_t b = 0; b < batcher.num_batches(); ++b)
+      batches.push_back(batcher.get(b).images);
     auto timed_legs = [&](nn::Sequential& m, double& t_unfused,
                           double& t_fused) {
-      nn::set_fusion_enabled(false);
-      (void)core::evaluate(m, ds.test, 128);  // warm-up (caches)
-      nn::set_fusion_enabled(true);
-      (void)core::evaluate(m, ds.test, 128);  // warm-up (plan build)
+      nn::FusedPlan unfused(m, /*fuse=*/false);
+      nn::FusedPlan fused(m);
+      auto pass = [&](nn::FusedPlan& plan) {
+        for (const Tensor& x : batches) (void)plan.execute(x);
+      };
+      pass(unfused);  // warm-up (caches)
+      pass(fused);
       t_unfused = t_fused = 1e100;
       for (int r = 0; r < reps; ++r) {
-        for (const bool fused : {false, true}) {
-          nn::set_fusion_enabled(fused);
+        for (nn::FusedPlan* plan : {&unfused, &fused}) {
           const auto tt = Clock::now();
-          for (int k = 0; k < inner; ++k) (void)core::evaluate(m, ds.test, 128);
-          const double s = seconds_since(tt) / inner;
-          (fused ? t_fused : t_unfused) = std::min(fused ? t_fused : t_unfused, s);
+          for (int k = 0; k < inner; ++k) pass(*plan);
+          double& best = plan == &fused ? t_fused : t_unfused;
+          best = std::min(best, seconds_since(tt) / inner);
         }
       }
     };
     auto forward_image = [&](nn::Sequential& m, int64_t i, bool fused) {
       Tensor img = ds.test.image(i);
       img.reshape({1, ds.test.channels(), ds.test.height(), ds.test.width()});
-      nn::set_fusion_enabled(fused);
-      return m.forward(img, false);
+      return nn::FusedPlan(m, fused).execute(img);
     };
 
     // (a) LeNet5: bitwise parity.
@@ -199,7 +207,6 @@ int main(int argc, char** argv) {
                      std::abs(a[j] - b[j]) <= nn::kBnFoldRangeTol * range;
       }
     }
-    nn::reset_fusion_enabled();
     const double fusion_speedup = bn_fused > 0 ? bn_unfused / bn_fused : 0.0;
     std::printf("  [fusion] conv-bn   unfused: %.3fs  fused: %.3fs  "
                 "speedup: %.2fx  within bn-fold tolerance: %s\n",

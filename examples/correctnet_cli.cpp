@@ -14,13 +14,12 @@
 // Subcommand:
 //   correctnet_cli faults [--config PATH] [--out PATH] [--chips N]
 //                         [--epochs N] [--comp-epochs N] [--train N] [--test N]
-//                         [--sigma S] [--fusion on|off]
+//                         [--sigma S] [--remap] [--parallel N]
 //                         [--metrics-out F] [--trace-out F]
 //                         [--log-level quiet|info|debug] [--quiet]
 //
-// `--fusion on|off` steers the layer-graph fusion knob (main:
-// nn::set_fusion_enabled process default; faults: the campaign `fusion` key).
-// CORRECTNET_FUSION does the same from the environment; default on.
+// Numeric flags must parse in full (KeyValueConfig's rule): `--chips 1O` or
+// `--epochs 3x` exits 2 naming the flag, before any training starts.
 //
 // Observability (docs/OBSERVABILITY.md): `--metrics-out F` writes the
 // MetricsRegistry snapshot, `--trace-out F` enables the span tracer and
@@ -45,15 +44,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "core/config.h"
 #include "core/pipeline.h"
 #include "data/synthetic.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
 #include "models/vgg.h"
-#include "nn/fusion.h"
 #include "nn/serialize.h"
 #include "obs/build_info.h"
 #include "obs/exposition.h"
@@ -81,7 +81,6 @@ struct Args {
   int64_t train = 2500;
   int64_t test = 600;
   std::string save_prefix;
-  std::string fusion;  // on|off: layer-graph fusion (process default override)
   std::string metrics_out;  // write the metrics snapshot here at the end
   std::string trace_out;    // enable tracing, write Chrome trace JSON here
   std::string log_level;    // quiet|info|debug; empty = leave the default
@@ -95,7 +94,6 @@ struct Args {
                "          [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]\n"
                "          [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]\n"
                "          [--mc N] [--rl] [--train N] [--test N] [--save-prefix P]\n"
-               "          [--fusion on|off]\n"
                "          [--metrics-out F] [--trace-out F]\n"
                "          [--log-level quiet|info|debug]\n"
                "          [--statusz-port N] [--metrics-stream F]\n"
@@ -104,16 +102,28 @@ struct Args {
   std::exit(2);
 }
 
-// Sets the process-wide layer-graph fusion override (nn::fusion_enabled
-// gates every eval-mode Sequential::forward after this).
-void apply_fusion(const char* argv0, const std::string& v) {
-  if (v == "on" || v == "1") cn::nn::set_fusion_enabled(true);
-  else if (v == "off" || v == "0") cn::nn::set_fusion_enabled(false);
-  else {
-    std::fprintf(stderr, "%s: --fusion expects on|off, got '%s'\n", argv0,
-                 v.c_str());
+// Numeric flag values parse in full or the run stops: a silent prefix parse
+// ('1O' as 1) would mis-size an experiment without a trace.
+template <typename T>
+T int_flag(const char* argv0, const std::string& flag, const char* v) {
+  int64_t n = 0;
+  if (!cn::core::parse_integer(v, n) || n < std::numeric_limits<T>::min() ||
+      n > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "%s: %s expects an integer, got '%s'\n", argv0,
+                 flag.c_str(), v);
     std::exit(2);
   }
+  return static_cast<T>(n);
+}
+
+float float_flag(const char* argv0, const std::string& flag, const char* v) {
+  double x = 0.0;
+  if (!cn::core::parse_number(v, x)) {
+    std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv0,
+                 flag.c_str(), v);
+    std::exit(2);
+  }
+  return static_cast<float>(x);
 }
 
 Args parse(int argc, char** argv) {
@@ -126,24 +136,23 @@ Args parse(int argc, char** argv) {
     };
     if (k == "--net") a.net = next();
     else if (k == "--dataset") a.dataset = next();
-    else if (k == "--sigma") a.sigma = std::strtof(next(), nullptr);
-    else if (k == "--epochs") a.epochs = std::atoi(next());
-    else if (k == "--comp-epochs") a.comp_epochs = std::atoi(next());
-    else if (k == "--beta") a.beta = std::strtof(next(), nullptr);
-    else if (k == "--lambda-min") a.lambda_min = std::strtof(next(), nullptr);
-    else if (k == "--warmup") a.warmup = std::atoi(next());
-    else if (k == "--ratio") a.ratio = std::strtof(next(), nullptr);
-    else if (k == "--max-layers") a.max_layers = std::atoi(next());
-    else if (k == "--mc") a.mc = std::atoi(next());
+    else if (k == "--sigma") a.sigma = float_flag(argv[0], k, next());
+    else if (k == "--epochs") a.epochs = int_flag<int>(argv[0], k, next());
+    else if (k == "--comp-epochs") a.comp_epochs = int_flag<int>(argv[0], k, next());
+    else if (k == "--beta") a.beta = float_flag(argv[0], k, next());
+    else if (k == "--lambda-min") a.lambda_min = float_flag(argv[0], k, next());
+    else if (k == "--warmup") a.warmup = int_flag<int>(argv[0], k, next());
+    else if (k == "--ratio") a.ratio = float_flag(argv[0], k, next());
+    else if (k == "--max-layers") a.max_layers = int_flag<int>(argv[0], k, next());
+    else if (k == "--mc") a.mc = int_flag<int>(argv[0], k, next());
     else if (k == "--rl") a.rl = true;
-    else if (k == "--train") a.train = std::atoll(next());
-    else if (k == "--test") a.test = std::atoll(next());
+    else if (k == "--train") a.train = int_flag<int64_t>(argv[0], k, next());
+    else if (k == "--test") a.test = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--save-prefix") a.save_prefix = next();
-    else if (k == "--fusion") a.fusion = next();
     else if (k == "--metrics-out") a.metrics_out = next();
     else if (k == "--trace-out") a.trace_out = next();
     else if (k == "--log-level") a.log_level = next();
-    else if (k == "--statusz-port") a.statusz_port = std::atoll(next());
+    else if (k == "--statusz-port") a.statusz_port = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--metrics-stream") a.metrics_stream = next();
     else usage(argv[0]);
   }
@@ -154,7 +163,6 @@ Args parse(int argc, char** argv) {
 
 struct FaultArgs {
   std::string config;  // key=value campaign file; empty = built-in quick grid
-  std::string fusion;  // on|off: overrides the config's `fusion` key
   std::string out = "faultsim_report.json";
   int64_t chips = 0;  // >0 overrides the config's chip count
   bool remap = false; // force the fault-aware remapping axis on
@@ -178,7 +186,7 @@ struct FaultArgs {
   std::fprintf(stderr,
                "usage: %s faults [--config PATH] [--out PATH] [--chips N]\n"
                "          [--epochs N] [--comp-epochs N] [--train N] [--test N]\n"
-               "          [--sigma S] [--remap] [--parallel N] [--fusion on|off]\n"
+               "          [--sigma S] [--remap] [--parallel N]\n"
                "          [--metrics-out F] [--trace-out F]\n"
                "          [--log-level quiet|info|debug] [--quiet]\n"
                "          [--statusz-port N] [--metrics-stream F]\n",
@@ -195,21 +203,20 @@ FaultArgs parse_faults(int argc, char** argv) {
       return argv[++i];
     };
     if (k == "--config") a.config = next();
-    else if (k == "--fusion") a.fusion = next();
     else if (k == "--out") a.out = next();
-    else if (k == "--chips") a.chips = std::atoll(next());
+    else if (k == "--chips") a.chips = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--remap") a.remap = true;
-    else if (k == "--parallel") { a.parallel = std::atoll(next()); a.parallel_set = true; }
-    else if (k == "--epochs") a.epochs = std::atoi(next());
-    else if (k == "--comp-epochs") a.comp_epochs = std::atoi(next());
-    else if (k == "--train") a.train = std::atoll(next());
-    else if (k == "--test") a.test = std::atoll(next());
-    else if (k == "--sigma") a.sigma = std::strtof(next(), nullptr);
+    else if (k == "--parallel") { a.parallel = int_flag<int64_t>(argv[0], k, next()); a.parallel_set = true; }
+    else if (k == "--epochs") a.epochs = int_flag<int>(argv[0], k, next());
+    else if (k == "--comp-epochs") a.comp_epochs = int_flag<int>(argv[0], k, next());
+    else if (k == "--train") a.train = int_flag<int64_t>(argv[0], k, next());
+    else if (k == "--test") a.test = int_flag<int64_t>(argv[0], k, next());
+    else if (k == "--sigma") a.sigma = float_flag(argv[0], k, next());
     else if (k == "--metrics-out") a.metrics_out = next();
     else if (k == "--trace-out") a.trace_out = next();
     else if (k == "--log-level") a.log_level = next();
     else if (k == "--quiet") a.quiet = true;
-    else if (k == "--statusz-port") { a.statusz_port = std::atoll(next()); a.statusz_set = true; }
+    else if (k == "--statusz-port") { a.statusz_port = int_flag<int64_t>(argv[0], k, next()); a.statusz_set = true; }
     else if (k == "--metrics-stream") a.metrics_stream = next();
     else usage_faults(argv[0]);
   }
@@ -242,14 +249,6 @@ int run_faults(int argc, char** argv) {
               : core::KeyValueConfig::from_file(args.config);
       if (args.chips > 0) cfg.set("chips", std::to_string(args.chips));
       if (args.remap) cfg.set("remap", "1");
-      if (!args.fusion.empty()) {
-        if (args.fusion != "on" && args.fusion != "1" && args.fusion != "off" &&
-            args.fusion != "0")
-          throw std::runtime_error("--fusion expects on|off, got '" +
-                                   args.fusion + "'");
-        cfg.set("fusion",
-                (args.fusion == "on" || args.fusion == "1") ? "1" : "0");
-      }
       // Passed through unvalidated on purpose: a bad value (e.g. negative)
       // must throw from the Campaign ctor like its config-file twin would,
       // not be silently dropped here.
@@ -386,7 +385,6 @@ int main(int argc, char** argv) {
   }
   if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
   const Args args = parse(argc, argv);
-  if (!args.fusion.empty()) apply_fusion(argv[0], args.fusion);
   if (args.statusz_port >= 0 || !args.metrics_stream.empty()) {
     try {
       if (args.statusz_port >= 0)

@@ -37,6 +37,26 @@ const RuntimeConfig& RuntimeConfig::get() {
   return cfg;
 }
 
+bool parse_integer(const std::string& s, int64_t& out) {
+  size_t pos = 0;
+  try {
+    out = std::stoll(s, &pos);
+  } catch (...) {
+    return false;
+  }
+  return pos == s.size();
+}
+
+bool parse_number(const std::string& s, double& out) {
+  size_t pos = 0;
+  try {
+    out = std::stod(s, &pos);
+  } catch (...) {
+    return false;
+  }
+  return pos == s.size();
+}
+
 namespace {
 std::string trimmed(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
@@ -125,15 +145,9 @@ std::string KeyValueConfig::str(const std::string& key, const std::string& def) 
 int64_t KeyValueConfig::integer(const std::string& key, int64_t def) const {
   const std::string* v = find(key);
   if (!v || v->empty()) return def;
-  size_t pos = 0;
   int64_t parsed = 0;
-  try {
-    parsed = std::stoll(*v, &pos);
-  } catch (...) {
-    pos = 0;
-  }
   // Partial parses fail loudly: '1O' silently meaning 1 would mis-size runs.
-  if (pos != v->size())
+  if (!parse_integer(*v, parsed))
     throw std::runtime_error("KeyValueConfig: unparsable integer '" + *v +
                              "' in key '" + key + "'");
   return parsed;
@@ -142,14 +156,8 @@ int64_t KeyValueConfig::integer(const std::string& key, int64_t def) const {
 double KeyValueConfig::number(const std::string& key, double def) const {
   const std::string* v = find(key);
   if (!v || v->empty()) return def;
-  size_t pos = 0;
   double parsed = 0.0;
-  try {
-    parsed = std::stod(*v, &pos);
-  } catch (...) {
-    pos = 0;
-  }
-  if (pos != v->size())
+  if (!parse_number(*v, parsed))
     throw std::runtime_error("KeyValueConfig: unparsable number '" + *v +
                              "' in key '" + key + "'");
   return parsed;
@@ -167,14 +175,8 @@ std::vector<double> KeyValueConfig::numbers(const std::string& key,
     if (cell.empty()) continue;
     // A typo'd cell must fail loudly: silently dropping it would shrink a
     // campaign grid with no trace in the report.
-    size_t pos = 0;
     double parsed = 0.0;
-    try {
-      parsed = std::stod(cell, &pos);
-    } catch (...) {
-      pos = 0;
-    }
-    if (pos != cell.size())
+    if (!parse_number(cell, parsed))
       throw std::runtime_error("KeyValueConfig: unparsable number '" + cell +
                                "' in key '" + key + "'");
     out.push_back(parsed);

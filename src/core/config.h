@@ -30,6 +30,12 @@ struct RuntimeConfig {
   static const RuntimeConfig& get();
 };
 
+/// Full-consumption numeric parsing, shared by KeyValueConfig's getters and
+/// the CLI flags: false unless all of `s` is one number ('1O', '3x' and ''
+/// all fail), so a typo can never silently parse as its prefix.
+bool parse_integer(const std::string& s, int64_t& out);
+bool parse_number(const std::string& s, double& out);
+
 /// Minimal `key = value` config-file reader: one pair per line, '#' starts a
 /// comment, whitespace around keys and values is trimmed. The parser fails
 /// loudly on anything that would silently reshape an experiment: a non-blank

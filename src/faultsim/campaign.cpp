@@ -6,7 +6,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "nn/fusion.h"
 #include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -167,10 +166,6 @@ void Campaign::add_thermal_grid(const std::vector<double>& temperatures) {
 CampaignReport Campaign::run(const data::Dataset& test) {
   if (models_.empty()) throw std::logic_error("Campaign: no models registered");
   if (faults_.empty()) throw std::logic_error("Campaign: no fault specs added");
-  // The fusion axis is process-wide (the knob gates Sequential::forward);
-  // apply an explicit override before any chip evaluates. -1 leaves the
-  // ambient default (CORRECTNET_FUSION / set_fusion_enabled) in place.
-  if (opts_.fusion >= 0) nn::set_fusion_enabled(opts_.fusion != 0);
   const auto t0 = std::chrono::steady_clock::now();
 
   CampaignReport report;
@@ -318,7 +313,7 @@ const std::vector<std::string>& campaign_config_keys() {
       "drift.nu_sigma", "ir.alphas", "thermal.temps", "thermal.t0",
       "remap", "remap.spare_rows", "remap.spare_cols", "remap.pair_swap",
       "metrics_out", "trace_out", "log_level",
-      "statusz_port", "metrics_stream", "slo_p99_ms", "fusion",
+      "statusz_port", "metrics_stream", "slo_p99_ms",
   };
   return keys;
 }
@@ -348,8 +343,6 @@ Campaign campaign_from_config(const core::KeyValueConfig& cfg) {
   opts.statusz_port = cfg.integer("statusz_port", opts.statusz_port);
   opts.metrics_stream = cfg.str("metrics_stream", opts.metrics_stream);
   opts.slo_p99_ms = cfg.number("slo_p99_ms", opts.slo_p99_ms);
-  if (cfg.has("fusion"))
-    opts.fusion = cfg.integer("fusion", 1) != 0 ? 1 : 0;
   // log_level steers the process-wide Logger (the campaign's progress lines
   // go through it at debug); parse now so a typo fails at config time.
   const std::string log_level = cfg.str("log_level", "");

@@ -75,14 +75,6 @@ struct CampaignOptions {
   int64_t statusz_port = -1;
   std::string metrics_stream;
   double slo_p99_ms = 0;
-  // Layer-graph fusion for every digital forward in the campaign (the fused
-  // eval path in nn::Sequential): -1 = leave the process default
-  // (set_fusion_enabled / CORRECTNET_FUSION / on), 0 = force off, 1 = force
-  // on. Reports are byte-identical either way: the campaign models carry no
-  // batchnorm, and every other fusion rewrite is bitwise-exact
-  // (docs/ARCHITECTURE.md tolerance contract; asserted by tests/test_fusion
-  // and bench_faultsim).
-  int fusion = -1;
 };
 
 /// One grid cell's outcome.

@@ -2,10 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <mutex>
-#include <stdexcept>
-#include <string>
 
 #include "nn/batchnorm.h"
 #include "nn/pooling.h"
@@ -13,51 +9,16 @@
 
 namespace cn::nn {
 
-// ---------------------------------------------------------------------------
-// Process-wide knob: an explicit override wins, otherwise CORRECTNET_FUSION
-// is read and validated once at first use (so a typo'd CI matrix value fails
-// loudly), default on.
-// ---------------------------------------------------------------------------
-
 namespace {
-
-struct FusionKnob {
-  std::once_flag env_once;
-  bool env_default = true;
-  std::atomic<int> override_{-1};  // -1 = none, 0 = off, 1 = on
-};
-
-FusionKnob& knob() {
-  static FusionKnob k;
-  return k;
-}
-
-bool parse_fusion_env() {
-  const char* v = std::getenv("CORRECTNET_FUSION");
-  if (!v || !*v) return true;
-  const std::string s(v);
-  if (s == "on" || s == "1" || s == "true") return true;
-  if (s == "off" || s == "0" || s == "false") return false;
-  throw std::runtime_error("CORRECTNET_FUSION: invalid value '" + s +
-                           "' (expected on/off/1/0)");
-}
-
+std::atomic<bool> g_fusion_enabled{true};
 }  // namespace
 
 bool fusion_enabled() {
-  FusionKnob& k = knob();
-  const int ov = k.override_.load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  std::call_once(k.env_once, [&k] { k.env_default = parse_fusion_env(); });
-  return k.env_default;
+  return g_fusion_enabled.load(std::memory_order_relaxed);
 }
 
 void set_fusion_enabled(bool on) {
-  knob().override_.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void reset_fusion_enabled() {
-  knob().override_.store(-1, std::memory_order_relaxed);
+  g_fusion_enabled.store(on, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,15 +144,13 @@ int64_t pass_fuse_relu(LayerGraph& g) {
 
 }  // namespace
 
-FusionStats run_fusion_passes(LayerGraph& g, const FusionOptions& opts) {
+FusionStats run_fusion_passes(LayerGraph& g) {
   FusionStats s;
-  if (opts.elide_dropout) s.dropout_elided = pass_elide_dropout(g);
-  if (opts.fold_batchnorm) s.bn_folded = pass_fold_batchnorm(g);
-  if (opts.fuse_relu) s.relu_fused = pass_fuse_relu(g);
-  if (opts.fuse_pool) {
-    s.post_pools_fused = pass_fuse_post_pool(g);
-    s.pools_fused = pass_fuse_pool(g);
-  }
+  s.dropout_elided = pass_elide_dropout(g);
+  s.bn_folded = pass_fold_batchnorm(g);
+  s.relu_fused = pass_fuse_relu(g);
+  s.post_pools_fused = pass_fuse_post_pool(g);
+  s.pools_fused = pass_fuse_pool(g);
   auto& m = obs::metrics();
   m.counter("fusion.dropout_elided").add(static_cast<uint64_t>(s.dropout_elided));
   m.counter("fusion.bn_folded").add(static_cast<uint64_t>(s.bn_folded));
@@ -238,9 +197,9 @@ void fold_batchnorm_params(Conv2D& conv, BatchNorm2D& bn, Tensor& wf, Tensor& bf
 
 }  // namespace
 
-FusedPlan::FusedPlan(Sequential& model, const FusionOptions& opts)
-    : graph_(LayerGraph::build(model, /*train=*/false)) {
-  stats_ = run_fusion_passes(graph_, opts);
+FusedPlan::FusedPlan(Sequential& model, bool fuse)
+    : graph_(LayerGraph::build(model, /*train=*/false)), fused_(fuse) {
+  if (fuse) stats_ = run_fusion_passes(graph_);
   obs::metrics().counter("fusion.plans").add(1);
 }
 
@@ -285,7 +244,7 @@ Tensor FusedPlan::execute(const Tensor& x) {
     cur = &h;
     ran = true;
   }
-  // Empty or fully-elided graph: identity, matching the plain layer loop.
+  // Empty or fully-elided graph: identity.
   return ran ? std::move(h) : Tensor(x);
 }
 

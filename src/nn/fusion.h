@@ -41,8 +41,8 @@
 // fusion.pools_fused, fusion.post_pools_fused, fusion.relu_fused,
 // fusion.dropout_elided, and fusion.plans counts plan builds.
 //
-// The process-wide knob: set_fusion_enabled() override > CORRECTNET_FUSION
-// env ("on"/"off"/"1"/"0", validated at first use) > default ON.
+// Fusion is always on. set_fusion_enabled(false) makes Sequential::forward
+// run the no-pass plan instead; benches and tests use it to compare the two.
 #pragma once
 
 #include <cstdint>
@@ -51,21 +51,11 @@
 
 namespace cn::nn {
 
-/// True if Sequential::forward should execute eval passes through the fused
-/// graph plan. Override > CORRECTNET_FUSION env > default on. An invalid
-/// env value throws std::runtime_error at first use.
+/// True (the default) if Sequential::forward's eval plan runs the fusion
+/// passes; false selects the no-pass plan.
 bool fusion_enabled();
-/// Process-wide override (tests, campaign `fusion` key, --fusion flag).
+/// Process-wide switch for benches and tests comparing fused and unfused.
 void set_fusion_enabled(bool on);
-/// Drops the override, falling back to env/default.
-void reset_fusion_enabled();
-
-struct FusionOptions {
-  bool fold_batchnorm = true;
-  bool fuse_pool = true;
-  bool fuse_relu = true;
-  bool elide_dropout = true;
-};
 
 struct FusionStats {
   int64_t bn_folded = 0;
@@ -81,7 +71,7 @@ struct FusionStats {
 
 /// Runs the pass pipeline over a built graph, annotating nodes in place, and
 /// bumps the per-pass obs counters.
-FusionStats run_fusion_passes(LayerGraph& g, const FusionOptions& opts = {});
+FusionStats run_fusion_passes(LayerGraph& g);
 
 // Tolerance contract for the bn-fold pass (the only approximate pass; every
 // other rewrite is bitwise-exact). Per element: PASS iff the fused output is
@@ -93,26 +83,29 @@ FusionStats run_fusion_passes(LayerGraph& g, const FusionOptions& opts = {});
 constexpr int64_t kBnFoldMaxUlps = 2048;
 constexpr float kBnFoldRangeTol = 1e-3f;
 
-/// A built+fused execution plan for one Sequential. Sequential::forward
-/// caches one lazily per instance (invalidated on structural edits); tests
-/// construct it directly to inspect the graph and stats.
+/// The eval executor for one Sequential: its graph, fused unless `fuse` is
+/// false (no passes run). Sequential::forward caches one lazily per instance
+/// (invalidated on structural edits or a fusion_enabled() flip); tests and
+/// benches construct it directly to inspect the graph and stats.
 class FusedPlan {
  public:
-  explicit FusedPlan(Sequential& model, const FusionOptions& opts = {});
+  explicit FusedPlan(Sequential& model, bool fuse = true);
 
   /// Executes the annotated graph (eval mode). Weights are read live from
   /// the layers on every call, so weight edits and variation factors between
-  /// forwards behave exactly like the unfused path.
+  /// forwards behave exactly like each layer's own forward.
   Tensor execute(const Tensor& x);
 
   const LayerGraph& graph() const { return graph_; }
   const FusionStats& stats() const { return stats_; }
+  bool fused() const { return fused_; }
 
  private:
   Tensor run_node(GraphNode& n, const Tensor& x);
 
   LayerGraph graph_;
   FusionStats stats_;
+  bool fused_;
 };
 
 }  // namespace cn::nn

@@ -19,15 +19,17 @@ Layer& Sequential::add(LayerPtr layer) {
 }
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  if (!train && fusion_enabled()) {
-    // The plan holds raw pointers into layers_; moving this Sequential keeps
-    // them valid (layers_ owns through unique_ptr), structural edits reset it.
-    if (!plan_) plan_ = std::make_unique<FusedPlan>(*this);
-    return plan_->execute(x);
+  if (train) {
+    Tensor h = x;
+    for (auto& l : layers_) h = l->forward(h, true);
+    return h;
   }
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, train);
-  return h;
+  // The plan holds raw pointers into layers_; moving this Sequential keeps
+  // them valid (layers_ owns through unique_ptr), structural edits reset it.
+  const bool fuse = fusion_enabled();
+  if (!plan_ || plan_->fused() != fuse)
+    plan_ = std::make_unique<FusedPlan>(*this, fuse);
+  return plan_->execute(x);
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {

@@ -16,10 +16,10 @@ class FusedPlan;  // nn/fusion.h
 /// perturbs analog sites by execution order, and the RL environment splices
 /// CompensatedConv2D wrappers in place of plain convolutions.
 ///
-/// Eval-mode forwards execute through a lazily-built fused graph plan
-/// (nn/fusion.h) when fusion_enabled(); structural edits (add /
-/// replace_layer) invalidate the cached plan. Train-mode forwards always run
-/// the plain layer loop.
+/// Eval-mode forwards execute through a lazily-built graph plan
+/// (nn/fusion.h), fused unless fusion_enabled() is false; structural edits
+/// (add / replace_layer) and a fusion_enabled() flip rebuild it. Train-mode
+/// forwards run the layers in order.
 class Sequential final : public Layer {
  public:
   explicit Sequential(std::string label = "model");
@@ -71,7 +71,7 @@ class Sequential final : public Layer {
 
  private:
   std::vector<LayerPtr> layers_;
-  std::unique_ptr<FusedPlan> plan_;  // lazy eval-path fused plan
+  std::unique_ptr<FusedPlan> plan_;  // lazy eval-mode plan
 };
 
 }  // namespace cn::nn

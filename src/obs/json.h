@@ -3,6 +3,7 @@
 // files and the bench result files.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -34,8 +35,10 @@ inline std::string json_escaped(const std::string& s) {
   return out;
 }
 
-/// A number as every report prints it: %.6g.
+/// A number as every report prints it: %.6g. JSON has no NaN or infinity,
+/// so a non-finite value is written as `null`.
 inline std::string json_num(double v) {
+  if (!std::isfinite(v)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;

@@ -96,8 +96,8 @@ inline RandomModel make_random_model(const RandomModelSpec& spec) {
   rng.fill_normal(d2.weight().value, 0.0f, 0.3f);
   rng.fill_normal(d2.bias().value, 0.0f, 0.1f);
 
-  // Warm BN running statistics with train-mode forwards (the plain layer
-  // loop — fusion never engages in train mode).
+  // Warm BN running statistics with train-mode forwards (train mode runs the
+  // layers in order; no plan is built).
   if (rm.has_batchnorm) {
     Tensor xb({4, spec.in_c, spec.in_hw, spec.in_hw});
     for (int it = 0; it < 3; ++it) {
@@ -106,6 +106,16 @@ inline RandomModel make_random_model(const RandomModelSpec& spec) {
     }
   }
   return rm;
+}
+
+/// The parity reference: each layer's own eval forward, in order. It shares
+/// no code with nn::FusedPlan, so an executor bug cannot pass on both sides
+/// of a fused-vs-unfused check.
+inline Tensor reference_forward(nn::Sequential& m, const Tensor& x) {
+  Tensor h = x;
+  for (int64_t i = 0; i < m.num_layers(); ++i)
+    h = m.layer(i).forward(h, /*train=*/false);
+  return h;
 }
 
 /// A deterministic eval batch matching the model's input geometry.

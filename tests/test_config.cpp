@@ -160,11 +160,15 @@ TEST(ConfigDocs, CampaignTableMatchesDeclaredKeySet) {
 TEST(CampaignConfig, UnknownKeyThrows) {
   // campaign_from_config validates its key set before building anything.
   // `target` picked an execution target until the simd kernels became the
-  // only one; a config that still sets it must fail, not be ignored.
+  // only one, and `fusion` switched layer-graph fusion until it became
+  // always on; a config that still sets either must fail, not be ignored.
   EXPECT_NO_THROW(faultsim::campaign_from_config(
       KeyValueConfig::from_string("stuck.rates = 0.01\n")));
   EXPECT_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
                    "stuck.rates = 0.01\ntarget = simd\n")),
+               std::runtime_error);
+  EXPECT_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
+                   "stuck.rates = 0.01\nfusion = 0\n")),
                std::runtime_error);
 }
 

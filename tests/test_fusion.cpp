@@ -1,16 +1,16 @@
 // The layer-graph IR and fusion pass pipeline (nn/graph.h, nn/fusion.h):
 // per-pass unit oracles (bn-fold math, relu-epilogue exactness, pool-fusion
-// vs the standalone layers, dropout elision), the process-wide knob
-// contract, train-mode lowering refusal, the randomized graph-parity sweep
-// (fused vs unfused — bitwise without batchnorm, the pinned kBnFold*
-// contract with it — on the digital path and on crossbar chips across every
-// registered execution target), and campaign-report byte-identity with
-// fusion forced on vs off.
+// vs the standalone layers, dropout elision), the no-pass plan and the
+// fusion switch, train-mode lowering refusal, the randomized graph-parity
+// sweep (fused vs testutil::reference_forward — bitwise without batchnorm,
+// the pinned kBnFold* contract with it — on the digital path and on crossbar
+// chips at every simd level), and campaign-report byte-identity with fusion
+// on vs off.
 #include "nn/fusion.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -29,47 +29,17 @@
 namespace cn {
 namespace {
 
-// Every test pins the knob explicitly and restores the ambient default on
-// exit, so the suite behaves identically under the CORRECTNET_FUSION=off CI
-// leg and never leaks an override into later tests.
+// Restores the default (fusion on) when a test that switched it off exits,
+// so no later test runs unfused.
 struct FusionGuard {
-  FusionGuard() = default;
-  ~FusionGuard() { nn::reset_fusion_enabled(); }
+  ~FusionGuard() { nn::set_fusion_enabled(true); }
 };
-
-Tensor forward_with_fusion(nn::Sequential& m, const Tensor& x, bool fused) {
-  nn::set_fusion_enabled(fused);
-  return m.forward(x, /*train=*/false);
-}
 
 const nn::GraphNode* find_node(const nn::LayerGraph& g,
                                const std::string& label) {
   for (const nn::GraphNode& n : g.nodes)
     if (n.layer && n.layer->label() == label) return &n;
   return nullptr;
-}
-
-// What fusion_enabled() must resolve to with no override live: the
-// validated CORRECTNET_FUSION (how the CI fusion-off leg forces the knob
-// under this very binary), else on.
-bool ambient_fusion() {
-  const char* e = std::getenv("CORRECTNET_FUSION");
-  if (!e || !*e) return true;
-  const std::string v(e);
-  return !(v == "off" || v == "0" || v == "false");
-}
-
-// ---------- knob ----------
-
-TEST(FusionKnob, OverrideWinsAndResetRestoresAmbientDefault) {
-  nn::reset_fusion_enabled();
-  EXPECT_EQ(nn::fusion_enabled(), ambient_fusion());
-  nn::set_fusion_enabled(false);
-  EXPECT_FALSE(nn::fusion_enabled());
-  nn::set_fusion_enabled(true);
-  EXPECT_TRUE(nn::fusion_enabled());
-  nn::reset_fusion_enabled();
-  EXPECT_EQ(nn::fusion_enabled(), ambient_fusion());
 }
 
 // ---------- train-mode lowering ----------
@@ -108,10 +78,8 @@ TEST(LayerGraphBuild, LayersReportTrainModeSensitivity) {
 }
 
 TEST(LayerGraphBuild, TrainForwardBypassesFusionEntirely) {
-  // With fusion forced on, a train-mode forward must still run the plain
-  // layer loop (live dropout, batch statistics) and never try to lower.
-  FusionGuard guard;
-  nn::set_fusion_enabled(true);
+  // A train-mode forward runs the layers in order (live dropout, batch
+  // statistics) and never tries to lower.
   Rng rng(41);
   nn::Sequential m("train-fwd");
   auto& conv = m.emplace<nn::Conv2D>(1, 2, 3, 1, 1, 6, 6, "conv");
@@ -127,7 +95,6 @@ TEST(LayerGraphBuild, TrainForwardBypassesFusionEntirely) {
 // ---------- per-pass oracles ----------
 
 TEST(FusionPasses, BnFoldMatchesManualFoldAndPinnedTolerance) {
-  FusionGuard guard;
   Rng rng(11);
   nn::Sequential m("bnfold");
   auto& conv = m.emplace<nn::Conv2D>(2, 3, 3, 1, 1, 8, 8, "conv");
@@ -146,8 +113,8 @@ TEST(FusionPasses, BnFoldMatchesManualFoldAndPinnedTolerance) {
 
   Tensor x({2, 2, 8, 8});
   rng.fill_normal(x, 0.0f, 1.0f);
-  const Tensor unfused = forward_with_fusion(m, x, false);
-  const Tensor fused = forward_with_fusion(m, x, true);
+  const Tensor unfused = testutil::reference_forward(m, x);
+  const Tensor fused = m.forward(x, /*train=*/false);
 
   // The plan folded exactly once: bn skipped, conv annotated with it.
   nn::FusedPlan plan(m);
@@ -175,7 +142,7 @@ TEST(FusionPasses, BnFoldMatchesManualFoldAndPinnedTolerance) {
     fc.bias().value[c] =
         (conv.bias().value[c] - bn.running_mean()[c]) * s + bn.beta().value[c];
   }
-  const Tensor oracle = forward_with_fusion(folded, x, false);
+  const Tensor oracle = testutil::reference_forward(folded, x);
   testutil::expect_bitwise_equal(fused, oracle, "fused vs manual fold oracle");
 
   // Against the unfused two-layer model the pass is approximate, pinned by
@@ -186,7 +153,6 @@ TEST(FusionPasses, BnFoldMatchesManualFoldAndPinnedTolerance) {
 }
 
 TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
-  FusionGuard guard;
   Rng rng(21);
   nn::Sequential m("relu");
   auto& conv = m.emplace<nn::Conv2D>(1, 4, 3, 1, 0, 10, 10, "conv");
@@ -201,8 +167,8 @@ TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
   Tensor x({3, 1, 10, 10});
   rng.fill_normal(x, 0.0f, 1.0f);
 
-  const Tensor unfused = forward_with_fusion(m, x, false);
-  const Tensor fused = forward_with_fusion(m, x, true);
+  const Tensor unfused = testutil::reference_forward(m, x);
+  const Tensor fused = m.forward(x, /*train=*/false);
   testutil::expect_bitwise_equal(fused, unfused, "relu epilogue (conv+dense)");
 
   nn::FusedPlan plan(m);
@@ -215,8 +181,7 @@ TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
 
 TEST(FusionPasses, PoolFusionIsBitwiseExact) {
   for (const bool use_max : {false, true}) {
-    FusionGuard guard;
-    Rng rng(use_max ? 31 : 32);
+      Rng rng(use_max ? 31 : 32);
     nn::Sequential m(use_max ? "maxpool-conv" : "avgpool-conv");
     if (use_max)
       m.emplace<nn::MaxPool2D>(2, "pool");
@@ -228,8 +193,8 @@ TEST(FusionPasses, PoolFusionIsBitwiseExact) {
     Tensor x({2, 1, 12, 12});
     rng.fill_normal(x, 0.0f, 1.0f);
 
-    const Tensor unfused = forward_with_fusion(m, x, false);
-    const Tensor fused = forward_with_fusion(m, x, true);
+    const Tensor unfused = testutil::reference_forward(m, x);
+    const Tensor fused = m.forward(x, /*train=*/false);
     testutil::expect_bitwise_equal(
         fused, unfused, use_max ? "maxpool fusion" : "avgpool fusion");
 
@@ -249,8 +214,7 @@ TEST(FusionPasses, PostPoolFusionIsBitwiseExact) {
   // conv→relu→pool chain collapses into one node because the pool's producer
   // resolves through the fused relu.
   for (const bool use_max : {false, true}) {
-    FusionGuard guard;
-    Rng rng(use_max ? 61 : 62);
+      Rng rng(use_max ? 61 : 62);
     nn::Sequential m(use_max ? "conv-relu-maxpool" : "conv-relu-avgpool");
     auto& conv = m.emplace<nn::Conv2D>(1, 3, 3, 1, 1, 8, 8, "conv");
     rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
@@ -263,8 +227,8 @@ TEST(FusionPasses, PostPoolFusionIsBitwiseExact) {
     Tensor x({2, 1, 8, 8});
     rng.fill_normal(x, 0.0f, 1.0f);
 
-    const Tensor unfused = forward_with_fusion(m, x, false);
-    const Tensor fused = forward_with_fusion(m, x, true);
+    const Tensor unfused = testutil::reference_forward(m, x);
+    const Tensor fused = m.forward(x, /*train=*/false);
     ASSERT_EQ(fused.dim(2), 4);  // pooled geometry survives the rewrite
     testutil::expect_bitwise_equal(
         fused, unfused, use_max ? "post-maxpool fusion" : "post-avgpool fusion");
@@ -287,7 +251,6 @@ TEST(FusionPasses, PostPoolWinsOverPrePoolBetweenTwoConvs) {
   // (eliding conv1's full-resolution output), not conv2's im2col producer —
   // and a relu AFTER the pool stays a standalone node (fusing it into conv1
   // would reorder relu before pooling).
-  FusionGuard guard;
   Rng rng(63);
   nn::Sequential m("conv-pool-conv");
   auto& c1 = m.emplace<nn::Conv2D>(1, 2, 3, 1, 1, 8, 8, "c1");
@@ -301,8 +264,8 @@ TEST(FusionPasses, PostPoolWinsOverPrePoolBetweenTwoConvs) {
   Tensor x({2, 1, 8, 8});
   rng.fill_normal(x, 0.0f, 1.0f);
 
-  const Tensor unfused = forward_with_fusion(m, x, false);
-  const Tensor fused = forward_with_fusion(m, x, true);
+  const Tensor unfused = testutil::reference_forward(m, x);
+  const Tensor fused = m.forward(x, /*train=*/false);
   testutil::expect_bitwise_equal(fused, unfused, "post-pool between convs");
 
   nn::FusedPlan plan(m);
@@ -317,7 +280,6 @@ TEST(FusionPasses, PostPoolWinsOverPrePoolBetweenTwoConvs) {
 }
 
 TEST(FusionPasses, DropoutElisionIsExactIdentity) {
-  FusionGuard guard;
   Rng rng(51);
   nn::Sequential m("drop");
   m.emplace<nn::Dropout>(0.5f, 99, "d0");
@@ -328,8 +290,8 @@ TEST(FusionPasses, DropoutElisionIsExactIdentity) {
   Tensor x({4, 8});
   rng.fill_normal(x, 0.0f, 1.0f);
 
-  const Tensor unfused = forward_with_fusion(m, x, false);
-  const Tensor fused = forward_with_fusion(m, x, true);
+  const Tensor unfused = testutil::reference_forward(m, x);
+  const Tensor fused = m.forward(x, /*train=*/false);
   testutil::expect_bitwise_equal(fused, unfused, "dropout elision");
 
   nn::FusedPlan plan(m);
@@ -359,7 +321,6 @@ TEST(FusionObs, PassCountersAccumulate) {
 // ---------- randomized graph-parity sweep ----------
 
 TEST(FusionParity, RandomizedDigitalGraphSweep) {
-  FusionGuard guard;
   int bn_models = 0;
   int64_t rewrites = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
@@ -372,8 +333,8 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
       const std::string what =
           "seed " + std::to_string(spec.seed) + (allow_bn ? " (+bn)" : "");
 
-      const Tensor unfused = forward_with_fusion(rm.model, x, false);
-      const Tensor fused = forward_with_fusion(rm.model, x, true);
+      const Tensor unfused = testutil::reference_forward(rm.model, x);
+      const Tensor fused = rm.model.forward(x, /*train=*/false);
       if (rm.has_batchnorm) {
         ++bn_models;
         testutil::expect_within_ulps(fused, unfused, nn::kBnFoldMaxUlps,
@@ -383,7 +344,7 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
         testutil::expect_bitwise_equal(fused, unfused, what);
       }
       // The cached plan re-executes deterministically.
-      const Tensor again = forward_with_fusion(rm.model, x, true);
+      const Tensor again = rm.model.forward(x, /*train=*/false);
       testutil::expect_bitwise_equal(again, fused, what + " (plan reuse)");
 
       nn::FusedPlan plan(rm.model);
@@ -398,7 +359,6 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   // Crossbar lowering keeps bn standalone (conductances are programmed, not
   // re-scalable), so fused vs unfused on a chip is bitwise at every simd
   // dispatch level.
-  FusionGuard guard;
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
   dev.g_max = 1e-4f;
@@ -420,8 +380,8 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
         rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
         &exec::get_target("simd"));
     testutil::for_each_simd_level([&](int level) {
-      const Tensor unfused = forward_with_fusion(chip, x, false);
-      const Tensor fused = forward_with_fusion(chip, x, true);
+      const Tensor unfused = testutil::reference_forward(chip, x);
+      const Tensor fused = chip.forward(x, /*train=*/false);
       testutil::expect_bitwise_equal(fused, unfused,
                                      "simd level " + std::to_string(level) +
                                          " seed " + std::to_string(seed));
@@ -433,10 +393,80 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   }
 }
 
+// ---------- the no-pass plan and the fusion switch ----------
+
+TEST(FusionPlan, NoPassPlanMatchesReferenceBitwise) {
+  // FusedPlan(m, /*fuse=*/false) is the unfused executor: no pass runs, no
+  // node is skipped, and its output equals the layer-by-layer reference bit
+  // for bit — with or without batchnorm, digital or on a crossbar chip.
+  analog::RramDeviceParams dev;
+  dev.g_min = 1e-6f;
+  dev.g_max = 1e-4f;
+  dev.program_sigma = 0.1f;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool allow_bn : {false, true}) {
+      testutil::RandomModelSpec spec;
+      spec.seed = seed * 23 + (allow_bn ? 1 : 0);
+      spec.allow_batchnorm = allow_bn;
+      testutil::RandomModel rm = testutil::make_random_model(spec);
+      const Tensor x = testutil::random_input(rm, seed * 37 + 3);
+      const std::string what =
+          "seed " + std::to_string(spec.seed) + (allow_bn ? " (+bn)" : "");
+
+      nn::FusedPlan plan(rm.model, /*fuse=*/false);
+      EXPECT_FALSE(plan.fused()) << what;
+      EXPECT_EQ(plan.stats().rewrites(), 0) << what;
+      for (const nn::GraphNode& n : plan.graph().nodes)
+        EXPECT_FALSE(n.skip) << what << " node " << n.id;
+      testutil::expect_bitwise_equal(
+          plan.execute(x), testutil::reference_forward(rm.model, x), what);
+
+      Rng prog(seed + 100);
+      nn::Sequential chip = analog::program_to_crossbars(
+          rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
+          &exec::get_target("simd"));
+      testutil::expect_bitwise_equal(
+          nn::FusedPlan(chip, /*fuse=*/false).execute(x),
+          testutil::reference_forward(chip, x), what + " (chip)");
+    }
+  }
+}
+
+TEST(FusionSwitch, ForwardFollowsAFlipBetweenCalls) {
+  // Sequential::forward caches its plan. Flipping set_fusion_enabled between
+  // two forwards must rebuild it, never run the stale one. A batchnorm model
+  // whose fold re-rounds some output tells the two plans apart.
+  FusionGuard guard;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    testutil::RandomModelSpec spec;
+    spec.seed = seed;
+    spec.allow_batchnorm = true;
+    testutil::RandomModel rm = testutil::make_random_model(spec);
+    if (!rm.has_batchnorm) continue;
+    const Tensor x = testutil::random_input(rm, seed + 7);
+    const Tensor fused = nn::FusedPlan(rm.model).execute(x);
+    const Tensor unfused = testutil::reference_forward(rm.model, x);
+    if (std::memcmp(fused.data(), unfused.data(),
+                    static_cast<size_t>(fused.size()) * sizeof(float)) == 0)
+      continue;  // the fold happened to be exact: the plans look alike
+
+    const std::string what = "seed " + std::to_string(seed);
+    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), fused,
+                                   what + " (on)");
+    nn::set_fusion_enabled(false);
+    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false),
+                                   unfused, what + " (switched off)");
+    nn::set_fusion_enabled(true);
+    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), fused,
+                                   what + " (switched back on)");
+    return;
+  }
+  FAIL() << "no batchnorm model whose fold changes an output bit";
+}
+
 // ---------- campaign byte-identity ----------
 
 TEST(FusionCampaign, ReportsAreByteIdenticalOnVsOff) {
-  FusionGuard guard;
   data::DigitsSpec spec;
   spec.train_count = 10;
   spec.test_count = 40;
@@ -444,13 +474,12 @@ TEST(FusionCampaign, ReportsAreByteIdenticalOnVsOff) {
   Rng rng(5);
   nn::Sequential model = models::lenet5(1, 28, 10, rng);
 
-  auto run = [&](int fusion) {
+  auto run = [&] {
     faultsim::CampaignOptions co;
     co.chips = 2;
     co.seed = 9;
     co.batch_size = 32;
     co.tile = 64;
-    co.fusion = fusion;
     faultsim::Campaign c(co);
     c.add_model("baseline", model, false);
     c.add_stuck_at_grid({0.02});
@@ -458,8 +487,14 @@ TEST(FusionCampaign, ReportsAreByteIdenticalOnVsOff) {
     r.wall_s = 0.0;  // the one field that legitimately differs between runs
     return r.to_json();
   };
-  const std::string on = run(1);
-  const std::string off = run(0);
+  const std::string on = run();
+  std::string off;
+  {
+    FusionGuard guard;
+    nn::set_fusion_enabled(false);
+    off = run();
+  }
+  EXPECT_TRUE(nn::fusion_enabled());
   EXPECT_EQ(on, off);
 }
 

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -433,6 +434,22 @@ TEST(JsonEscape, SnapshotLineForControlByteNameIsValidJson) {
   EXPECT_NE(text.find("\"" + obs::json_escaped(name) + "\": 3"),
             std::string::npos)
       << text;
+}
+
+TEST(JsonNum, NonFiniteGaugesSnapshotAsNull) {
+  // JSON has no NaN or infinity: a bare `nan` / `inf` would make the whole
+  // snapshot unparsable. Finite values keep their %.6g bytes.
+  obs::MetricsRegistry reg;
+  reg.gauge("g.nan").set(std::nan(""));
+  reg.gauge("g.inf").set(std::numeric_limits<double>::infinity());
+  reg.gauge("g.finite").set(0.125);
+  const std::string j = reg.snapshot_json();
+  EXPECT_TRUE(valid_json(j)) << j;
+  EXPECT_NE(j.find("\"g.nan\": null"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"g.inf\": null"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"g.finite\": 0.125"), std::string::npos) << j;
+  EXPECT_EQ(obs::json_num(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::json_num(1.0 / 3.0), "0.333333");
 }
 
 TEST(MetricsRegistry, ConcurrentRecordingUnderSchedulerIsExact) {
