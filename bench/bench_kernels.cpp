@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, the digital conv and
 // dense kernels, crossbar MVM, the batched crossbar matmul on every
-// registered execution target, and Monte-Carlo perturbation sampling.
+// registered execution target, crossbar read-noise draws (scalar loop vs
+// the Gaussian span), and Monte-Carlo perturbation sampling.
 // Legs that run on the thread pool time real (wall) time: the main thread's
 // CPU time would leave out the workers' share.
 #include <benchmark/benchmark.h>
@@ -174,6 +175,32 @@ void BM_VariationSampling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_VariationSampling)->Arg(128)->Arg(512);
+
+// One crossbar row's read noise as CrossbarTile::finish_row draws it: 128
+// floats of normal(0, read_sigma) per call. `scalar` is the per-draw loop
+// the span replaced, kept as the baseline; `span` is Rng::fill_normal (block
+// Box–Muller kernel at the auto-dispatched simd level). Both produce the
+// same bits; per_draw is the real time per draw.
+void BM_ReadNoise(benchmark::State& state, bool span) {
+  constexpr int64_t kRow = 128;
+  const float sigma = 0.05f;
+  Rng rng(10);
+  std::vector<float> noise(kRow);
+  for (auto _ : state) {
+    if (span) {
+      rng.fill_normal(noise.data(), kRow, 0.0f, sigma);
+    } else {
+      for (float& v : noise) v = static_cast<float>(rng.normal(0.0, sigma));
+    }
+    benchmark::DoNotOptimize(noise.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(kRow),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ReadNoise, scalar, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReadNoise, span, true)->UseRealTime();
 
 }  // namespace
 

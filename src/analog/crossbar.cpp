@@ -11,11 +11,18 @@
 
 namespace cn::analog {
 
+namespace {
+// Validates before the member initializers read dim(1).
+const Tensor& rank2(const Tensor& w) {
+  if (w.rank() != 2) throw std::invalid_argument("CrossbarTile: weight must be rank-2");
+  return w;
+}
+}  // namespace
+
 CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev,
                            Rng& rng, bool defer_lowering, const exec::Target* target)
-    : rows_(w.dim(0)), cols_(w.dim(1)), dev_(dev),
+    : rows_(rank2(w).dim(0)), cols_(w.dim(1)), dev_(dev),
       target_(target ? target : &exec::default_target()) {
-  if (w.rank() != 2) throw std::invalid_argument("CrossbarTile: weight must be rank-2");
   if (dev.g_max <= dev.g_min)
     throw std::invalid_argument("CrossbarTile: g_max must exceed g_min");
   const float g_range = dev.g_max - dev.g_min;
@@ -143,8 +150,15 @@ void CrossbarTile::accumulate_row(const float* x, float* y, Rng* read_rng,
 
 void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
   if (read_rng && dev_.readout.read_sigma > 0.0f) {
-    for (int64_t c = 0; c < cols_; ++c)
-      currents[c] *= 1.0f + static_cast<float>(read_rng->normal(0.0, dev_.readout.read_sigma));
+    // One span draw per chunk; fill_normal is bit-identical to a scalar
+    // normal(0, read_sigma) per current, however the row is split.
+    constexpr int64_t kChunk = 128;
+    float noise[kChunk] = {};
+    for (int64_t c0 = 0; c0 < cols_; c0 += kChunk) {
+      const int64_t m = std::min(kChunk, cols_ - c0);
+      read_rng->fill_normal(noise, m, 0.0f, dev_.readout.read_sigma);
+      for (int64_t c = 0; c < m; ++c) currents[c0 + c] *= 1.0f + noise[c];
+    }
   }
   if (dev_.readout.adc_bits > 0) {
     // Full scale: every row driving g_max differentially.

@@ -17,8 +17,8 @@ Tensor VariationModel::sample_factors(const Tensor& weight, Rng& rng) const {
       rng.fill_lognormal_factor(f, sigma);
       break;
     case VariationKind::kGaussianMultiplicative:
-      for (int64_t i = 0; i < f.size(); ++i)
-        f[i] = 1.0f + static_cast<float>(rng.normal(0.0, sigma));
+      rng.fill_normal(f, 0.0f, sigma);
+      for (int64_t i = 0; i < f.size(); ++i) f[i] = 1.0f + f[i];
       break;
     case VariationKind::kGaussianAdditiveRel: {
       const float wmax = max_abs(weight);

@@ -1,0 +1,225 @@
+// Block Box–Muller pairs (see gauss_kernels.h), built like the other
+// exec::simd kernels: one always-inline template body over GCC generic
+// vectors, instantiated per ISA level under target attributes and picked
+// per call.
+//
+// The polynomials are fdlibm's (e_log.c, k_sin.c, k_cos.c; Sun
+// Microsystems, freely distributable), each under 1-2 ulps, so the computed
+// z = r cos a (or r sin a) is within 2^-47 |z| of libm's. The rounding test
+// then asks for a 2^-36 |stddev z| distance from the float rounding boundary
+// plus 2^-50 |v| for the final mean + stddev z rounding on either side: a
+// 2^11 margin over the worst case, failed by about 3.5e-4 of the lanes.
+// Lanes whose reduced trig argument is within 2^-16 of zero (where a
+// relative bound would need a finer reduction), and values outside the
+// normal float range, are rejected outright.
+#include "exec/gauss_kernels.h"
+
+#include <algorithm>
+#include <cstring>
+
+#include "exec/target.h"
+
+namespace cn::exec::gauss {
+namespace {
+
+#define CN_UNROLL _Pragma("GCC unroll 8")
+
+// The helpers below take and return vectors but are always inlined into
+// the per-level entry points, so no call crosses the vector ABI GCC warns
+// about.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+typedef double D2 __attribute__((vector_size(16)));
+typedef double D4 __attribute__((vector_size(32)));
+typedef double D8 __attribute__((vector_size(64)));
+typedef float F2 __attribute__((vector_size(8)));
+typedef float F4 __attribute__((vector_size(16)));
+typedef float F8 __attribute__((vector_size(32)));
+typedef unsigned long long U2 __attribute__((vector_size(16)));
+typedef unsigned long long U4 __attribute__((vector_size(32)));
+typedef unsigned long long U8 __attribute__((vector_size(64)));
+
+// The unsigned integer vector of D's shape holds the bit patterns the
+// exponent, sign and select tricks work on, and F the lanes as floats. The
+// kernels build no comparison masks: without AVX-512DQ, GCC scalarizes a zmm
+// compare into a mask vector, so lane conditions are carried as sign bits of
+// differences instead.
+template <typename D>
+struct LanesOf;
+template <>
+struct LanesOf<D2> { using Bits = U2; using Float = F2; };
+template <>
+struct LanesOf<D4> { using Bits = U4; using Float = F4; };
+template <>
+struct LanesOf<D8> { using Bits = U8; using Float = F8; };
+template <typename D>
+using Bits = typename LanesOf<D>::Bits;
+
+constexpr unsigned long long kSign = 0x8000000000000000ull;
+
+template <typename D>
+[[gnu::always_inline]] inline D vabs(D x) {
+  return (D)((Bits<D>)x & ~kSign);
+}
+
+// log(x) for normal x > 0 (fdlibm's reduction x = 2^k (1 + f) with
+// 1 + f in [sqrt(2)/2, sqrt(2)), then log(1 + f) in s = f / (2 + f)).
+template <typename D>
+[[gnu::always_inline]] inline D vlog(D x) {
+  typedef long long I __attribute__((vector_size(sizeof(D))));
+  const Bits<D> bits = (Bits<D>)x;
+  const I k = (I)(bits - 0x3fe6a09e667f3bcdull) >> 52;
+  const D f = (D)(bits - ((Bits<D>)k << 52)) - 1.0;
+  // |k| <= 1075: the 2^52 + 2^51 magic turns it into a double exactly.
+  const D kd = (D)((Bits<D>)k + 0x4338000000000000ull) - 0x1.8p52;
+  const D s = f / (2.0 + f);
+  const D z = s * s, w = z * z;
+  const D t1 = w * (0x1.999999997fa04p-2 +
+                    w * (0x1.c71c51d8e78afp-3 + w * 0x1.39a09d078c69fp-3));
+  const D t2 = z * (0x1.5555555555593p-1 +
+                    w * (0x1.2492494229359p-2 +
+                         w * (0x1.7466496cb03dep-3 + w * 0x1.2f112df3e5244p-3)));
+  const D hfsq = 0.5 * f * f;
+  return kd * 0x1.62e42feep-1 -
+         ((hfsq - (s * (hfsq + t2 + t1) + kd * 0x1.a39ef35793c76p-33)) - f);
+}
+
+// Sign bit set where certified: v = mean + stddev z lies more than the
+// error budget from the midpoint of the two floats around it, so libm's v
+// rounds to the same float. In the normal float range the midpoint is v's
+// double with the 29 bits below the float mantissa set to 1000...0. Each
+// condition is "difference < 0"; av - 2^127 is negative only for finite v
+// (|NaN| is a positive NaN), and a finite v has finite stddev z.
+template <typename D>
+[[gnu::always_inline]] inline Bits<D> certified(D v, D sz) {
+  const D av = vabs(v);
+  const D margin = 0x1p-36 * vabs(sz) + 0x1p-50 * av;
+  const D mid = (D)(((Bits<D>)av & ~0x1fffffffull) | 0x10000000ull);
+  return (Bits<D>)(0x1p-125 - av) & (Bits<D>)(av - 0x1p127) &
+         (Bits<D>)(margin - vabs(av - mid)) & (Bits<D>)(margin - 0x1p-28 * av);
+}
+
+// One vector of pairs: writes v = mean + stddev (r cos a, r sin a) and
+// returns the sign bits of the lanes where both values are certified.
+template <typename D>
+[[gnu::always_inline]] inline Bits<D> pair_block(D u1, D u2, double mean,
+                                                 double stddev, D& vc, D& vs) {
+  constexpr int L = sizeof(D) / sizeof(double);
+  const D x = -2.0 * vlog(u1);
+  D r;
+  CN_UNROLL
+  for (int l = 0; l < L; ++l) r[l] = __builtin_sqrt(x[l]);
+
+  // a = 2π u2 exactly as Rng::normal rounds it, then a = qπ/2 + y with
+  // |y| <= π/4 (Cody–Waite: q * 0x1.921fb544p0 is exact, as is a minus it).
+  const D a = 6.283185307179586476925286766559 * u2;
+  const D t = a * 0x1.45f306dc9c883p-1 + 0x1.8p52;
+  const D qd = t - 0x1.8p52;
+  const Bits<D> q = (Bits<D>)t;
+  const D y = (a - qd * 0x1.921fb544p0) - qd * 0x1.0b4611a626331p-34;
+  const D y2 = y * y;
+  const D sp =
+      y + y * y2 *
+              (-0x1.5555555555549p-3 +
+               y2 * (0x1.111111110f8a6p-7 +
+                     y2 * (-0x1.a01a019c161d5p-13 +
+                           y2 * (0x1.71de357b1fe7dp-19 +
+                                 y2 * (-0x1.ae5e68a2b9cebp-26 +
+                                       y2 * 0x1.5d93a5acfd57cp-33)))));
+  const D cp =
+      1.0 - (0.5 * y2 -
+             y2 * y2 *
+                 (0x1.555555555554cp-5 +
+                  y2 * (-0x1.6c16c16c15177p-10 +
+                        y2 * (0x1.a01a019cb159p-16 +
+                              y2 * (-0x1.27e4f809c52adp-22 +
+                                    y2 * (0x1.1ee9ebdb4b1c4p-29 +
+                                          y2 * -0x1.8fae9be8838d4p-37))))));
+  // Quadrant q: cos a = (cp, -sp, -cp, sp), sin a = (sp, cp, -sp, -cp).
+  const Bits<D> odd = 0ull - (q & 1ull);
+  const D c0 = (D)(((Bits<D>)sp & odd) | ((Bits<D>)cp & ~odd));
+  const D s0 = (D)(((Bits<D>)cp & odd) | ((Bits<D>)sp & ~odd));
+  const D cosa = (D)((Bits<D>)c0 ^ (((q + 1ull) & 2ull) << 62));
+  const D sina = (D)((Bits<D>)s0 ^ ((q & 2ull) << 62));
+
+  const D szc = stddev * (r * cosa), szs = stddev * (r * sina);
+  vc = mean + szc;
+  vs = mean + szs;
+  return (Bits<D>)(0x1p-16 - vabs(y)) & certified(vc, szc) & certified(vs, szs);
+}
+
+template <typename D>
+[[gnu::always_inline]] inline int64_t pairs_impl(const double* u1, const double* u2,
+                                                 int64_t npairs, double mean,
+                                                 double stddev, float* out,
+                                                 uint8_t* keep) {
+  constexpr int L = sizeof(D) / sizeof(double);
+  int64_t kept = 0;
+  for (int64_t p0 = 0; p0 < npairs; p0 += L) {
+    const int64_t np = std::min<int64_t>(L, npairs - p0);
+    D a = {}, b = {};
+    if (np == L) {
+      std::memcpy(&a, u1 + p0, sizeof(D));
+      std::memcpy(&b, u2 + p0, sizeof(D));
+    } else {  // tail: pad with a harmless pair, never written back
+      CN_UNROLL
+      for (int l = 0; l < L; ++l) {
+        a[l] = l < np ? u1[p0 + l] : 0.5;
+        b[l] = l < np ? u2[p0 + l] : 0.125;
+      }
+    }
+    D vc = {}, vs = {};
+    const Bits<D> ok = pair_block(a, b, mean, stddev, vc, vs);
+    // Interleave (cos, sin) per pair: lanes 0, L, 1, L + 1, ...
+    using F = typename LanesOf<D>::Float;
+    const F fc = __builtin_convertvector(vc, F), fs = __builtin_convertvector(vs, F);
+    float pairs[2 * L] = {};
+    CN_UNROLL
+    for (int l = 0; l < L; ++l) {
+      pairs[2 * l] = fc[l];
+      pairs[2 * l + 1] = fs[l];
+    }
+    std::memcpy(out + 2 * p0, pairs, static_cast<size_t>(2 * np) * sizeof(float));
+    for (int64_t l = 0; l < np; ++l) {
+      keep[p0 + l] = static_cast<uint8_t>(ok[l] >> 63);
+      kept += static_cast<int64_t>(ok[l] >> 63);
+    }
+  }
+  return npairs - kept;
+}
+
+using PairKernel = int64_t (*)(const double*, const double*, int64_t, double,
+                               double, float*, uint8_t*);
+
+int64_t pairs_generic(const double* u1, const double* u2, int64_t npairs,
+                      double mean, double stddev, float* out, uint8_t* keep) {
+  return pairs_impl<D2>(u1, u2, npairs, mean, stddev, out, keep);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target("avx2,fma"))) int64_t pairs_avx2(
+    const double* u1, const double* u2, int64_t npairs, double mean,
+    double stddev, float* out, uint8_t* keep) {
+  return pairs_impl<D4>(u1, u2, npairs, mean, stddev, out, keep);
+}
+__attribute__((target("avx512f,fma"))) int64_t pairs_avx512(
+    const double* u1, const double* u2, int64_t npairs, double mean,
+    double stddev, float* out, uint8_t* keep) {
+  return pairs_impl<D8>(u1, u2, npairs, mean, stddev, out, keep);
+}
+const PairKernel kPairTable[3] = {pairs_generic, pairs_avx2, pairs_avx512};
+#else
+const PairKernel kPairTable[3] = {pairs_generic, pairs_generic, pairs_generic};
+#endif
+
+#undef CN_UNROLL
+
+}  // namespace
+
+int64_t box_muller_pairs(const double* u1, const double* u2, int64_t npairs,
+                         double mean, double stddev, float* out, uint8_t* keep) {
+  return kPairTable[simd::current_level()](u1, u2, npairs, mean, stddev, out,
+                                           keep);
+}
+
+}  // namespace cn::exec::gauss

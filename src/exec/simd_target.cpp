@@ -3,9 +3,15 @@
 // target. Dispatch picks the widest supported level per call, or the level
 // forced via exec::simd::force_level (how the parity tests run every level).
 //
-// This translation unit must stay contraction-free (see the avx attribute
-// and src/CMakeLists.txt): a fused multiply-add would round differently from
-// the scalar matvec path and break the bit-exactness contract.
+// The avx levels accumulate with explicit fused multiply-adds and still match
+// the scalar matvec path bit for bit: every term is a float voltage times a
+// float conductance, widened to double, and that product (at most 48
+// significant bits, exponent far inside double range) is exact, so
+// fma(v, g, acc) rounds once exactly where acc + v * g does — signed zeros,
+// infinities and NaN classes included. The generic level keeps
+// multiply-then-add, so the per-level parity suites test the argument. The
+// translation unit itself stays contraction-free (src/CMakeLists.txt): no
+// other a*b + c in it may fuse behind the code's back.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -26,8 +32,10 @@ namespace {
 // arrays carry 8 doubles of end padding: lanes past `cols` compute garbage
 // that is simply not written back.
 // CONTIG: the RB input items are contiguous at each wordline (column-major
-// batch, x_item_stride == 1), letting the voltage loads vectorize.
-template <int RB, bool CONTIG>
+// batch, x_item_stride == 1), letting the voltage loads vectorize. FMA: fuse
+// each multiply-add (bit-identical, see the header comment; only for levels
+// whose target has the instruction).
+template <int RB, bool CONTIG, bool FMA>
 [[gnu::always_inline]] inline void block_currents_impl(
     const double* gp, const double* gn, int64_t rows, int64_t cols,
     const float* x, int64_t xis, int64_t xws, float* cur, int64_t ldcur) {
@@ -47,8 +55,13 @@ template <int RB, bool CONTIG>
       for (int c = 0; c < 8; ++c) {
         const double gpc = gpr[c], gnc = gnr[c];
         for (int i = 0; i < RB; ++i) {
-          accp[i][c] += v[i] * gpc;
-          accn[i][c] += v[i] * gnc;
+          if constexpr (FMA) {
+            accp[i][c] = __builtin_fma(v[i], gpc, accp[i][c]);
+            accn[i][c] = __builtin_fma(v[i], gnc, accn[i][c]);
+          } else {
+            accp[i][c] += v[i] * gpc;
+            accn[i][c] += v[i] * gnc;
+          }
         }
       }
     }
@@ -63,30 +76,29 @@ template <int RB, bool CONTIG>
 void block_currents_generic(const double* gp, const double* gn, int64_t rows,
                             int64_t cols, const float* x, int64_t xis, int64_t xws,
                             float* cur, int64_t ldcur) {
-  block_currents_impl<RB, CONTIG>(gp, gn, rows, cols, x, xis, xws, cur, ldcur);
+  block_currents_impl<RB, CONTIG, false>(gp, gn, rows, cols, x, xis, xws, cur,
+                                         ldcur);
 }
 
 using BlockKernel = void (*)(const double*, const double*, int64_t, int64_t,
                              const float*, int64_t, int64_t, float*, int64_t);
 
-// Wider SIMD variants, dispatched at runtime. Contraction must stay off
-// (separate vmulpd/vaddpd): a fused multiply-add would round differently
-// from the scalar path and break the bit-exact matmul == matvec guarantee.
+// Wider SIMD variants with fused multiply-adds, dispatched at runtime.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 template <int RB, bool CONTIG>
-__attribute__((target("avx2"), optimize("fp-contract=off"))) void
-block_currents_avx2(const double* gp, const double* gn, int64_t rows, int64_t cols,
-                    const float* x, int64_t xis, int64_t xws, float* cur,
-                    int64_t ldcur) {
-  block_currents_impl<RB, CONTIG>(gp, gn, rows, cols, x, xis, xws, cur, ldcur);
+__attribute__((target("avx2,fma"))) void block_currents_avx2(
+    const double* gp, const double* gn, int64_t rows, int64_t cols,
+    const float* x, int64_t xis, int64_t xws, float* cur, int64_t ldcur) {
+  block_currents_impl<RB, CONTIG, true>(gp, gn, rows, cols, x, xis, xws, cur,
+                                        ldcur);
 }
 
 template <int RB, bool CONTIG>
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-block_currents_avx512(const double* gp, const double* gn, int64_t rows,
-                      int64_t cols, const float* x, int64_t xis, int64_t xws,
-                      float* cur, int64_t ldcur) {
-  block_currents_impl<RB, CONTIG>(gp, gn, rows, cols, x, xis, xws, cur, ldcur);
+__attribute__((target("avx512f,fma"))) void block_currents_avx512(
+    const double* gp, const double* gn, int64_t rows, int64_t cols,
+    const float* x, int64_t xis, int64_t xws, float* cur, int64_t ldcur) {
+  block_currents_impl<RB, CONTIG, true>(gp, gn, rows, cols, x, xis, xws, cur,
+                                        ldcur);
 }
 
 #define CN_HAVE_X86_TARGETS 1
@@ -117,6 +129,7 @@ const BlockKernel kKernelTable[3][2][8] = {
 
 int detect_level() {
 #if CN_HAVE_X86_TARGETS
+  if (!__builtin_cpu_supports("fma")) return 0;
   if (__builtin_cpu_supports("avx512f")) return 2;
   if (__builtin_cpu_supports("avx2")) return 1;
 #endif

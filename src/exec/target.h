@@ -18,8 +18,9 @@
 // Bit-exactness contract: a Target reporting bit_exact() must produce
 // currents bit-identical to CrossbarTile's per-column scalar reference under
 // every fault model and remap setting (per-column accumulation in ascending
-// wordline order, double accumulators, no FMA contraction — see the parity
-// suites in tests/test_crossbar_exec.cpp).
+// wordline order, double accumulators, a fused multiply-add only where the
+// product is exact — see simd_target.cpp and the parity suites in
+// tests/test_crossbar_exec.cpp).
 //
 // The process default target is "simd" unless set_default_target()
 // overrides it. Already-constructed arrays keep the target they were lowered

@@ -1,6 +1,9 @@
 #include "tensor/rng.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "exec/gauss_kernels.h"
 
 namespace cn {
 
@@ -13,6 +16,14 @@ uint64_t splitmix64(uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+// Box–Muller with libm: the reference every normal draw is bit-identical to.
+void box_muller(double u1, double u2, double& c, double& s) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double a = 6.283185307179586476925286766559 * u2;
+  s = r * std::sin(a);
+  c = r * std::cos(a);
 }
 }  // namespace
 
@@ -59,11 +70,10 @@ double Rng::normal() {
     u1 = uniform();
   } while (u1 <= 1e-300);
   const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double a = 6.283185307179586476925286766559 * u2;
-  cached_normal_ = r * std::sin(a);
+  double c = 0.0;
+  box_muller(u1, u2, c, cached_normal_);
   has_cached_normal_ = true;
-  return r * std::cos(a);
+  return c;
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
@@ -74,9 +84,41 @@ bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::fork() { return Rng(next_u64() ^ 0xD1B54A32D192ED03ull); }
 
+void Rng::fill_normal(float* out, int64_t n, float mean, float stddev) {
+  const double m = mean, s = stddev;
+  int64_t i = 0;
+  // A cached second normal is libm's exact double: it goes first, as is.
+  if (n > 0 && has_cached_normal_) out[i++] = static_cast<float>(normal(m, s));
+  constexpr int64_t kBlock = 64;  // pairs per kernel call
+  double u1[kBlock] = {}, u2[kBlock] = {};
+  uint8_t keep[kBlock] = {};
+  while (n - i >= 2) {
+    const int64_t np = std::min(kBlock, (n - i) / 2);
+    for (int64_t p = 0; p < np; ++p) {
+      do {
+        u1[p] = uniform();
+      } while (u1[p] <= 1e-300);
+      u2[p] = uniform();
+    }
+    float* o = out + i;
+    if (exec::gauss::box_muller_pairs(u1, u2, np, m, s, o, keep) > 0) {
+      for (int64_t p = 0; p < np; ++p) {
+        if (keep[p]) continue;
+        double c = 0.0, sn = 0.0;
+        box_muller(u1[p], u2[p], c, sn);
+        o[2 * p] = static_cast<float>(m + s * c);
+        o[2 * p + 1] = static_cast<float>(m + s * sn);
+      }
+    }
+    i += 2 * np;
+  }
+  // An odd tail takes a fresh pair through normal(), which leaves libm's
+  // exact second value in the cache.
+  if (i < n) out[i] = static_cast<float>(normal(m, s));
+}
+
 void Rng::fill_normal(Tensor& t, float mean, float stddev) {
-  for (int64_t i = 0; i < t.size(); ++i)
-    t[i] = static_cast<float>(normal(mean, stddev));
+  fill_normal(t.data(), t.size(), mean, stddev);
 }
 
 void Rng::fill_uniform(Tensor& t, float lo, float hi) {

@@ -42,6 +42,13 @@ class Rng {
   /// A statistically independent child generator (for per-thread streams).
   Rng fork();
 
+  /// out[i] = float(normal(mean, stddev)) for i < n, bit for bit, leaving
+  /// the generator (cached second normal included) exactly where n scalar
+  /// calls would. Box–Muller pairs go through the certified block kernel
+  /// (exec/gauss_kernels.h); the few lanes it cannot certify, a cached
+  /// leading value and an odd tail take the scalar libm path.
+  void fill_normal(float* out, int64_t n, float mean, float stddev);
+
   // Tensor fills.
   void fill_normal(Tensor& t, float mean, float stddev);
   void fill_uniform(Tensor& t, float lo, float hi);

@@ -5,10 +5,10 @@
 // for_each_simd_level runs a parity check once per exec::simd dispatch level
 // the build and host support, so one tier-1 run covers every kernel variant.
 //
-// expect_bitwise_equal / expect_within_ulps are the shared parity
-// assertions: one failure per call with the first mismatching index, both
-// values, the magnitude of the difference, and the mismatch count — instead
-// of a per-element ASSERT_EQ spray.
+// expect_bitwise_equal / expect_same_bits / expect_within_ulps are the
+// shared parity assertions: one failure per call with the first mismatching
+// index, both values, the magnitude of the difference, and the mismatch
+// count — instead of a per-element ASSERT_EQ spray.
 #pragma once
 
 #include <cmath>
@@ -58,6 +58,26 @@ inline void expect_bitwise_equal(const float* got, const float* want,
                 << got[first] << ", want " << want[first] << " (|diff| "
                 << std::abs(static_cast<double>(got[first]) - want[first])
                 << ", " << ulp_distance(got[first], want[first]) << " ulps)";
+}
+
+// expect_bitwise_equal, except that any NaN matches any NaN: when two NaNs
+// meet in an add, which payload survives depends on the operand order the
+// compiler picked, which the bit-exactness contracts do not fix.
+inline void expect_same_bits(const float* got, const float* want, int64_t n,
+                             const std::string& what) {
+  int64_t first = -1, mismatches = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const bool same = (std::isnan(got[i]) && std::isnan(want[i])) ||
+                      std::memcmp(&got[i], &want[i], sizeof(float)) == 0;
+    if (!same) {
+      if (first < 0) first = i;
+      ++mismatches;
+    }
+  }
+  if (mismatches > 0)
+    ADD_FAILURE() << what << ": " << mismatches << "/" << n
+                  << " elements differ; first at [" << first << "]: got "
+                  << got[first] << ", want " << want[first];
 }
 
 inline void expect_bitwise_equal(const Tensor& got, const Tensor& want,

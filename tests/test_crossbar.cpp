@@ -113,6 +113,15 @@ TEST(CrossbarArray, RejectsBadInputs) {
   EXPECT_THROW(CrossbarTile(w, 1.0f, bad, rng), std::invalid_argument);
 }
 
+TEST(CrossbarTile, RejectsNonRank2WeightBeforeReadingItsShape) {
+  // The rank check must run before the member initializers read dim(1): a
+  // rank-1 weight has no second dimension (an assert in Debug builds, an
+  // out-of-bounds read in Release).
+  Rng rng(9);
+  EXPECT_THROW(CrossbarTile(Tensor({4}), 1.0f, ideal_device(), rng),
+               std::invalid_argument);
+}
+
 // Property: at matched sigma, the crossbar programming variation and the
 // layer-level lognormal factor model produce deviations of similar scale.
 TEST(CrossbarArray, ProgramVariationScalesLikeLognormalModel) {

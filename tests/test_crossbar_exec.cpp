@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +34,10 @@ RramDeviceParams ideal() {
 }
 
 // Shape of one parity input: wordlines, bitlines, batch rows, tile edge.
+// `specials` sprinkles +-0, +-inf, NaN and float subnormals into the inputs.
 struct ParityShape {
   int64_t in = 23, out = 11, batch = 6, tile = 8;  // multiple tiles both ways
+  bool specials = false;
 };
 
 // Builds an array from (dev, faults) on the "simd" target and, at every simd
@@ -52,6 +55,18 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
   rng.fill_normal(w, 0.0f, 0.5f);
   Tensor x({kBatch, kIn});
   rng.fill_normal(x, 0.0f, 1.0f);
+  if (shape.specials) {
+    const float kSpecial[] = {0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -3.0f * std::numeric_limits<float>::denorm_min(),
+                              0.5f * std::numeric_limits<float>::min()};
+    for (int64_t i = 0; i < x.size(); ++i)
+      if (rng.uniform() < 0.1) x[i] = kSpecial[rng.uniform_int(8)];
+  }
   Tensor x_cm({kIn, kBatch});
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
@@ -71,10 +86,16 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
       const std::string row = what + " [simd level " + std::to_string(level) +
                               "] row " + std::to_string(n);
       const float* want = ref[static_cast<size_t>(n)].data();
-      testutil::expect_bitwise_equal(y_batch.data() + n * kOut, want, kOut,
-                                     row + " matmul");
-      testutil::expect_bitwise_equal(y_cols.data() + n * kOut, want, kOut,
-                                     row + " matmul_cols");
+      // NaN payloads are not part of the contract: special inputs compare
+      // NaNs as a class, everything else bit for bit.
+      auto expect = [&](const float* got, const std::string& path) {
+        if (shape.specials)
+          testutil::expect_same_bits(got, want, kOut, row + path);
+        else
+          testutil::expect_bitwise_equal(got, want, kOut, row + path);
+      };
+      expect(y_batch.data() + n * kOut, " matmul");
+      expect(y_cols.data() + n * kOut, " matmul_cols");
     }
   });
 }
@@ -145,8 +166,8 @@ TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
   // The runtime dispatcher normally picks the widest ISA the host supports.
   // Force every supported level on odd sizes (tail lanes, a partial item
   // block): each must reproduce the per-column matvec loop bit for bit
-  // (fp-contract stays off in the SIMD variants, so there is no FMA to
-  // round differently).
+  // (the avx levels fuse multiply-adds whose products are exact in double,
+  // so they round exactly like the generic level's multiply-then-add).
   RramDeviceParams dev = ideal();
   dev.program_sigma = 0.2f;
   dev.conductance_levels = 16;
@@ -175,6 +196,89 @@ TEST(CrossbarExec, WideTileKeepsBatchedAndMatvecBitIdentical) {
   wide.batch = 5;
   wide.tile = 2048;
   expect_paths_bit_identical(dev, nullptr, 500, "wide tile", wide);
+}
+
+TEST(CrossbarExec, SpecialInputsKeepBatchedAndMatvecBitIdentical) {
+  // +-0, +-inf, NaN and float-subnormal voltages at every level: the avx
+  // levels' fused multiply-adds must round, propagate and sign exactly like
+  // the generic level's multiply-then-add (the products are exact in
+  // double, subnormal floats included), and the matvec path's v == 0 skip
+  // must stay a no-op. Odd sizes reach the column and item-block tails.
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.2f;
+  ParityShape odd;
+  odd.in = 37;
+  odd.out = 21;
+  odd.batch = 11;
+  odd.specials = true;
+  expect_paths_bit_identical(dev, nullptr, 600, "special inputs", odd);
+  dev.readout.adc_bits = 6;
+  expect_paths_bit_identical(dev, nullptr, 610, "special inputs + adc", odd);
+}
+
+// A noisy forward against a reference kept here: the noiseless currents
+// times (1 + float(normal(0, read_sigma))), drawn with scalar Rng::normal in
+// each path's stream order. matvec draws every tile's row from the caller's
+// stream in tile order; matmul / matmul_cols take one u64 from it and give
+// item i of tile t its own stream Rng(mix64(base ^ (t * 0x100000001 + i))).
+// Both paths share finish_row, so batched == matvec parity cannot catch a
+// wrong draw; this can. The device maps weights to conductances with scale
+// exactly 1 (g in [0, 1], max |w| = 1), so a noiseless output is the raw
+// current, and odd tile widths (101, 101, 48) start tiles on a cached normal.
+TEST(CrossbarExec, ReadNoiseMatchesScalarNormalReference) {
+  const int64_t kIn = 40, kOut = 250, kBatch = 5, kTile = 101;
+  const float kSigma = 0.07f;
+  RramDeviceParams dev;
+  dev.g_min = 0.0f;
+  dev.g_max = 1.0f;
+  dev.readout.read_sigma = kSigma;
+  Rng rng(700);
+  Tensor w({kOut, kIn});
+  rng.fill_uniform(w, -0.9f, 0.9f);
+  w[3] = 1.0f;
+  Tensor x({kBatch, kIn});
+  rng.fill_normal(x, 0.0f, 1.0f);
+  Tensor x_cm({kIn, kBatch});
+  for (int64_t n = 0; n < kBatch; ++n)
+    for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
+  Rng prog(701);
+  const CrossbarArray xbar(w, dev, prog, kTile);
+  ASSERT_EQ(xbar.num_tiles(), 3);
+  const Tensor cur = xbar.matmul(x);  // noiseless: the raw currents
+
+  auto noisy = [&](float current, Rng& stream) {
+    return current * (1.0f + static_cast<float>(stream.normal(0.0, kSigma)));
+  };
+  testutil::for_each_simd_level([&](int level) {
+    const std::string at = " [simd level " + std::to_string(level) + "]";
+    Tensor xi({kIn});
+    for (int64_t n = 0; n < kBatch; ++n) {
+      std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
+      Rng got_rng(800 + n), ref(800 + n);
+      const Tensor got = xbar.matvec(xi, &got_rng);
+      Tensor want({kOut});
+      for (int64_t c = 0; c < kOut; ++c) want[c] = noisy(cur[n * kOut + c], ref);
+      testutil::expect_bitwise_equal(got, want,
+                                     "matvec row " + std::to_string(n) + at);
+      EXPECT_EQ(got_rng.next_u64(), ref.next_u64()) << "matvec stream" << at;
+    }
+
+    Rng rows_rng(900), cols_rng(900);
+    const Tensor got_rows = xbar.matmul(x, &rows_rng);
+    const Tensor got_cols = xbar.matmul_cols(x_cm, &cols_rng);
+    Rng base_rng(900);
+    const uint64_t base = base_rng.next_u64();
+    Tensor want({kBatch, kOut});
+    for (int64_t n = 0; n < kBatch; ++n)
+      for (int64_t t = 0; t < 3; ++t) {
+        Rng stream(mix64(base ^ (static_cast<uint64_t>(t) * 0x100000001ull +
+                                 static_cast<uint64_t>(n))));
+        for (int64_t c = t * kTile; c < std::min(kOut, (t + 1) * kTile); ++c)
+          want[n * kOut + c] = noisy(cur[n * kOut + c], stream);
+      }
+    testutil::expect_bitwise_equal(got_rows, want, "matmul" + at);
+    testutil::expect_bitwise_equal(got_cols, want, "matmul_cols" + at);
+  });
 }
 
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {

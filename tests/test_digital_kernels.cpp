@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/target.h"
+#include "exec_testutil.h"
 #include "models/lenet.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -41,25 +42,7 @@ std::vector<int> levels() {
   return out;
 }
 
-// Bit-for-bit equality, except that any NaN matches any NaN: when two NaNs
-// meet in an add, which payload survives depends on the operand order the
-// compiler picked, which the contract does not fix.
-void expect_same_bits(const float* got, const float* want, int64_t n,
-                      const std::string& what) {
-  int64_t first = -1, mismatches = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const bool same = (std::isnan(got[i]) && std::isnan(want[i])) ||
-                      std::memcmp(&got[i], &want[i], sizeof(float)) == 0;
-    if (!same) {
-      if (first < 0) first = i;
-      ++mismatches;
-    }
-  }
-  if (mismatches > 0)
-    ADD_FAILURE() << what << ": " << mismatches << "/" << n
-                  << " elements differ; first at [" << first << "]: got "
-                  << got[first] << ", want " << want[first];
-}
+using testutil::expect_same_bits;
 
 // ---- the reference loops -------------------------------------------------
 
