@@ -35,6 +35,7 @@
 #include "nn/pooling.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "obs/sinks.h"
 #include "tensor/ops.h"
 #include "tensor/threadpool.h"
 #include "runtime/chip_farm.h"
@@ -53,7 +54,12 @@ double seconds_since(Clock::time_point t0) {
 
 int main(int argc, char** argv) {
   using namespace cn;
-  obs::init_from_env();  // CORRECTNET_METRICS / _TRACE / _LOG hookup
+  try {
+    obs::start(obs::read_sinks());  // the sink table's environment layer
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
   bool quick = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;

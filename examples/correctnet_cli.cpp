@@ -6,7 +6,7 @@
 //                  [--beta 3e-2] [--lambda-min 0] [--warmup 0]
 //                  [--ratio 0.5] [--max-layers 4] [--mc 15] [--rl]
 //                  [--train N] [--test N] [--save-prefix PATH]
-//                  [--metrics-out F] [--trace-out F] [--log-level L]
+//                  [sink flags]
 //
 // Runs baseline -> suppression -> sensitivity -> compensation -> Monte-Carlo
 // and prints a summary; optionally saves the trained weights.
@@ -15,24 +15,19 @@
 //   correctnet_cli faults [--config PATH] [--out PATH] [--chips N]
 //                         [--epochs N] [--comp-epochs N] [--train N] [--test N]
 //                         [--sigma S] [--remap] [--parallel N]
-//                         [--metrics-out F] [--trace-out F]
-//                         [--log-level quiet|info|debug] [--quiet]
+//                         [sink flags]
 //
 // Numeric flags must parse in full (KeyValueConfig's rule): `--chips 1O` or
 // `--epochs 3x` exits 2 naming the flag, before any training starts.
 //
-// Observability (docs/OBSERVABILITY.md): `--metrics-out F` writes the
-// MetricsRegistry snapshot, `--trace-out F` enables the span tracer and
-// writes Chrome trace_event JSON, `--log-level` / `--quiet` steer the obs
-// Logger (faults defaults to debug so per-scenario progress stays visible).
-// `--statusz-port N` serves /metrics, /healthz and /statusz live over HTTP
-// (0 = ephemeral port), `--metrics-stream F` appends 1 Hz interval-delta
-// JSONL snapshots, and `--version` prints the build identity line.
-// CORRECTNET_METRICS / CORRECTNET_TRACE / CORRECTNET_LOG (plus
-// CORRECTNET_STATUSZ_PORT / CORRECTNET_METRICS_STREAM / CORRECTNET_SLO_P99_MS
-// / CORRECTNET_SIGNAL_FLUSH) do the same from the environment. None of it
-// changes results: every report is byte-identical with metrics and tracing
-// on or off.
+// Observability (docs/OBSERVABILITY.md): every command, `--version`
+// included, reads the sink knob table (obs/sinks.h; docs/CONFIG.md lists
+// each sink's env variable, config key and flag) over the environment, the
+// campaign config (faults only) and the sink flags, flag > key > env. A bad
+// sink value exits 2 like a bad flag. faults logs at debug unless a layer
+// sets the level, so per-scenario progress stays visible. `--version`
+// prints the build identity line. None of it changes results: every report
+// is byte-identical with metrics and tracing on or off.
 //
 // Trains the CorrectNet pipeline, then drives a faultsim::Campaign — device
 // faults (stuck-at cells, conductance drift, IR drop, temperature) swept
@@ -43,11 +38,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 
+#include "cli_flags.h"
 #include "core/config.h"
 #include "core/pipeline.h"
 #include "data/synthetic.h"
@@ -56,14 +50,13 @@
 #include "models/vgg.h"
 #include "nn/serialize.h"
 #include "obs/build_info.h"
-#include "obs/exposition.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/snapshot_stream.h"
-#include "obs/trace.h"
+#include "obs/sinks.h"
 #include "runtime/scheduler.h"
 
 namespace {
+
+using cn::examples::float_flag;
+using cn::examples::int_flag;
 
 struct Args {
   std::string net = "lenet";
@@ -81,11 +74,7 @@ struct Args {
   int64_t train = 2500;
   int64_t test = 600;
   std::string save_prefix;
-  std::string metrics_out;  // write the metrics snapshot here at the end
-  std::string trace_out;    // enable tracing, write Chrome trace JSON here
-  std::string log_level;    // quiet|info|debug; empty = leave the default
-  int64_t statusz_port = -1;   // >= 0: start the exposition server (0 = ephemeral)
-  std::string metrics_stream;  // start the JSONL metrics snapshotter here
+  cn::obs::SinkFlags sinks;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -94,36 +83,34 @@ struct Args {
                "          [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]\n"
                "          [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]\n"
                "          [--mc N] [--rl] [--train N] [--test N] [--save-prefix P]\n"
-               "          [--metrics-out F] [--trace-out F]\n"
-               "          [--log-level quiet|info|debug]\n"
-               "          [--statusz-port N] [--metrics-stream F]\n"
+               "          %s\n"
                "       %s --version\n",
-               argv0, argv0);
+               argv0, cn::obs::sink_flags_usage().c_str(), argv0);
   std::exit(2);
 }
 
-// Numeric flag values parse in full or the run stops: a silent prefix parse
-// ('1O' as 1) would mis-size an experiment without a trace.
-template <typename T>
-T int_flag(const char* argv0, const std::string& flag, const char* v) {
-  int64_t n = 0;
-  if (!cn::core::parse_integer(v, n) || n < std::numeric_limits<T>::min() ||
-      n > std::numeric_limits<T>::max()) {
-    std::fprintf(stderr, "%s: %s expects an integer, got '%s'\n", argv0,
-                 flag.c_str(), v);
+// Reads the sink table over the environment, `cfg`'s sink keys and the sink
+// flags, then starts the sinks. A bad value, a port that cannot be bound or
+// a stream that cannot be opened exits 2 before any work starts.
+cn::obs::Sinks start_sinks(const char* argv0, const cn::core::KeyValueConfig& cfg,
+                           const cn::obs::SinkFlags& flags,
+                           std::optional<cn::obs::LogLevel> default_log = {}) {
+  try {
+    cn::obs::Sinks s = cn::obs::read_sinks(cfg, flags);
+    if (!s.log) s.log = default_log;
+    cn::obs::start(s);
+    return s;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
     std::exit(2);
   }
-  return static_cast<T>(n);
 }
 
-float float_flag(const char* argv0, const std::string& flag, const char* v) {
-  double x = 0.0;
-  if (!cn::core::parse_number(v, x)) {
-    std::fprintf(stderr, "%s: %s expects a number, got '%s'\n", argv0,
-                 flag.c_str(), v);
-    std::exit(2);
-  }
-  return static_cast<float>(x);
+// Writes and stops every sink, then points at the files it wrote.
+void finish_sinks(const cn::obs::Sinks& s) {
+  cn::obs::finish();
+  if (!s.metrics.empty()) std::printf("metrics -> %s\n", s.metrics.c_str());
+  if (!s.trace.empty()) std::printf("trace -> %s\n", s.trace.c_str());
 }
 
 Args parse(int argc, char** argv) {
@@ -149,11 +136,7 @@ Args parse(int argc, char** argv) {
     else if (k == "--train") a.train = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--test") a.test = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--save-prefix") a.save_prefix = next();
-    else if (k == "--metrics-out") a.metrics_out = next();
-    else if (k == "--trace-out") a.trace_out = next();
-    else if (k == "--log-level") a.log_level = next();
-    else if (k == "--statusz-port") a.statusz_port = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--metrics-stream") a.metrics_stream = next();
+    else if (cn::obs::is_sink_flag(k)) a.sinks.emplace_back(k, next());
     else usage(argv[0]);
   }
   return a;
@@ -173,13 +156,7 @@ struct FaultArgs {
   float sigma = 0.5f;
   int64_t train = 800;
   int64_t test = 200;
-  std::string metrics_out;  // campaign `metrics_out` key override
-  std::string trace_out;    // campaign `trace_out` key override
-  std::string log_level;    // campaign `log_level` key override
-  bool quiet = false;       // shorthand for --log-level quiet (wins)
-  bool statusz_set = false;   // --statusz-port given: override `statusz_port`
-  int64_t statusz_port = -1;  // passed through verbatim (ctor validates)
-  std::string metrics_stream; // campaign `metrics_stream` key override
+  cn::obs::SinkFlags sinks;  // beat the campaign config's sink keys
 };
 
 [[noreturn]] void usage_faults(const char* argv0) {
@@ -187,10 +164,8 @@ struct FaultArgs {
                "usage: %s faults [--config PATH] [--out PATH] [--chips N]\n"
                "          [--epochs N] [--comp-epochs N] [--train N] [--test N]\n"
                "          [--sigma S] [--remap] [--parallel N]\n"
-               "          [--metrics-out F] [--trace-out F]\n"
-               "          [--log-level quiet|info|debug] [--quiet]\n"
-               "          [--statusz-port N] [--metrics-stream F]\n",
-               argv0);
+               "          %s\n",
+               argv0, cn::obs::sink_flags_usage().c_str());
   std::exit(2);
 }
 
@@ -212,12 +187,7 @@ FaultArgs parse_faults(int argc, char** argv) {
     else if (k == "--train") a.train = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--test") a.test = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--sigma") a.sigma = float_flag(argv[0], k, next());
-    else if (k == "--metrics-out") a.metrics_out = next();
-    else if (k == "--trace-out") a.trace_out = next();
-    else if (k == "--log-level") a.log_level = next();
-    else if (k == "--quiet") a.quiet = true;
-    else if (k == "--statusz-port") { a.statusz_port = int_flag<int64_t>(argv[0], k, next()); a.statusz_set = true; }
-    else if (k == "--metrics-stream") a.metrics_stream = next();
+    else if (cn::obs::is_sink_flag(k)) a.sinks.emplace_back(k, next());
     else usage_faults(argv[0]);
   }
   return a;
@@ -238,41 +208,34 @@ int run_faults(int argc, char** argv) {
   using namespace cn;
   const FaultArgs args = parse_faults(argc, argv);
 
-  // Load and parse the campaign grid first: a bad --config path or value
-  // must fail before minutes of training, not after. Flag overrides go
-  // through KeyValueConfig::set (the parser rejects duplicate keys).
+  // Load and parse the campaign grid and the sinks first: a bad --config
+  // path or value must fail before minutes of training, not after. Flag
+  // overrides go through KeyValueConfig::set (the parser rejects duplicate
+  // keys).
+  core::KeyValueConfig campaign_cfg;
   faultsim::Campaign campaign = [&] {
     try {
-      core::KeyValueConfig cfg =
-          args.config.empty()
-              ? core::KeyValueConfig::from_string(kDefaultCampaign)
-              : core::KeyValueConfig::from_file(args.config);
-      if (args.chips > 0) cfg.set("chips", std::to_string(args.chips));
-      if (args.remap) cfg.set("remap", "1");
+      campaign_cfg = args.config.empty()
+          ? core::KeyValueConfig::from_string(kDefaultCampaign)
+          : core::KeyValueConfig::from_file(args.config);
+      if (args.chips > 0) campaign_cfg.set("chips", std::to_string(args.chips));
+      if (args.remap) campaign_cfg.set("remap", "1");
       // Passed through unvalidated on purpose: a bad value (e.g. negative)
       // must throw from the Campaign ctor like its config-file twin would,
       // not be silently dropped here.
       if (args.parallel_set)
-        cfg.set("parallel_scenarios", std::to_string(args.parallel));
-      if (!args.metrics_out.empty()) cfg.set("metrics_out", args.metrics_out);
-      if (!args.trace_out.empty()) cfg.set("trace_out", args.trace_out);
-      if (args.statusz_set)
-        cfg.set("statusz_port", std::to_string(args.statusz_port));
-      if (!args.metrics_stream.empty())
-        cfg.set("metrics_stream", args.metrics_stream);
-      // The campaign's per-scenario progress logs at debug; the faults
-      // frontend keeps it visible by default (matching the CLI's historical
-      // output), unless the config or a flag says otherwise. --quiet wins.
-      if (args.quiet) cfg.set("log_level", "quiet");
-      else if (!args.log_level.empty()) cfg.set("log_level", args.log_level);
-      else if (!cfg.has("log_level")) cfg.set("log_level", "debug");
-      return faultsim::campaign_from_config(cfg);
+        campaign_cfg.set("parallel_scenarios", std::to_string(args.parallel));
+      return faultsim::campaign_from_config(campaign_cfg);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bad campaign config%s%s: %s\n",
                    args.config.empty() ? "" : " ", args.config.c_str(), e.what());
       std::exit(2);
     }
   }();
+  // The campaign's per-scenario progress logs at debug; faults keeps it
+  // visible unless the environment, the config or a flag sets the level.
+  const obs::Sinks sinks =
+      start_sinks(argv[0], campaign_cfg, args.sinks, obs::LogLevel::kDebug);
 
   data::DigitsSpec spec;
   spec.train_count = args.train;
@@ -356,13 +319,7 @@ int run_faults(int argc, char** argv) {
                 static_cast<long long>(report.total_absorbed()));
   report.write_json(args.out);
   std::printf("report -> %s\n", args.out.c_str());
-  obs::MetricsSnapshotter::stop_global();  // final partial-interval line
-  // Campaign::run already wrote these (config keys metrics_out/trace_out);
-  // just point at them.
-  const std::string metrics_path = args.metrics_out;
-  const std::string trace_path = args.trace_out;
-  if (!metrics_path.empty()) std::printf("metrics -> %s\n", metrics_path.c_str());
-  if (!trace_path.empty()) std::printf("trace -> %s\n", trace_path.c_str());
+  finish_sinks(sinks);
   return 0;
 }
 
@@ -370,43 +327,14 @@ int run_faults(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace cn;
-  // Environment observability hookup first (CORRECTNET_METRICS / _TRACE /
-  // _LOG), so it covers every command including the subcommands; flags below
-  // layer on top.
-  try {
-    obs::init_from_env();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
-  }
   if (argc > 1 && std::strcmp(argv[1], "--version") == 0) {
+    start_sinks(argv[0], {}, {});
     std::printf("%s\n", obs::build_info_line().c_str());
     return 0;
   }
   if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
   const Args args = parse(argc, argv);
-  if (args.statusz_port >= 0 || !args.metrics_stream.empty()) {
-    try {
-      if (args.statusz_port >= 0)
-        obs::ExpositionServer::start_global(
-            static_cast<int>(args.statusz_port))
-            .set_ready(true);
-      if (!args.metrics_stream.empty())
-        obs::MetricsSnapshotter::start_global(args.metrics_stream);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-  }
-  if (!args.log_level.empty()) {
-    try {
-      obs::Logger::global().set_level(obs::parse_log_level(args.log_level));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-  }
-  if (!args.trace_out.empty()) obs::Tracer::global().set_enabled(true);
+  const obs::Sinks sinks = start_sinks(argv[0], {}, args.sinks);
 
   // Dataset.
   data::SplitDataset ds;
@@ -490,14 +418,6 @@ int main(int argc, char** argv) {
     nn::save_weights(r.corrected_model, args.save_prefix + "_corrected.wts");
     std::printf("weights saved with prefix %s\n", args.save_prefix.c_str());
   }
-  if (!args.metrics_out.empty()) {
-    obs::metrics().write_json(args.metrics_out);
-    std::printf("metrics -> %s\n", args.metrics_out.c_str());
-  }
-  if (!args.trace_out.empty()) {
-    obs::Tracer::global().write_json(args.trace_out);
-    std::printf("trace -> %s\n", args.trace_out.c_str());
-  }
-  obs::MetricsSnapshotter::stop_global();  // final partial-interval line
+  finish_sinks(sinks);
   return 0;
 }

@@ -16,11 +16,16 @@
 // point i gets its own farm keyed exactly like McEngine::sensitivity_sweep's
 // reconfigure (seed base + i*stride, injection start i), so every printed
 // number is bit-identical to the sequential sweep.
+//
+// Numbers parse in full; a bad, out-of-range or unknown flag exits 2 before
+// training.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "faultsim/fault_models.h"
@@ -62,24 +67,35 @@ std::vector<cn::core::SensitivityPoint> sweep_points(
 
 int main(int argc, char** argv) {
   using namespace cn;
+  using examples::int_flag;
+  using examples::number_flag;
   double rate = 0.05;
   int chips = 6;
-  int64_t spare = -1;     // <0 = remap comparison off
-  int64_t parallel = 1;   // sweep-point concurrency; 0 = auto
+  std::optional<int64_t> spare;  // unset = remap comparison off
+  int64_t parallel = 1;          // sweep-point concurrency; 0 = auto
+  auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--rate 0..1] [--chips N>=1] [--spare N>=0] "
+                 "[--parallel N>=0 (0 = auto)]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc)
-      rate = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--chips") == 0 && i + 1 < argc)
-      chips = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--spare") == 0 && i + 1 < argc)
-      spare = std::atoll(argv[++i]);
-    else if (std::strcmp(argv[i], "--parallel") == 0 && i + 1 < argc)
-      parallel = std::atoll(argv[++i]);
+    const std::string k = argv[i];
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) usage();
+      return argv[++i];
+    };
+    if (k == "--rate") rate = number_flag(argv[0], k, next());
+    else if (k == "--chips") chips = int_flag<int>(argv[0], k, next());
+    else if (k == "--spare") spare = int_flag<int64_t>(argv[0], k, next());
+    else if (k == "--parallel") parallel = int_flag<int64_t>(argv[0], k, next());
+    else usage();
   }
-  if (parallel < 0) {  // fail loudly, like correctnet_cli faults --parallel
-    std::fprintf(stderr, "fault_sweep: --parallel must be >= 0 (0 = auto)\n");
-    return 2;
-  }
+  // Out-of-range values fail before training, like correctnet_cli faults.
+  if (!(rate >= 0 && rate <= 1) || chips < 1 || spare.value_or(0) < 0 ||
+      parallel < 0)
+    usage();
 
   data::DigitsSpec spec;
   spec.train_count = 800;
@@ -102,14 +118,14 @@ int main(int argc, char** argv) {
   const auto sweep =
       sweep_points(model, flist, fo, ds.test, sites, /*base_seed=*/42, parallel);
 
-  const bool remapping = spare >= 0;
+  const bool remapping = spare.has_value();
   std::vector<core::SensitivityPoint> remapped;
   remap::RemapStats absorbed_at_full;
   if (remapping) {
     runtime::ChipFarmOptions ro = fo;
     ro.remap.enabled = true;
-    ro.remap.spare_rows = spare;
-    ro.remap.spare_cols = spare;
+    ro.remap.spare_rows = *spare;
+    ro.remap.spare_cols = *spare;
     // Same base seed: point i runs under the seed the unremapped sweep
     // used, so each pair of rows sees identical defect maps.
     remapped =
@@ -143,7 +159,7 @@ int main(int argc, char** argv) {
     std::printf("\nremap controller at full injection (%d chips, %lld spare "
                 "rows+cols per tile):\n  %lld defective devices, %lld absorbed "
                 "(%lld swapped, %lld spared), %lld residual\n",
-                chips, static_cast<long long>(spare),
+                chips, static_cast<long long>(*spare),
                 static_cast<long long>(absorbed_at_full.defects),
                 static_cast<long long>(absorbed_at_full.absorbed()),
                 static_cast<long long>(absorbed_at_full.swapped),

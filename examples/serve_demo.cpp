@@ -10,9 +10,11 @@
 // drill — N workers of one lane degraded/remapped/evicted between two
 // traffic phases while /healthz is queried through the degraded window.
 //
-// Flags (all optional):
-//   --statusz-port N     serve /metrics, /healthz, /statusz on 127.0.0.1:N
-//                        while the demo runs (0 = ephemeral; port printed)
+// Flags (all optional; numbers parse in full, and a bad or unknown flag
+// exits 2 before training):
+//   sink flags           the observability knob table (obs/sinks.h,
+//                        docs/CONFIG.md), e.g. the /statusz port; /healthz
+//                        stays 503 until the farm is programmed
 //   --linger-s S         keep the process (and the exposition server) alive S
 //                        seconds after serving finishes — lets `curl` inspect
 //                        the endpoints post-run (CI does exactly this)
@@ -33,18 +35,19 @@
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/config.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "faultsim/fault_models.h"
 #include "models/lenet.h"
 #include "obs/exposition.h"
-#include "obs/metrics.h"
-#include "obs/slo.h"
+#include "obs/sinks.h"
 #include "runtime/chip_farm.h"
 #include "runtime/inference_server.h"
 #include "runtime/model_router.h"
@@ -106,55 +109,77 @@ PhaseResult run_phase(cn::runtime::ModelRouter& router,
 
 int main(int argc, char** argv) {
   using namespace cn;
-  obs::init_from_env();  // CORRECTNET_METRICS / _TRACE / _LOG / _STATUSZ_PORT...
+  using examples::int_flag;
+  using examples::number_flag;
 
-  int64_t statusz_port = -1;
   double linger_s = 0;
   double slo_p99_ms = 50;  // small-model latencies are sub-ms; 50ms = healthy
   std::string models_flag, config_path, drill_action_flag;
-  int64_t queue_limit = -1, queue_budget_us = -1;
+  std::optional<int64_t> queue_limit, queue_budget_us;
   double drill_rate = 0;
   double drill_hold_s = 0;
+  obs::SinkFlags sink_flags;
+  auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--linger-s S] [--slo-p99-ms X] [--models a,b] "
+                 "[--config FILE] [--queue-limit N] [--queue-budget-us N] "
+                 "[--drill RATE] [--drill-action degrade|evict|remap] "
+                 "[--drill-hold-s S]\n          %s\n",
+                 argv[0], obs::sink_flags_usage().c_str());
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string k = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: %s [--statusz-port N] [--linger-s S] "
-                     "[--slo-p99-ms X] [--models a,b] [--config FILE] "
-                     "[--queue-limit N] [--queue-budget-us N] [--drill RATE] "
-                     "[--drill-action degrade|evict|remap] [--drill-hold-s S]\n",
-                     argv[0]);
-        std::exit(2);
-      }
+      if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (k == "--statusz-port") statusz_port = std::atoll(next());
-    else if (k == "--linger-s") linger_s = std::atof(next());
-    else if (k == "--slo-p99-ms") slo_p99_ms = std::atof(next());
+    if (k == "--linger-s") linger_s = number_flag(argv[0], k, next());
+    else if (k == "--slo-p99-ms") slo_p99_ms = number_flag(argv[0], k, next());
     else if (k == "--models") models_flag = next();
     else if (k == "--config") config_path = next();
-    else if (k == "--queue-limit") queue_limit = std::atoll(next());
-    else if (k == "--queue-budget-us") queue_budget_us = std::atoll(next());
-    else if (k == "--drill") drill_rate = std::atof(next());
+    else if (k == "--queue-limit") queue_limit = int_flag<int64_t>(argv[0], k, next());
+    else if (k == "--queue-budget-us") queue_budget_us = int_flag<int64_t>(argv[0], k, next());
+    else if (k == "--drill") drill_rate = number_flag(argv[0], k, next());
     else if (k == "--drill-action") drill_action_flag = next();
-    else if (k == "--drill-hold-s") drill_hold_s = std::atof(next());
+    else if (k == "--drill-hold-s") drill_hold_s = number_flag(argv[0], k, next());
+    else if (obs::is_sink_flag(k)) sink_flags.emplace_back(k, next());
     else {
       std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], k.c_str());
-      return 2;
+      usage();
     }
   }
+  if (linger_s < 0 || slo_p99_ms < 0 || drill_rate < 0 || drill_hold_s < 0)
+    usage();
   const bool policy_mode =
       !models_flag.empty() || !config_path.empty() || drill_rate > 0;
 
-  std::printf("== serve_demo: micro-batched inference over a chip farm ==\n");
-  if (statusz_port >= 0) {
-    obs::ExpositionServer& srv =
-        obs::ExpositionServer::start_global(static_cast<int>(statusz_port));
-    std::printf("[obs] statusz on http://127.0.0.1:%d (/metrics /healthz "
-                "/statusz) — not ready until the farm is programmed\n",
-                srv.port());
+  // Everything that can reject the command line runs before training: the
+  // serving config (file and flag overrides) and the sinks.
+  runtime::ServingConfig sc;
+  try {
+    if (policy_mode) {
+      core::KeyValueConfig kcfg;
+      if (!config_path.empty()) kcfg = core::KeyValueConfig::from_file(config_path);
+      if (!models_flag.empty()) kcfg.set("models", models_flag);
+      if (queue_limit) kcfg.set("queue_limit", std::to_string(*queue_limit));
+      if (queue_budget_us)
+        kcfg.set("queue_budget_us", std::to_string(*queue_budget_us));
+      if (drill_rate > 0) {
+        kcfg.set("drill.kind", "stuck_at");
+        kcfg.set("drill.severity", std::to_string(drill_rate));
+      }
+      if (!drill_action_flag.empty()) kcfg.set("drill.action", drill_action_flag);
+      sc = runtime::serving_from_config(kcfg);
+    }
+    // Not ready until an InferenceServer has programmed its chips.
+    obs::start(obs::read_sinks({}, sink_flags), /*ready=*/false);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
   }
+
+  std::printf("== serve_demo: micro-batched inference over a chip farm ==\n");
 
   data::DigitsSpec spec;
   spec.train_count = 600;
@@ -170,19 +195,6 @@ int main(int argc, char** argv) {
 
   if (policy_mode) {
     // ---- serving-policy mode: ModelRouter + admission + fault drill ----
-    core::KeyValueConfig kcfg;
-    if (!config_path.empty()) kcfg = core::KeyValueConfig::from_file(config_path);
-    if (!models_flag.empty()) kcfg.set("models", models_flag);
-    if (queue_limit >= 0) kcfg.set("queue_limit", std::to_string(queue_limit));
-    if (queue_budget_us >= 0)
-      kcfg.set("queue_budget_us", std::to_string(queue_budget_us));
-    if (drill_rate > 0) {
-      kcfg.set("drill.kind", "stuck_at");
-      kcfg.set("drill.severity", std::to_string(drill_rate));
-    }
-    if (!drill_action_flag.empty()) kcfg.set("drill.action", drill_action_flag);
-    const runtime::ServingConfig sc = runtime::serving_from_config(kcfg);
-
     runtime::ModelRouterOptions ro;
     ro.max_live_total = sc.live_slots;
     runtime::ModelRouter router(ro);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -10,14 +11,14 @@
 namespace cn::core {
 
 namespace {
-int64_t env_int(const char* name, int64_t def) {
+int64_t env_int(const char* name, int64_t def, int64_t min) {
   const char* v = std::getenv(name);
   if (!v || !*v) return def;
-  try {
-    return std::stoll(v);
-  } catch (...) {
-    return def;
-  }
+  int64_t n = 0;
+  if (!parse_integer(v, n) || n < min || n > std::numeric_limits<int>::max())
+    throw std::invalid_argument(std::string(name) + " expects an integer >= " +
+                                std::to_string(min) + ", got '" + v + "'");
+  return n;
 }
 }  // namespace
 
@@ -25,15 +26,19 @@ int RuntimeConfig::epochs(int base) const {
   return std::max(1, static_cast<int>(base * epoch_scale + 0.5));
 }
 
+RuntimeConfig RuntimeConfig::from_env() {
+  RuntimeConfig c;
+  // MC = 0 skips Monte-Carlo; a zero epoch scale still trains one epoch.
+  c.mc_samples = static_cast<int>(env_int("CORRECTNET_MC", c.mc_samples, 0));
+  c.epoch_scale =
+      static_cast<double>(env_int("CORRECTNET_EPOCHS", 100, 0)) / 100.0;
+  c.train_cap = env_int("CORRECTNET_TRAIN", c.train_cap, 1);
+  c.test_cap = env_int("CORRECTNET_TEST", c.test_cap, 1);
+  return c;
+}
+
 const RuntimeConfig& RuntimeConfig::get() {
-  static const RuntimeConfig cfg = [] {
-    RuntimeConfig c;
-    c.mc_samples = static_cast<int>(env_int("CORRECTNET_MC", 25));
-    c.epoch_scale = static_cast<double>(env_int("CORRECTNET_EPOCHS", 100)) / 100.0;
-    c.train_cap = env_int("CORRECTNET_TRAIN", 4000);
-    c.test_cap = env_int("CORRECTNET_TEST", 800);
-    return c;
-  }();
+  static const RuntimeConfig cfg = from_env();
   return cfg;
 }
 

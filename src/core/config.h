@@ -7,7 +7,9 @@
 //   CORRECTNET_EPOCHS  multiplier (x100) on training epochs  (default 100 = 1.0x)
 //   CORRECTNET_TRAIN   training-set size cap                  (default 4000)
 //   CORRECTNET_TEST    test-set size cap                      (default 800)
-//   CORRECTNET_THREADS (informational; pool sizes from hardware_concurrency)
+// Each value must parse in full as an integer (>= 0 for MC and EPOCHS, >= 1
+// for the caps): '1O' or 'abc' throws std::invalid_argument naming the
+// variable instead of running a prefix or the default.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,8 @@ struct RuntimeConfig {
   /// Scales an epoch count by epoch_scale, min 1.
   int epochs(int base) const;
 
+  /// Parses the environment now; throws on a malformed value.
+  static RuntimeConfig from_env();
   /// Singleton, parsed from the environment on first use.
   static const RuntimeConfig& get();
 };

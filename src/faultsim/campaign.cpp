@@ -6,12 +6,10 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
-#include "obs/snapshot_stream.h"
+#include "obs/sinks.h"
 #include "obs/trace.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
@@ -133,10 +131,6 @@ Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
     throw std::invalid_argument(
         "Campaign: remap axis enabled but no repair moves configured "
         "(spare budget 0 and pair_swap off)");
-  if (opts_.statusz_port > 65535)
-    throw std::invalid_argument("Campaign: statusz_port must be <= 65535");
-  if (opts_.slo_p99_ms < 0)
-    throw std::invalid_argument("Campaign: slo_p99_ms must be >= 0 (0 = off)");
 }
 
 void Campaign::add_model(const std::string& name, const nn::Sequential& model,
@@ -206,17 +200,10 @@ CampaignReport Campaign::run(const data::Dataset& test) {
   // Observability plumbing. All of it is timing/count-only — nothing below
   // touches rng streams or the numeric path, so the report JSON is
   // byte-identical with metrics/tracing on or off (tier-1 asserted).
-  if (!opts_.trace_out.empty()) obs::Tracer::global().set_enabled(true);
   obs::Counter& m_scenarios = obs::metrics().counter("campaign.scenarios");
   obs::Gauge& m_rate = obs::metrics().gauge("campaign.scenarios_per_s");
   // Live introspection: a /statusz scrape mid-run sees the grid size and a
   // completed-cell count (progress order-independent: cells only increment).
-  if (opts_.slo_p99_ms > 0) obs::set_default_slo_p99_ms(opts_.slo_p99_ms);
-  if (!opts_.metrics_stream.empty())
-    obs::MetricsSnapshotter::start_global(opts_.metrics_stream);
-  if (opts_.statusz_port >= 0)
-    obs::ExpositionServer::start_global(static_cast<int>(opts_.statusz_port))
-        .set_ready(true);
   obs::Gauge& m_total = obs::metrics().gauge("campaign.cells_total");
   obs::Gauge& m_done = obs::metrics().gauge("campaign.cells_done");
   m_total.set(static_cast<double>(n));
@@ -294,17 +281,14 @@ CampaignReport Campaign::run(const data::Dataset& test) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (report.wall_s > 0)
     m_rate.set(static_cast<double>(n) / report.wall_s);
-  if (!opts_.metrics_out.empty()) obs::metrics().write_json(opts_.metrics_out);
-  if (!opts_.trace_out.empty())
-    obs::Tracer::global().write_json(opts_.trace_out);
   return report;
 }
 
 const std::vector<std::string>& campaign_config_keys() {
-  // The single source of truth for the campaign key set: validate_keys
-  // enforces it at parse time and tests/test_config.cpp diffs docs/CONFIG.md
-  // against it, so a key added here without documentation (or vice versa)
-  // fails tier-1.
+  // The single source of truth for the campaign's own keys: validate_keys
+  // enforces them (with the sink keys) at parse time and tests/test_config.cpp
+  // diffs docs/CONFIG.md against them, so a key added here without
+  // documentation (or vice versa) fails tier-1.
   static const std::vector<std::string> keys = {
       "chips", "seed", "batch", "catastrophic", "tile", "control",
       "parallel_scenarios",
@@ -312,15 +296,16 @@ const std::vector<std::string>& campaign_config_keys() {
       "stuck.rates", "stuck.high_fraction", "drift.times", "drift.nu",
       "drift.nu_sigma", "ir.alphas", "thermal.temps", "thermal.t0",
       "remap", "remap.spare_rows", "remap.spare_cols", "remap.pair_swap",
-      "metrics_out", "trace_out", "log_level",
-      "statusz_port", "metrics_stream", "slo_p99_ms",
   };
   return keys;
 }
 
 Campaign campaign_from_config(const core::KeyValueConfig& cfg) {
-  // A typo'd key must fail loudly, not silently drop a scenario axis.
-  cfg.validate_keys(campaign_config_keys());
+  // A typo'd key must fail loudly, not silently drop a scenario axis. Sink
+  // keys belong to the frontend's obs::read_sinks, not to the campaign.
+  std::vector<std::string> known = campaign_config_keys();
+  for (std::string& k : obs::sink_config_keys()) known.push_back(std::move(k));
+  cfg.validate_keys(known);
   CampaignOptions opts;
   opts.chips = cfg.integer("chips", opts.chips);
   opts.seed = static_cast<uint64_t>(cfg.integer("seed", static_cast<int64_t>(opts.seed)));
@@ -338,16 +323,6 @@ Campaign campaign_from_config(const core::KeyValueConfig& cfg) {
   opts.remap.spare_rows = cfg.integer("remap.spare_rows", opts.remap.spare_rows);
   opts.remap.spare_cols = cfg.integer("remap.spare_cols", opts.remap.spare_cols);
   opts.remap.pair_swap = cfg.integer("remap.pair_swap", 1) != 0;
-  opts.metrics_out = cfg.str("metrics_out", opts.metrics_out);
-  opts.trace_out = cfg.str("trace_out", opts.trace_out);
-  opts.statusz_port = cfg.integer("statusz_port", opts.statusz_port);
-  opts.metrics_stream = cfg.str("metrics_stream", opts.metrics_stream);
-  opts.slo_p99_ms = cfg.number("slo_p99_ms", opts.slo_p99_ms);
-  // log_level steers the process-wide Logger (the campaign's progress lines
-  // go through it at debug); parse now so a typo fails at config time.
-  const std::string log_level = cfg.str("log_level", "");
-  if (!log_level.empty())
-    obs::Logger::global().set_level(obs::parse_log_level(log_level));
 
   Campaign c(opts);
   if (cfg.integer("control", 1) != 0) c.add_fault(fault_free());

@@ -57,24 +57,6 @@ struct CampaignOptions {
   // params — under the same per-scenario chip seeds, so the pair sees
   // identical defect maps (a matched-pairs experiment, like compensation).
   remap::RemapParams remap;
-  // Observability sinks (both optional). When `trace_out` is set, run()
-  // enables the process-wide obs::Tracer and writes a Chrome trace_event
-  // JSON there; when `metrics_out` is set, run() writes a
-  // MetricsRegistry::snapshot_json() there. Instrumentation is timing-only:
-  // the CampaignReport (and its JSON) is byte-identical with either sink on
-  // or off — asserted in tier-1 (tests/test_obs.cpp).
-  std::string metrics_out;
-  std::string trace_out;
-  // Live introspection (all optional, all timing-only like the sinks above).
-  // statusz_port >= 0 starts the process-global obs::ExpositionServer before
-  // the grid runs (-1 = off, 0 = ephemeral port) and marks it ready;
-  // metrics_stream starts the process-global obs::MetricsSnapshotter
-  // appending 1 Hz interval-delta JSONL there; slo_p99_ms > 0 sets the
-  // process-default latency objective (obs::set_default_slo_p99_ms) that
-  // InferenceServers built later adopt.
-  int64_t statusz_port = -1;
-  std::string metrics_stream;
-  double slo_p99_ms = 0;
 };
 
 /// One grid cell's outcome.
@@ -155,9 +137,10 @@ class Campaign {
   /// `parallel_scenarios` (only wall_s does).
   ///
   /// Per-cell "[k/N] scenario ..." progress goes through obs::Logger at
-  /// debug level (frontends opt in via --log-level / the `log_level` config
-  /// key); each cell also emits an obs::Span and bumps campaign.* metrics.
-  /// None of it feeds rng streams or the numeric path.
+  /// debug level; each cell also emits an obs::Span and bumps campaign.*
+  /// metrics. None of it feeds rng streams or the numeric path, and run()
+  /// starts and writes no process-global sink: frontends own those
+  /// (obs::start / obs::finish, obs/sinks.h).
   CampaignReport run(const data::Dataset& test);
 
  private:
@@ -171,10 +154,11 @@ class Campaign {
   std::vector<FaultSpec> faults_;
 };
 
-/// The campaign config-key set campaign_from_config declares to
-/// core::KeyValueConfig::validate_keys. Exposed so docs/CONFIG.md can be
-/// test-enforced against the code (tests/test_config.cpp diffs the
-/// documented table against this list).
+/// The campaign's own config keys. campaign_from_config validates a config
+/// against these plus the sink table's keys (obs::sink_config_keys), which
+/// it accepts but leaves to the frontend's obs::read_sinks. Exposed so
+/// docs/CONFIG.md can be test-enforced against the code
+/// (tests/test_config.cpp diffs the documented table against this list).
 const std::vector<std::string>& campaign_config_keys();
 
 /// Builds a campaign grid from config-file keys (core::KeyValueConfig);
@@ -191,6 +175,7 @@ const std::vector<std::string>& campaign_config_keys();
 ///   remap = 0|1              — fault-aware remapping protection axis
 ///     (remap.spare_rows / remap.spare_cols — per-tile spare budget,
 ///      remap.pair_swap = 0|1 — differential-pair partner re-programming)
+/// Sink keys are accepted and ignored; reading them has no side effect.
 /// Unknown keys throw (validate_keys): a typo must not silently drop a
 /// scenario axis. Models are registered by the caller, not the config.
 Campaign campaign_from_config(const core::KeyValueConfig& cfg);

@@ -368,6 +368,15 @@ ExpositionServer& ExpositionServer::start_global(int port) {
   return *g_server;
 }
 
+void ExpositionServer::stop_global() noexcept {
+  ExpositionServer* s = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(g_server_mu);
+    std::swap(s, g_server);
+  }
+  delete s;  // the dtor stops the acceptor
+}
+
 std::string http_get_local(int port, const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw std::runtime_error("http_get_local: socket() failed");

@@ -27,9 +27,8 @@
 // so a CampaignReport is byte-identical with a scraper hammering /metrics
 // mid-run (tier-1, tests/test_exposition.cpp).
 //
-// Exposure: `--statusz-port N` (CLI, serve_demo), the campaign
-// `statusz_port` config key, CORRECTNET_STATUSZ_PORT (init_from_env).
-// Port 0 binds an ephemeral port; port() reports the real one.
+// Exposure: the statusz sink of the knob table (obs/sinks.h). Port 0 binds
+// an ephemeral port; port() reports the real one.
 #pragma once
 
 #include <atomic>
@@ -83,6 +82,9 @@ class ExpositionServer {
   /// log_info notice. Leaked like the registry singletons.
   static ExpositionServer* global();
   static ExpositionServer& start_global(int port);
+  /// Stops and frees the global server; no-op when none is running. Only
+  /// obs::finish calls it, once no caller still holds global().
+  static void stop_global() noexcept;
 
  private:
   void acceptor_loop();

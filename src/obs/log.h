@@ -4,8 +4,8 @@
 //   kQuiet  nothing
 //   kInfo   high-level milestones (default)
 //   kDebug  per-cell / per-step detail (campaign progress lines)
-// Frontends pick the level (`correctnet_cli faults --quiet / --log-level`,
-// the campaign `log_level` config key, CORRECTNET_LOG); the library logs
+// Frontends pick the level through the log sink of the knob table
+// (obs/sinks.h); the library logs
 // per-cell progress at kDebug, so test and CI output stays quiet unless a
 // frontend asks for it. Lines are emitted atomically (one mutex-guarded
 // sink call per message) and carry no timing/ordering guarantees beyond

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/exposition.h"
 #include "obs/json.h"
-#include "obs/log.h"
-#include "obs/slo.h"
-#include "obs/snapshot_stream.h"
-#include "obs/trace.h"
 
 namespace cn::obs {
 
@@ -315,97 +308,6 @@ std::string labeled(const std::string& name, const std::string& key,
     return name.substr(0, name.size() - 1) + "," + key + "=" + value + "}";
   }
   return name + "{" + key + "=" + value + "}";
-}
-
-namespace {
-
-// Exit-time sink paths, leaked strings so the atexit hook and the signal
-// handler can read them during teardown.
-std::string* g_metrics_path = nullptr;
-std::string* g_trace_path = nullptr;
-
-void cn_obs_flush_and_reraise(int sig) {
-  // Not strictly async-signal-safe (it formats and writes files), but this
-  // path is opt-in (CORRECTNET_SIGNAL_FLUSH=1) and chosen deliberately: a
-  // long campaign cut down by Ctrl-C keeps its metrics/trace/stream
-  // artifacts instead of losing hours of telemetry to purity.
-  flush_observability_sinks();
-  std::signal(sig, SIG_DFL);
-  std::raise(sig);
-}
-
-}  // namespace
-
-void flush_observability_sinks() noexcept {
-  try {
-    if (g_metrics_path) MetricsRegistry::global().write_json(*g_metrics_path);
-  } catch (...) {
-  }
-  try {
-    if (g_trace_path) Tracer::global().write_json(*g_trace_path);
-  } catch (...) {
-  }
-  MetricsSnapshotter::flush_global();
-}
-
-void init_from_env() {
-  static bool done = false;
-  if (done) return;
-  done = true;
-  bool want_atexit = false;
-  if (const char* p = std::getenv("CORRECTNET_METRICS"); p && *p) {
-    g_metrics_path = new std::string(p);
-    want_atexit = true;
-  }
-  if (const char* p = std::getenv("CORRECTNET_TRACE"); p && *p) {
-    Tracer::global().set_enabled(true);
-    g_trace_path = new std::string(p);
-    want_atexit = true;
-  }
-  if (const char* p = std::getenv("CORRECTNET_LOG"); p && *p)
-    Logger::global().set_level(parse_log_level(p));
-  if (const char* p = std::getenv("CORRECTNET_STATUSZ_PORT"); p && *p) {
-    char* end = nullptr;
-    const long port = std::strtol(p, &end, 10);
-    if (end && *end == '\0' && port >= 0 && port <= 65535) {
-      try {
-        ExpositionServer::start_global(static_cast<int>(port)).set_ready(true);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "CORRECTNET_STATUSZ_PORT: %s\n", e.what());
-      }
-    } else {
-      std::fprintf(stderr,
-                   "CORRECTNET_STATUSZ_PORT: invalid port '%s' (want 0-65535)\n",
-                   p);
-    }
-  }
-  if (const char* p = std::getenv("CORRECTNET_METRICS_STREAM"); p && *p) {
-    try {
-      MetricsSnapshotter::start_global(p);
-      want_atexit = true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "CORRECTNET_METRICS_STREAM: %s\n", e.what());
-    }
-  }
-  if (const char* p = std::getenv("CORRECTNET_SLO_P99_MS"); p && *p) {
-    char* end = nullptr;
-    const double ms = std::strtod(p, &end);
-    if (end && *end == '\0' && ms >= 0.0)
-      set_default_slo_p99_ms(ms);
-    else
-      std::fprintf(stderr, "CORRECTNET_SLO_P99_MS: invalid value '%s'\n", p);
-  }
-  if (want_atexit) {
-    std::atexit(+[] {
-      flush_observability_sinks();
-      MetricsSnapshotter::stop_global();
-    });
-  }
-  if (const char* p = std::getenv("CORRECTNET_SIGNAL_FLUSH");
-      p && std::string(p) == "1") {
-    std::signal(SIGINT, &cn_obs_flush_and_reraise);
-    std::signal(SIGTERM, &cn_obs_flush_and_reraise);
-  }
 }
 
 }  // namespace cn::obs

@@ -25,10 +25,9 @@
 // below 32 us). tests/test_obs.cpp pins this against a sorted-vector oracle.
 //
 // Exposure: MetricsRegistry::snapshot_json() emits the flat ordered-key
-// BenchJson shape ("name" first, then sorted metric keys); the CLI surfaces
-// it as `--metrics-out FILE`, the campaign config as `metrics_out`, and the
-// CORRECTNET_METRICS env var (see init_from_env) writes it at process exit.
-// docs/OBSERVABILITY.md is the metric catalog.
+// BenchJson shape ("name" first, then sorted metric keys); the metrics sink
+// of the knob table (obs/sinks.h) writes it to a file. docs/OBSERVABILITY.md
+// is the metric catalog.
 #pragma once
 
 #include <atomic>
@@ -240,32 +239,5 @@ MetricsRegistry& metrics();
 /// exposition page.
 std::string labeled(const std::string& name, const std::string& key,
                     const std::string& value);
-
-/// One-shot environment hookup, called by frontends (CLI, benches, demos)
-/// before any work:
-///   CORRECTNET_METRICS=FILE        write the registry snapshot to FILE at exit
-///   CORRECTNET_TRACE=FILE          enable tracing now, write FILE at exit
-///   CORRECTNET_LOG=LEVEL           set the Logger level (quiet|info|debug)
-///   CORRECTNET_STATUSZ_PORT=N      start the live exposition server on port N
-///                                  (0 = ephemeral; obs/exposition.h) now
-///   CORRECTNET_METRICS_STREAM=FILE start the interval-delta JSONL metrics
-///                                  stream (obs/snapshot_stream.h) now,
-///                                  flushed at exit
-///   CORRECTNET_SLO_P99_MS=X        process-default p99 latency objective for
-///                                  InferenceServer SLO tracking (obs/slo.h)
-///   CORRECTNET_SIGNAL_FLUSH=1      install SIGINT/SIGTERM handlers that
-///                                  flush every configured writer (metrics
-///                                  file, trace file, snapshot stream), then
-///                                  re-raise — so an interrupted long
-///                                  campaign keeps its observability
-///                                  artifacts
-/// Idempotent; a malformed value (log level, port, objective) throws.
-void init_from_env();
-
-/// The flush the signal handler and atexit hooks share: writes the
-/// CORRECTNET_METRICS / CORRECTNET_TRACE files if configured and flushes the
-/// global snapshot stream. Safe to call any number of times; errors go to
-/// stderr instead of throwing (it runs on teardown paths).
-void flush_observability_sinks() noexcept;
 
 }  // namespace cn::obs

@@ -1,6 +1,5 @@
 #include "obs/slo.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -97,20 +96,6 @@ SloTracker::Status SloTracker::update(const LatencyHistogram& hist) {
 SloTracker::Status SloTracker::status() const {
   std::lock_guard<std::mutex> lk(mu_);
   return last_;
-}
-
-namespace {
-std::atomic<double> g_default_slo_p99_ms{0.0};
-}
-
-void set_default_slo_p99_ms(double ms) {
-  if (ms < 0.0)
-    throw std::invalid_argument("slo_p99_ms must be >= 0 (0 = off)");
-  g_default_slo_p99_ms.store(ms, std::memory_order_relaxed);
-}
-
-double default_slo_p99_ms() {
-  return g_default_slo_p99_ms.load(std::memory_order_relaxed);
 }
 
 }  // namespace cn::obs

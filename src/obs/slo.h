@@ -20,10 +20,9 @@
 // Consumers: InferenceServer owns a tracker over its private latency
 // histogram when an objective is configured (ServerStats::summary() prints
 // the status, /statusz shows it, and the tracker publishes the slo.* metric
-// family — rendered as correctnet_slo_* by obs/prometheus.h). The process
-// default objective comes from `slo_p99_ms` (campaign config), `--slo-p99-ms`
-// flags, or CORRECTNET_SLO_P99_MS. Like every obs primitive the tracker only
-// reads timing data: results stay byte-identical with SLO tracking on or off.
+// family — rendered as correctnet_slo_* by obs/prometheus.h). Like every obs
+// primitive the tracker only reads timing data: results stay byte-identical
+// with SLO tracking on or off.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +95,5 @@ class SloTracker {
   std::deque<std::pair<double, LatencyHistogram::Snapshot>> ring_;
   Status last_;
 };
-
-/// Process-default p99 objective for InferenceServer SLO tracking, in
-/// milliseconds; 0 = none. Set by frontends (--slo-p99-ms, the `slo_p99_ms`
-/// campaign key, CORRECTNET_SLO_P99_MS); servers constructed with
-/// InferenceServerOptions::slo_p99_ms == 0 adopt it. A negative value throws.
-void set_default_slo_p99_ms(double ms);
-double default_slo_p99_ms();
 
 }  // namespace cn::obs

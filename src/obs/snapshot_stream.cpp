@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/json.h"
-#include "obs/log.h"
 
 namespace cn::obs {
 
@@ -115,58 +114,6 @@ void MetricsSnapshotter::stop() {
 uint64_t MetricsSnapshotter::lines_written() const {
   std::lock_guard<std::mutex> lk(mu_);
   return lines_;
-}
-
-// ---------- global instance ----------
-
-namespace {
-// Leaked like the other obs singletons (atexit hooks and the signal handler
-// may flush during teardown); guarded because start can race frontends.
-std::mutex g_global_mu;
-MetricsSnapshotter* g_global = nullptr;
-}  // namespace
-
-void MetricsSnapshotter::start_global(const std::string& path,
-                                      double interval_s) {
-  std::lock_guard<std::mutex> lk(g_global_mu);
-  if (g_global) {
-    if (g_global->opts_.path != path)
-      log_info("[obs] metrics stream already running (" +
-               g_global->opts_.path + "); ignoring " + path);
-    return;
-  }
-  MetricsSnapshotterOptions o;
-  o.path = path;
-  o.interval_s = interval_s;
-  g_global = new MetricsSnapshotter(std::move(o));
-}
-
-MetricsSnapshotter* MetricsSnapshotter::global() {
-  std::lock_guard<std::mutex> lk(g_global_mu);
-  return g_global;
-}
-
-void MetricsSnapshotter::flush_global() noexcept {
-  try {
-    if (MetricsSnapshotter* s = global()) s->flush();
-  } catch (...) {
-  }
-}
-
-void MetricsSnapshotter::stop_global() noexcept {
-  try {
-    MetricsSnapshotter* s = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(g_global_mu);
-      s = g_global;
-      g_global = nullptr;
-    }
-    if (s) {
-      s->stop();
-      delete s;
-    }
-  } catch (...) {
-  }
 }
 
 }  // namespace cn::obs

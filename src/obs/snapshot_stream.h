@@ -22,10 +22,8 @@
 // shutdown is lost. Lines sum: adding a counter's deltas over all lines
 // reproduces its cumulative value — pinned in tests/test_exposition.cpp.
 //
-// Exposure: `--metrics-stream FILE` (CLI / serve_demo), the campaign
-// `metrics_stream` config key, CORRECTNET_METRICS_STREAM (init_from_env).
-// The signal-flush handler (CORRECTNET_SIGNAL_FLUSH) flushes the global
-// stream before re-raising. Timing-only, like every obs surface: streaming
+// Exposure: the metrics-stream sink of the knob table (obs/sinks.h), whose
+// signal flush flushes the stream before re-raising. Timing-only, like every obs surface: streaming
 // never changes a result byte.
 #pragma once
 
@@ -64,15 +62,6 @@ class MetricsSnapshotter {
   void stop();
 
   uint64_t lines_written() const;
-
-  /// Process-global instance management (CORRECTNET_METRICS_STREAM, the
-  /// campaign `metrics_stream` key, --metrics-stream). start_global is
-  /// first-writer-wins: a second path while one is running is ignored with a
-  /// log_info notice, matching the process-wide registry it snapshots.
-  static void start_global(const std::string& path, double interval_s = 1.0);
-  static MetricsSnapshotter* global();  // nullptr when not running
-  static void flush_global() noexcept;  // no-op when not running
-  static void stop_global() noexcept;   // no-op when not running
 
  private:
   void tick_loop();

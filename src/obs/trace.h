@@ -8,10 +8,9 @@
 // never touches rng streams or numeric paths — results are byte-identical
 // with tracing on or off.
 //
-// Enablement: CLI `--trace-out FILE`, the campaign `trace_out` config key,
-// or CORRECTNET_TRACE=FILE (obs::init_from_env). Timestamps are steady-clock
-// microseconds since the tracer singleton was created; thread ids are
-// compacted to small integers at write time.
+// Enablement: the trace sink of the knob table (obs/sinks.h). Timestamps are
+// steady-clock microseconds since the tracer singleton was created; thread
+// ids are compacted to small integers at write time.
 #pragma once
 
 #include <atomic>

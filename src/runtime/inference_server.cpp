@@ -116,17 +116,12 @@ InferenceServer::InferenceServer(ChipFarm& farm, const InferenceServerOptions& o
   // worker w exclusively owns chip w from here on.
   for (int w = 0; w < workers; ++w) farm_.chip(w);
 
-  // Latency objective: explicit option wins, otherwise the process default
-  // (slo_p99_ms campaign key / --slo-p99-ms / CORRECTNET_SLO_P99_MS).
-  double slo_ms = opts_.slo_p99_ms;
-  if (slo_ms == 0) slo_ms = obs::default_slo_p99_ms();
-  if (slo_ms > 0) {
+  if (opts_.slo_p99_ms > 0) {
     obs::SloConfig cfg;
     cfg.quantile = 0.99;
-    cfg.threshold_us = slo_ms * 1000.0;
+    cfg.threshold_us = opts_.slo_p99_ms * 1000.0;
     cfg.window_s = opts_.slo_window_s;
     slo_ = std::make_unique<obs::SloTracker>(cfg, "slo");
-    opts_.slo_p99_ms = slo_ms;
   }
   if (opts_.admission_burn_max > 0 && !slo_)
     throw std::invalid_argument(

@@ -46,9 +46,7 @@ struct InferenceServerOptions {
   int workers = 1;            // worker w runs chips on farm slot w (clamped
                               // to the farm's live slots)
   // Latency objective: p99 < slo_p99_ms over a slo_window_s sliding window.
-  // 0 adopts the process default (obs::default_slo_p99_ms(), set by
-  // --slo-p99-ms / the `slo_p99_ms` campaign key / CORRECTNET_SLO_P99_MS);
-  // if that is also 0 the server runs without SLO tracking.
+  // 0 = no objective: the server runs without SLO tracking.
   double slo_p99_ms = 0;
   double slo_window_s = 60;
   // Model id for multi-model serving (ModelRouter sets it): labels every

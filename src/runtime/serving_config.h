@@ -29,7 +29,7 @@ struct ServingConfig {
   int64_t queue_limit = 0;
   int64_t queue_budget_us = 0;
   double admission_burn_max = 0;
-  double slo_p99_ms = 0;  // per-lane SLO objective; 0 = process default
+  double slo_p99_ms = 0;  // per-lane SLO objective; 0 = none
   // Fault drill: injected mid-traffic by serve_demo when kind is non-empty.
   std::string drill_kind;            // "" = no drill; faultsim::make_fault kinds
   double drill_severity = 0;

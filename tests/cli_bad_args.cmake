@@ -1,29 +1,88 @@
-# Runs correctnet_cli with malformed arguments and checks that each run exits
-# 2 with the expected message on stderr and nothing on stdout, i.e. before
-# any dataset is built or any training starts.
+# Runs an example binary with malformed arguments or environment and checks
+# that each run exits 2 with the expected message on stderr and nothing on
+# stdout, i.e. before any dataset is built or any training starts.
 #
-#   cmake -DCLI=<path to correctnet_cli> -P tests/cli_bad_args.cmake
+#   cmake -DCLI=<path to binary> [-DCHECKS=correctnet_cli|serve_demo|fault_sweep]
+#         -P tests/cli_bad_args.cmake
+#
+# CHECKS picks the binary's case list (default correctnet_cli).
+#
+# expect_rejected(<stderr substring> [ENV VAR=value...] [ARGS] <args...>)
+# runs the binary under `cmake -E env` with the given variables.
 function(expect_rejected expect_err)
-  execute_process(COMMAND "${CLI}" ${ARGN}
+  cmake_parse_arguments(PARSE_ARGV 1 run "" "" "ENV;ARGS")
+  set(args ${run_ARGS} ${run_UNPARSED_ARGUMENTS})
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env ${run_ENV} "${CLI}" ${args}
                   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err
                   TIMEOUT 60)
+  list(JOIN args " " shown)
+  set(what "${run_ENV} ${CLI} ${shown}")
   if(NOT code EQUAL 2)
-    message(FATAL_ERROR "correctnet_cli ${ARGN}: exit ${code}, expected 2\n${out}${err}")
+    message(FATAL_ERROR "${what}: exit ${code}, expected 2\n${out}${err}")
   endif()
   if(NOT out STREQUAL "")
-    message(FATAL_ERROR "correctnet_cli ${ARGN}: wrote to stdout before failing:\n${out}")
+    message(FATAL_ERROR "${what}: wrote to stdout before failing:\n${out}")
   endif()
   string(FIND "${err}" "${expect_err}" at)
   if(at EQUAL -1)
-    message(FATAL_ERROR "correctnet_cli ${ARGN}: stderr lacks '${expect_err}':\n${err}")
+    message(FATAL_ERROR "${what}: stderr lacks '${expect_err}':\n${err}")
   endif()
 endfunction()
 
-# Numeric flags parse in full: a typo is an error naming the flag.
-expect_rejected("--chips expects an integer, got '1O'" faults --chips 1O)
-expect_rejected("--epochs expects an integer, got '3x'" --epochs 3x)
-expect_rejected("--statusz-port expects an integer, got 'abc'" --statusz-port abc)
-expect_rejected("--sigma expects a number, got '0.5s'" faults --sigma 0.5s)
-# Fusion is always on: the old flag is an unknown one on both commands.
-expect_rejected("usage:" --fusion on)
-expect_rejected("usage:" faults --fusion on)
+if(NOT DEFINED CHECKS)
+  set(CHECKS correctnet_cli)
+endif()
+
+if(CHECKS STREQUAL "correctnet_cli")
+  # Numeric flags parse in full: a typo is an error naming the flag.
+  expect_rejected("--chips expects an integer, got '1O'" faults --chips 1O)
+  expect_rejected("--epochs expects an integer, got '3x'" --epochs 3x)
+  expect_rejected("--statusz-port expects an integer, got 'abc'" --statusz-port abc)
+  expect_rejected("--sigma expects a number, got '0.5s'" faults --sigma 0.5s)
+  # Fusion is always on: the old flag is an unknown one on both commands.
+  expect_rejected("usage:" --fusion on)
+  expect_rejected("usage:" faults --fusion on)
+  # One validation rule on every surface: the sink table's environment
+  # layer fails like a bad flag, --version included.
+  expect_rejected("CORRECTNET_STATUSZ_PORT expects a port in 0..65535, got '70000'"
+                  ENV CORRECTNET_STATUSZ_PORT=70000 ARGS --version)
+  expect_rejected("cannot open /nonexistent/x"
+                  ENV CORRECTNET_METRICS_STREAM=/nonexistent/x ARGS --version)
+  expect_rejected("CORRECTNET_LOG expects quiet|info|debug, got 'loud'"
+                  ENV CORRECTNET_LOG=loud ARGS --version)
+  expect_rejected("--statusz-port expects a port in 0..65535, got '-5'"
+                  faults --statusz-port -5)
+  set(cfg "${CMAKE_CURRENT_BINARY_DIR}/cli_bad_args_sinks.cfg")
+  file(WRITE "${cfg}" "stuck.rates = 0.01\nstatusz_port = -5\n")
+  expect_rejected("statusz_port expects a port in 0..65535, got '-5'"
+                  faults --config "${cfg}")
+  file(REMOVE "${cfg}")
+  # --quiet duplicated --log-level quiet and is gone.
+  expect_rejected("usage:" faults --quiet)
+elseif(CHECKS STREQUAL "serve_demo")
+  expect_rejected("--queue-limit expects an integer, got '6O'" --queue-limit 6O)
+  expect_rejected("--linger-s expects a number, got '1s'" --linger-s 1s)
+  expect_rejected("--drill expects a number, got '0.05x'" --drill 0.05x)
+  expect_rejected("unknown flag --bogus" --bogus)
+  expect_rejected("usage:" --linger-s)
+  expect_rejected("usage:" --slo-p99-ms -1)
+  expect_rejected("negative threshold" --models a --queue-limit -3)
+  expect_rejected("cannot open /nonexistent/serving.cfg"
+                  --config /nonexistent/serving.cfg)
+  expect_rejected("--statusz-port expects a port in 0..65535, got '70000'"
+                  --statusz-port 70000)
+  expect_rejected("CORRECTNET_LOG expects quiet|info|debug, got 'loud'"
+                  ENV CORRECTNET_LOG=loud)
+elseif(CHECKS STREQUAL "fault_sweep")
+  expect_rejected("--chips expects an integer, got '1O'" --chips 1O)
+  expect_rejected("--rate expects a number, got '0.05x'" --rate 0.05x)
+  expect_rejected("--parallel expects an integer, got '2.5'" --parallel 2.5)
+  expect_rejected("usage:" --bogus 1)
+  expect_rejected("usage:" --chips 2 --spare)
+  expect_rejected("usage:" --spare -2)
+  expect_rejected("usage:" --parallel -1)
+  expect_rejected("usage:" --rate 1.5)
+  expect_rejected("usage:" --chips 0)
+else()
+  message(FATAL_ERROR "unknown CHECKS '${CHECKS}'")
+endif()

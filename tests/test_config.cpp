@@ -1,13 +1,18 @@
 #include "core/config.h"
 
+#include <array>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "faultsim/campaign.h"
+#include "obs/sinks.h"
 #include "runtime/serving_config.h"
 
 namespace cn::core {
@@ -25,6 +30,45 @@ TEST(RuntimeConfig, DefaultsAreSane) {
   EXPECT_GT(c.epoch_scale, 0.0);
   EXPECT_GE(c.train_cap, 1);
   EXPECT_GE(c.test_cap, 1);
+}
+
+TEST(RuntimeConfig, EnvKnobsParseInFullOrThrowNamingTheVariable) {
+  // A prefix parse ran CORRECTNET_MC=1O as one sample and 'abc' as the
+  // default; every scale knob now parses in full.
+  const char* vars[] = {"CORRECTNET_MC", "CORRECTNET_EPOCHS",
+                        "CORRECTNET_TRAIN", "CORRECTNET_TEST"};
+  std::vector<std::pair<const char*, std::string>> saved;
+  for (const char* var : vars) {
+    if (const char* old = std::getenv(var)) saved.emplace_back(var, old);
+    ::unsetenv(var);
+  }
+  for (const char* var : vars) {
+    for (const char* v : {"1O", "abc", "25x", "-3", "99999999999"}) {
+      ::setenv(var, v, 1);
+      try {
+        RuntimeConfig::from_env();
+        ADD_FAILURE() << var << "=" << v << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+            << e.what();
+      }
+    }
+    ::unsetenv(var);
+  }
+  ::setenv("CORRECTNET_TRAIN", "0", 1);  // a zero cap is no dataset
+  EXPECT_THROW(RuntimeConfig::from_env(), std::invalid_argument);
+  ::unsetenv("CORRECTNET_TRAIN");
+
+  ::setenv("CORRECTNET_MC", "0", 1);  // zero samples skips Monte-Carlo
+  ::setenv("CORRECTNET_EPOCHS", "250", 1);
+  ::setenv("CORRECTNET_TEST", "123", 1);
+  const RuntimeConfig c = RuntimeConfig::from_env();
+  EXPECT_EQ(c.mc_samples, 0);
+  EXPECT_DOUBLE_EQ(c.epoch_scale, 2.5);
+  EXPECT_EQ(c.train_cap, RuntimeConfig{}.train_cap);
+  EXPECT_EQ(c.test_cap, 123);
+  for (const char* var : vars) ::unsetenv(var);
+  for (const auto& [var, v] : saved) ::setenv(var, v.c_str(), 1);
 }
 
 TEST(RuntimeConfig, EpochScalingNeverBelowOne) {
@@ -155,6 +199,49 @@ TEST(ConfigDocs, CampaignTableMatchesDeclaredKeySet) {
     EXPECT_TRUE(declared.count(k))
         << "key `" << k << "` is documented in docs/CONFIG.md but not "
         << "declared in campaign_config_keys()";
+}
+
+TEST(ConfigDocs, SinkTableMatchesTheKnobTable) {
+  // docs/CONFIG.md's `sink-table:begin/end` table lists every observability
+  // sink as env | key | flag | meaning; obs::sink_table() is the code table.
+  // Rows must match in order, with "—" for a missing key or flag.
+  std::ifstream in(std::string(CN_SOURCE_DIR) + "/docs/CONFIG.md");
+  ASSERT_TRUE(in.is_open()) << "docs/CONFIG.md missing under " << CN_SOURCE_DIR;
+
+  using Row = std::array<std::string, 3>;
+  std::vector<Row> documented;
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (line.find("sink-table:begin") != std::string::npos) in_table = true;
+    if (line.find("sink-table:end") != std::string::npos) in_table = false;
+    if (!in_table || line.rfind("| `", 0) != 0) continue;
+    // The first three cells, each a backticked spelling or "—".
+    Row row;
+    size_t at = 0;
+    for (std::string& cell : row) {
+      const size_t open = line.find('|', at);
+      const size_t close = line.find('|', open + 1);
+      ASSERT_NE(close, std::string::npos) << "short row: " << line;
+      std::string text = line.substr(open + 1, close - open - 1);
+      const size_t b = text.find('`');
+      if (b != std::string::npos)
+        cell = text.substr(b + 1, text.find('`', b + 1) - b - 1);
+      at = close;
+    }
+    documented.push_back(row);
+  }
+  ASSERT_FALSE(documented.empty())
+      << "sink-table markers or table rows missing from docs/CONFIG.md";
+
+  std::vector<Row> declared;
+  for (const obs::SinkRow& r : obs::sink_table())
+    declared.push_back(Row{r.env, r.key, r.flag});
+  ASSERT_EQ(documented.size(), declared.size());
+  for (size_t i = 0; i < declared.size(); ++i)
+    EXPECT_EQ(documented[i], declared[i])
+        << "docs/CONFIG.md sink row " << i << " (" << documented[i][0]
+        << ") differs from obs::sink_table() row " << declared[i][0];
 }
 
 TEST(CampaignConfig, UnknownKeyThrows) {

@@ -37,6 +37,7 @@
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "obs/sinks.h"
 #include "obs/slo.h"
 #include "obs/snapshot_stream.h"
 #include "runtime/chip_farm.h"
@@ -414,17 +415,13 @@ TEST(Slo, SlidingWindowPrunesOldSamples) {
   EXPECT_FALSE(st.violating);
 }
 
-TEST(Slo, ValidatesConfigAndDefaultObjective) {
+TEST(Slo, ValidatesConfig) {
   obs::SloConfig bad;
   bad.quantile = 1.0;
   EXPECT_THROW(obs::SloTracker{bad}, std::invalid_argument);
   bad.quantile = 0.99;
   bad.threshold_us = 0;
   EXPECT_THROW(obs::SloTracker{bad}, std::invalid_argument);
-  EXPECT_THROW(obs::set_default_slo_p99_ms(-1.0), std::invalid_argument);
-  obs::set_default_slo_p99_ms(7.5);
-  EXPECT_EQ(obs::default_slo_p99_ms(), 7.5);
-  obs::set_default_slo_p99_ms(0.0);
 }
 
 TEST(Slo, InferenceServerSurfacesSloStatus) {
@@ -689,17 +686,23 @@ TEST(MetricsSnapshotter, TicksOnItsOwnAndStopsCleanly) {
 
 // ---------- config keys ----------
 
-TEST(Exposition, CampaignConfigAcceptsAndValidatesIntrospectionKeys) {
+TEST(Exposition, CampaignConfigIntrospectionKeysAreReadBySinks) {
+  // The campaign accepts the introspection keys; the sink table validates
+  // them, with the same rule for every surface.
   core::KeyValueConfig cfg = core::KeyValueConfig::from_string(
-      "stuck.rates = 0.01\nstatusz_port = -1\nmetrics_stream = \n"
-      "slo_p99_ms = 2.5\n");
-  faultsim::campaign_from_config(cfg);  // parses; port -1 never binds
-  core::KeyValueConfig bad_port = core::KeyValueConfig::from_string(
-      "stuck.rates = 0.01\nstatusz_port = 70000\n");
-  EXPECT_THROW(faultsim::campaign_from_config(bad_port), std::invalid_argument);
-  core::KeyValueConfig bad_slo = core::KeyValueConfig::from_string(
-      "stuck.rates = 0.01\nslo_p99_ms = -4\n");
-  EXPECT_THROW(faultsim::campaign_from_config(bad_slo), std::invalid_argument);
+      "stuck.rates = 0.01\nstatusz_port = \nmetrics_stream = \n");
+  faultsim::campaign_from_config(cfg);
+  EXPECT_EQ(obs::read_sinks(cfg).statusz_port, -1);  // empty = off
+  for (const char* port : {"70000", "-1", "-5", "8O"}) {
+    core::KeyValueConfig bad = core::KeyValueConfig::from_string(
+        std::string("stuck.rates = 0.01\nstatusz_port = ") + port + "\n");
+    EXPECT_NO_THROW(faultsim::campaign_from_config(bad));
+    EXPECT_THROW(obs::read_sinks(bad), std::invalid_argument) << port;
+  }
+  // The process-default objective is gone, and with it the campaign key.
+  EXPECT_THROW(faultsim::campaign_from_config(core::KeyValueConfig::from_string(
+                   "stuck.rates = 0.01\nslo_p99_ms = 2.5\n")),
+               std::runtime_error);
 }
 
 // ---------- the invariant: a live scraper never changes results ----------

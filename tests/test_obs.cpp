@@ -15,6 +15,7 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,7 +27,9 @@
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
 #include "obs/json.h"
+#include "obs/exposition.h"
 #include "obs/log.h"
+#include "obs/sinks.h"
 #include "obs/snapshot_stream.h"
 #include "obs/trace.h"
 #include "runtime/chip_farm.h"
@@ -557,13 +560,137 @@ TEST(Logger, ParseLevelRoundTripsAndThrows) {
   EXPECT_THROW(obs::parse_log_level(""), std::invalid_argument);
 }
 
-TEST(Logger, InitFromEnvSetsLevel) {
-  ::unsetenv("CORRECTNET_METRICS");
-  ::unsetenv("CORRECTNET_TRACE");
-  ::setenv("CORRECTNET_LOG", "debug", 1);
-  obs::init_from_env();
+// ---------- the sink knob table ----------
+
+// Sets one environment variable for a scope and restores the previous state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_.empty()) ::unsetenv(name_);
+    else ::setenv(name_, old_.c_str(), 1);
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+};
+
+std::string read_error(const core::KeyValueConfig& cfg,
+                       const obs::SinkFlags& flags = {}) {
+  try {
+    obs::read_sinks(cfg, flags);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Sinks, FlagBeatsKeyBeatsEnvAndReadingHasNoSideEffects) {
+  ScopedEnv log("CORRECTNET_LOG", "debug");
+  ScopedEnv metrics("CORRECTNET_METRICS", "env_metrics.json");
+  ScopedEnv stream("CORRECTNET_METRICS_STREAM", "env_stream.jsonl");
+  ScopedEnv flush("CORRECTNET_SIGNAL_FLUSH", "1");
+  const core::KeyValueConfig cfg = core::KeyValueConfig::from_string(
+      "log_level = quiet\ntrace_out = key_trace.json\nmetrics_stream = \n"
+      "statusz_port = 0\n");
+  const obs::LogLevel before = obs::Logger::global().level();
+  const bool tracing = obs::Tracer::global().enabled();
+
+  const obs::Sinks s = obs::read_sinks(
+      cfg, {{"--log-level", "info"}, {"--statusz-port", "9"}});
+  EXPECT_EQ(s.log, obs::LogLevel::kInfo);      // flag over key over env
+  EXPECT_EQ(s.metrics, "env_metrics.json");    // env only
+  EXPECT_EQ(s.trace, "key_trace.json");        // key only
+  EXPECT_EQ(s.metrics_stream, "");             // an empty key switches off
+  EXPECT_EQ(s.statusz_port, 9);
+  EXPECT_TRUE(s.signal_flush);
+  EXPECT_EQ(obs::read_sinks().log, obs::LogLevel::kDebug);
+
+  EXPECT_EQ(obs::Logger::global().level(), before);
+  EXPECT_EQ(obs::Tracer::global().enabled(), tracing);
+  EXPECT_EQ(obs::ExpositionServer::global(), nullptr);
+}
+
+TEST(Sinks, OneStrictRulePerValueOnEverySurface) {
+  const core::KeyValueConfig none;
+  auto key = [](const std::string& text) {
+    return core::KeyValueConfig::from_string(text);
+  };
+  // The same port rule for the env variable, the key and the flag.
+  {
+    ScopedEnv port("CORRECTNET_STATUSZ_PORT", "70000");
+    EXPECT_EQ(read_error(none),
+              "CORRECTNET_STATUSZ_PORT expects a port in 0..65535, got '70000'");
+  }
+  EXPECT_EQ(read_error(key("statusz_port = -5\n")),
+            "statusz_port expects a port in 0..65535, got '-5'");
+  EXPECT_EQ(read_error(none, {{"--statusz-port", "-5"}}),
+            "--statusz-port expects a port in 0..65535, got '-5'");
+  EXPECT_EQ(read_error(none, {{"--statusz-port", "80x"}}),
+            "--statusz-port expects an integer, got '80x'");
+  EXPECT_EQ(read_error(key("log_level = loud\n")),
+            "log_level expects quiet|info|debug, got 'loud'");
+  {
+    ScopedEnv log("CORRECTNET_LOG", "verbose");
+    EXPECT_EQ(read_error(none),
+              "CORRECTNET_LOG expects quiet|info|debug, got 'verbose'");
+  }
+  {
+    ScopedEnv flush("CORRECTNET_SIGNAL_FLUSH", "yes");
+    EXPECT_EQ(read_error(none), "CORRECTNET_SIGNAL_FLUSH expects 0 or 1, got 'yes'");
+  }
+  EXPECT_THROW(obs::read_sinks(none, {{"--quiet", ""}}), std::invalid_argument);
+  // Every row has an env variable; keys and flags are unique where present.
+  std::set<std::string> envs, keys, flags;
+  for (const obs::SinkRow& row : obs::sink_table()) {
+    EXPECT_TRUE(envs.insert(row.env).second) << row.env;
+    if (*row.key) {
+      EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+    }
+    if (*row.flag) {
+      EXPECT_TRUE(flags.insert(row.flag).second) << row.flag;
+      EXPECT_TRUE(obs::is_sink_flag(row.flag));
+    }
+  }
+  EXPECT_EQ(obs::sink_table().size(), 6u);
+  EXPECT_EQ(obs::sink_config_keys().size(), 5u);
+  EXPECT_EQ(flags.size(), 5u);
+}
+
+TEST(Sinks, StartThenFinishWritesAndStopsEverySinkOnce) {
+  const std::string metrics_path = "test_obs_sinks_metrics.json";
+  const std::string stream_path = "test_obs_sinks_stream.jsonl";
+  std::remove(metrics_path.c_str());
+  std::remove(stream_path.c_str());
+  ScopedEnv log("CORRECTNET_LOG", "debug");
+  const obs::Sinks s = obs::read_sinks(
+      {}, {{"--metrics-out", metrics_path},
+           {"--metrics-stream", stream_path},
+           {"--statusz-port", "0"}});
+  obs::start(s);
   EXPECT_EQ(obs::Logger::global().level(), obs::LogLevel::kDebug);
-  ::unsetenv("CORRECTNET_LOG");
+  obs::ExpositionServer* srv = obs::ExpositionServer::global();
+  ASSERT_NE(srv, nullptr);
+  EXPECT_TRUE(srv->ready());
+  EXPECT_TRUE(std::ifstream(stream_path).good());
+  obs::metrics().counter("test.sinks_events").add(3);
+
+  obs::finish();
+  EXPECT_EQ(obs::ExpositionServer::global(), nullptr);
+  const std::string mj = slurp(metrics_path);
+  EXPECT_TRUE(valid_json(mj)) << mj;
+  EXPECT_NE(mj.find("\"test.sinks_events\":"), std::string::npos);
+  EXPECT_NE(slurp(stream_path).find("test.sinks_events"), std::string::npos);
+
+  // A second finish() is a no-op: the file is not rewritten.
+  std::remove(metrics_path.c_str());
+  obs::finish();
+  EXPECT_EQ(slurp(metrics_path), "");
+  std::remove(stream_path.c_str());
   obs::Logger::global().set_level(obs::LogLevel::kInfo);
 }
 
@@ -622,7 +749,7 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
   // Relative to the ctest working directory (the build tree).
   const std::string metrics_path = "test_obs_metrics.json";
   const std::string trace_path = "test_obs_trace.json";
-  auto run_campaign = [&](bool instrumented) {
+  auto run_campaign = [&] {
     faultsim::CampaignOptions co;
     co.chips = 2;
     co.seed = 77;
@@ -633,10 +760,6 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
     co.dev.program_sigma = 0.1f;
     co.dev.readout.read_sigma = 0.05f;
     co.remap.enabled = true;
-    if (instrumented) {
-      co.metrics_out = metrics_path;
-      co.trace_out = trace_path;
-    }
     faultsim::Campaign c(co);
     c.add_model("baseline", model, false);
     c.add_fault(faultsim::fault_free());
@@ -649,11 +772,16 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
 
   obs::metrics().set_enabled(false);
   obs::Tracer::global().set_enabled(false);
-  const std::string off = run_campaign(false);
+  const std::string off = run_campaign();
 
   obs::metrics().set_enabled(true);
   obs::Tracer::global().clear();
-  const std::string on = run_campaign(true);  // enables tracing itself
+  obs::Sinks sinks;
+  sinks.metrics = metrics_path;
+  sinks.trace = trace_path;
+  obs::start(sinks);  // enables tracing
+  const std::string on = run_campaign();
+  obs::finish();      // writes both files
   obs::Tracer::global().set_enabled(false);
   obs::Tracer::global().clear();
 
@@ -673,25 +801,32 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
   EXPECT_NE(tj.find("scenario "), std::string::npos);
 }
 
-TEST(ObsInvariant, ConfigKeysCoverObservability) {
-  const auto& keys = faultsim::campaign_config_keys();
-  auto has = [&](const char* k) {
-    return std::find(keys.begin(), keys.end(), k) != keys.end();
-  };
-  EXPECT_TRUE(has("metrics_out"));
-  EXPECT_TRUE(has("trace_out"));
-  EXPECT_TRUE(has("log_level"));
-  EXPECT_TRUE(has("statusz_port"));
-  EXPECT_TRUE(has("metrics_stream"));
-  EXPECT_TRUE(has("slo_p99_ms"));
-  // And they parse end to end, including the loud failure on a bad level.
-  core::KeyValueConfig cfg = core::KeyValueConfig::from_string(
-      "stuck.rates = 0.01\nlog_level = info\nmetrics_out = \n");
-  faultsim::campaign_from_config(cfg);
-  core::KeyValueConfig bad =
-      core::KeyValueConfig::from_string("stuck.rates = 0.01\nlog_level = loud\n");
-  EXPECT_THROW(faultsim::campaign_from_config(bad), std::invalid_argument);
+TEST(ObsInvariant, CampaignConfigAcceptsSinkKeysWithoutStartingThem) {
+  // A campaign file may carry the five sink keys; the campaign accepts them
+  // and leaves them to the frontend's read_sinks, so parsing one changes no
+  // process-global state. The process-default SLO key is gone.
+  const std::string stream = "test_obs_campaign_stream.jsonl";
+  std::remove(stream.c_str());
+  const core::KeyValueConfig cfg = core::KeyValueConfig::from_string(
+      "stuck.rates = 0.01\nmetrics_out = m.json\ntrace_out = t.json\n"
+      "log_level = quiet\nstatusz_port = 0\nmetrics_stream = " + stream +
+      "\n");
   obs::Logger::global().set_level(obs::LogLevel::kInfo);
+  const bool tracing = obs::Tracer::global().enabled();
+  faultsim::Campaign c = faultsim::campaign_from_config(cfg);
+  EXPECT_EQ(c.num_faults(), 2);  // control + one stuck-at rate
+  EXPECT_EQ(obs::Logger::global().level(), obs::LogLevel::kInfo);
+  EXPECT_EQ(obs::Tracer::global().enabled(), tracing);
+  EXPECT_EQ(obs::ExpositionServer::global(), nullptr);
+  EXPECT_FALSE(std::ifstream(stream).good());
+  EXPECT_EQ(obs::read_sinks(cfg).log, obs::LogLevel::kQuiet);
+
+  const auto& keys = faultsim::campaign_config_keys();
+  for (const std::string& k : obs::sink_config_keys())
+    EXPECT_EQ(std::find(keys.begin(), keys.end(), k), keys.end()) << k;
+  EXPECT_THROW(faultsim::campaign_from_config(core::KeyValueConfig::from_string(
+                   "stuck.rates = 0.01\nslo_p99_ms = 2.5\n")),
+               std::runtime_error);
 }
 
 }  // namespace
