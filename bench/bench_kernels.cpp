@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, the digital conv and
 // dense kernels, crossbar MVM, the batched crossbar matmul on every
-// registered execution target, crossbar read-noise draws (scalar loop vs
-// the Gaussian span), and Monte-Carlo perturbation sampling.
+// registered execution target, crossbar read-noise draws and programming
+// lognormals (scalar loop vs the Gaussian spans), tile programming, and
+// Monte-Carlo perturbation sampling.
 // Legs that run on the thread pool time real (wall) time: the main thread's
 // CPU time would leave out the workers' share.
 #include <benchmark/benchmark.h>
@@ -201,6 +202,53 @@ void BM_ReadNoise(benchmark::State& state, bool span) {
 }
 BENCHMARK_CAPTURE(BM_ReadNoise, scalar, false)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ReadNoise, span, true)->UseRealTime();
+
+// One tile's programming variation as CrossbarTile draws it: 2 * 128 * 128
+// lognormal(0, 0.1) factors, G+ and G- interleaved. `scalar` is the per-draw
+// loop the span replaced; `span` is Rng::fill_exp_normal (certified exp
+// kernel at the auto-dispatched simd level). Same bits; per_draw is the
+// real time per factor.
+void BM_Lognormal(benchmark::State& state, bool span) {
+  constexpr int64_t kDraws = 2 * 128 * 128;
+  const double sigma = 0.1;
+  Rng rng(11);
+  std::vector<float> f(kDraws);
+  for (auto _ : state) {
+    if (span) {
+      rng.fill_exp_normal(f.data(), nullptr, kDraws, {0.0, sigma, 1.0, false});
+    } else {
+      for (float& v : f) v = static_cast<float>(rng.lognormal(0.0, sigma));
+    }
+    benchmark::DoNotOptimize(f.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(kDraws),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_Lognormal, scalar, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_Lognormal, span, true)->UseRealTime();
+
+// Programs one n x n tile at program_sigma 0.1 (the weight-to-conductance
+// map plus two lognormal factors per weight), without lowering it for the
+// batched path. per_draw is the real time per factor, mapping included.
+void BM_ProgramTile(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(12);
+  Tensor w({n, n});
+  rng.fill_normal(w, 0.0f, 0.5f);
+  const float absmax = max_abs(w);
+  analog::RramDeviceParams dev;
+  dev.program_sigma = 0.1f;
+  for (auto _ : state) {
+    analog::CrossbarTile tile(w, absmax, dev, rng, /*defer_lowering=*/true);
+    benchmark::DoNotOptimize(&tile);
+  }
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(2 * n * n),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ProgramTile)->Arg(128)->UseRealTime();
 
 }  // namespace
 

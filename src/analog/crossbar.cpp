@@ -19,12 +19,24 @@ const Tensor& rank2(const Tensor& w) {
 }
 }  // namespace
 
+void validate_device(const RramDeviceParams& dev) {
+  if (!(dev.g_max > dev.g_min))
+    throw std::invalid_argument("RramDeviceParams: g_max must exceed g_min");
+  const auto check_sigma = [](const char* name, float sigma) {
+    if (!(std::isfinite(sigma) && sigma >= 0.0f))
+      throw std::invalid_argument(std::string("RramDeviceParams: ") + name +
+                                  " must be finite and >= 0, got " +
+                                  std::to_string(sigma));
+  };
+  check_sigma("program_sigma", dev.program_sigma);
+  check_sigma("read_sigma", dev.readout.read_sigma);
+}
+
 CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev,
                            Rng& rng, bool defer_lowering, const exec::Target* target)
     : rows_(rank2(w).dim(0)), cols_(w.dim(1)), dev_(dev),
       target_(target ? target : &exec::default_target()) {
-  if (dev.g_max <= dev.g_min)
-    throw std::invalid_argument("CrossbarTile: g_max must exceed g_min");
+  validate_device(dev);
   const float g_range = dev.g_max - dev.g_min;
   // scale maps conductance difference to weight: w = scale * (g+ - g-).
   scale_ = (w_absmax > 0.0f) ? w_absmax / g_range : 1.0f;
@@ -43,12 +55,23 @@ CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDevicePara
       gp = quantize_uniform(gp, dev.g_min, dev.g_max, dev.conductance_levels);
       gn = quantize_uniform(gn, dev.g_min, dev.g_max, dev.conductance_levels);
     }
-    if (dev.program_sigma > 0.0f) {
-      gp *= static_cast<float>(rng.lognormal(0.0, dev.program_sigma));
-      gn *= static_cast<float>(rng.lognormal(0.0, dev.program_sigma));
-    }
     g_pos_[static_cast<size_t>(i)] = gp;
     g_neg_[static_cast<size_t>(i)] = gn;
+  }
+  if (dev.program_sigma > 0.0f) {
+    // Programming variation: two lognormal factors per weight, G+ then G-,
+    // drawn as one stream in that order and applied as float products.
+    constexpr int64_t kChunk = 256;  // weights per span
+    float f[2 * kChunk];
+    const exec::gauss::ExpNormal lognormal{0.0, dev.program_sigma, 1.0, false};
+    for (int64_t i0 = 0; i0 < n; i0 += kChunk) {
+      const int64_t m = std::min(kChunk, n - i0);
+      rng.fill_exp_normal(f, nullptr, 2 * m, lognormal);
+      for (int64_t j = 0; j < m; ++j) {
+        g_pos_[static_cast<size_t>(i0 + j)] *= f[2 * j];
+        g_neg_[static_cast<size_t>(i0 + j)] *= f[2 * j + 1];
+      }
+    }
   }
   if (!defer_lowering) lower();
 }

@@ -50,6 +50,12 @@ struct RramDeviceParams {
   RramReadout readout;        // read noise / ADC / DAC periphery
 };
 
+/// Throws std::invalid_argument unless g_max > g_min and both sigmas are
+/// finite and >= 0 (a NaN or negative sigma would otherwise read as "no
+/// noise"). Every CrossbarTile checks its device, after prepare_device;
+/// faultsim::Campaign checks its base device before any training.
+void validate_device(const RramDeviceParams& dev);
+
 /// Injection hook for device-fault and nonideality models (src/faultsim).
 /// After a tile is programmed (level quantization + programming variation),
 /// every model of a fault list transforms the conductance pair arrays in

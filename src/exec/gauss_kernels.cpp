@@ -3,15 +3,16 @@
 // vectors, instantiated per ISA level under target attributes and picked
 // per call.
 //
-// The polynomials are fdlibm's (e_log.c, k_sin.c, k_cos.c; Sun
+// The polynomials are fdlibm's (e_log.c, k_sin.c, k_cos.c, e_exp.c; Sun
 // Microsystems, freely distributable), each under 1-2 ulps, so the computed
 // z = r cos a (or r sin a) is within 2^-47 |z| of libm's. The rounding test
 // then asks for a 2^-36 |stddev z| distance from the float rounding boundary
 // plus 2^-50 |v| for the final mean + stddev z rounding on either side: a
 // 2^11 margin over the worst case, failed by about 3.5e-4 of the lanes.
-// Lanes whose reduced trig argument is within 2^-16 of zero (where a
-// relative bound would need a finer reduction), and values outside the
-// normal float range, are rejected outright.
+// The exp spans widen the margin by the exponent's amplification and the
+// exp errors (exp_value). Lanes whose reduced trig argument is within 2^-16
+// of zero (where a relative bound would need a finer reduction), and values
+// outside the normal float range, are rejected outright.
 #include "exec/gauss_kernels.h"
 
 #include <algorithm>
@@ -84,26 +85,27 @@ template <typename D>
          ((hfsq - (s * (hfsq + t2 + t1) + kd * 0x1.a39ef35793c76p-33)) - f);
 }
 
-// Sign bit set where certified: v = mean + stddev z lies more than the
-// error budget from the midpoint of the two floats around it, so libm's v
-// rounds to the same float. In the normal float range the midpoint is v's
-// double with the 29 bits below the float mantissa set to 1000...0. Each
-// condition is "difference < 0"; av - 2^127 is negative only for finite v
-// (|NaN| is a positive NaN), and a finite v has finite stddev z.
+// Sign bit set where certified: the double v lies more than `margin` (the
+// caller's bound on its distance from libm's double) from the midpoint of
+// the two floats around it, so libm's v rounds to the same float. In the
+// normal float range the midpoint is v's double with the 29 bits below the
+// float mantissa set to 1000...0. Each condition is "difference < 0";
+// av - 2^127 is negative only for finite v (|NaN| is a positive NaN), and
+// the last term keeps the margin below a quarter of a float spacing.
 template <typename D>
-[[gnu::always_inline]] inline Bits<D> certified(D v, D sz) {
+[[gnu::always_inline]] inline Bits<D> certified(D v, D margin) {
   const D av = vabs(v);
-  const D margin = 0x1p-36 * vabs(sz) + 0x1p-50 * av;
   const D mid = (D)(((Bits<D>)av & ~0x1fffffffull) | 0x10000000ull);
   return (Bits<D>)(0x1p-125 - av) & (Bits<D>)(av - 0x1p127) &
          (Bits<D>)(margin - vabs(av - mid)) & (Bits<D>)(margin - 0x1p-28 * av);
 }
 
-// One vector of pairs: writes v = mean + stddev (r cos a, r sin a) and
-// returns the sign bits of the lanes where both values are certified.
+// One vector of pairs: writes the normals (zc, zs) = (r cos a, r sin a),
+// each within 2^-47 of libm's relative to its size, and returns the sign
+// bits of the lanes where that relative bound holds: lanes whose reduced
+// trig argument is within 2^-16 of zero are not certified.
 template <typename D>
-[[gnu::always_inline]] inline Bits<D> pair_block(D u1, D u2, double mean,
-                                                 double stddev, D& vc, D& vs) {
+[[gnu::always_inline]] inline Bits<D> normal_block(D u1, D u2, D& zc, D& zs) {
   constexpr int L = sizeof(D) / sizeof(double);
   const D x = -2.0 * vlog(u1);
   D r;
@@ -142,10 +144,72 @@ template <typename D>
   const D cosa = (D)((Bits<D>)c0 ^ (((q + 1ull) & 2ull) << 62));
   const D sina = (D)((Bits<D>)s0 ^ ((q & 2ull) << 62));
 
-  const D szc = stddev * (r * cosa), szs = stddev * (r * sina);
-  vc = mean + szc;
-  vs = mean + szs;
-  return (Bits<D>)(0x1p-16 - vabs(y)) & certified(vc, szc) & certified(vs, szs);
+  zc = r * cosa;
+  zs = r * sina;
+  return (Bits<D>)(0x1p-16 - vabs(y));
+}
+
+// Loads pairs p0 .. p0 + np of the uniforms (np <= the lane count); a tail
+// is padded with a harmless pair whose results are never written back.
+template <typename D>
+[[gnu::always_inline]] inline void load_pairs(const double* u1, const double* u2,
+                                              int64_t p0, int64_t np, D& a, D& b) {
+  constexpr int L = sizeof(D) / sizeof(double);
+  if (np == L) {
+    std::memcpy(&a, u1 + p0, sizeof(D));
+    std::memcpy(&b, u2 + p0, sizeof(D));
+    return;
+  }
+  CN_UNROLL
+  for (int l = 0; l < L; ++l) {
+    a[l] = l < np ? u1[p0 + l] : 0.5;
+    b[l] = l < np ? u2[p0 + l] : 0.125;
+  }
+}
+
+// e^y for |y| < 512: fdlibm's e_exp.c without its special cases. y = k ln2
+// + r with |r| <= ln2/2 (k rounded through the 2^52 + 2^51 magic, whose low
+// bits then hold k), e^r = 1 + r + r c / (2 - c) with its Remez polynomial c,
+// and 2^k added to the exponent field.
+template <typename D>
+[[gnu::always_inline]] inline D vexp(D y) {
+  const D t = y * 0x1.71547652b82fep0 + 0x1.8p52;
+  const D kd = t - 0x1.8p52;
+  const D hi = y - kd * 0x1.62e42feep-1;
+  const D lo = kd * 0x1.a39ef35793c76p-33;
+  const D r = hi - lo;
+  const D r2 = r * r;
+  const D c =
+      r - r2 * (0x1.555555555553ep-3 +
+                r2 * (-0x1.6c16c16bebd93p-9 +
+                      r2 * (0x1.1566aaf25de2cp-14 +
+                            r2 * (-0x1.bbd41c5d26bf1p-20 + r2 * 0x1.6376972bea4dp-25))));
+  const D e = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+  return (D)((Bits<D>)e + ((Bits<D>)t << 52));
+}
+
+// v = g exp(k c(mean + stddev z)) for one vector of normals z, with the
+// sign bits of the certified lanes. libm's chain differs from this one by
+// at most |k| (2^-47 |stddev z| + 2^-52 |x|) in the exponent (the z bound
+// above plus the roundings of x on both sides), 2^-52 |k x| for k c, one
+// ulp of libm exp, two of the polynomial and one rounding of v per side:
+// about 2^-47 |k stddev z| + 2^-51 |k x| + 2^-50 relative to v. The margin
+// is 2^11 times that. Where the clamp applies, a lane whose x lies within
+// 2^-36 |stddev z| of zero (libm's x might have the other sign) is not
+// certified, and neither is one with |k c| >= 512, beyond vexp's range.
+template <typename D>
+[[gnu::always_inline]] inline Bits<D> exp_value(D z, D g, const ExpNormal& p, D& v) {
+  typedef long long I __attribute__((vector_size(sizeof(D))));
+  const D sz = p.stddev * z;
+  const D x = p.mean + sz;
+  const Bits<D> neg = p.clamp ? (Bits<D>)((I)x >> 63) : Bits<D>{};
+  const D y = p.k * (D)((Bits<D>)x & ~neg);
+  v = g * vexp(y);
+  const D margin =
+      vabs(v) * (0x1p-36 * vabs(p.k * sz) + 0x1p-40 * vabs(p.k * x) + 0x1p-39);
+  const Bits<D> sign_sure = p.clamp ? (Bits<D>)(0x1p-36 * vabs(sz) - vabs(x))
+                                    : Bits<D>{} - 1ull;
+  return certified(v, margin) & (Bits<D>)(vabs(y) - 512.0) & sign_sure;
 }
 
 template <typename D>
@@ -157,19 +221,15 @@ template <typename D>
   int64_t kept = 0;
   for (int64_t p0 = 0; p0 < npairs; p0 += L) {
     const int64_t np = std::min<int64_t>(L, npairs - p0);
-    D a = {}, b = {};
-    if (np == L) {
-      std::memcpy(&a, u1 + p0, sizeof(D));
-      std::memcpy(&b, u2 + p0, sizeof(D));
-    } else {  // tail: pad with a harmless pair, never written back
-      CN_UNROLL
-      for (int l = 0; l < L; ++l) {
-        a[l] = l < np ? u1[p0 + l] : 0.5;
-        b[l] = l < np ? u2[p0 + l] : 0.125;
-      }
-    }
-    D vc = {}, vs = {};
-    const Bits<D> ok = pair_block(a, b, mean, stddev, vc, vs);
+    D a = {}, b = {}, zc = {}, zs = {};
+    load_pairs(u1, u2, p0, np, a, b);
+    const Bits<D> trig_ok = normal_block(a, b, zc, zs);
+    const D szc = stddev * zc, szs = stddev * zs;
+    const D vc = mean + szc, vs = mean + szs;
+    // v = mean + stddev z is within 2^-47 |stddev z| of libm's plus a
+    // rounding per side (2^-53 |v| each): the margin is 2^11 times that.
+    const Bits<D> ok = trig_ok & certified(vc, 0x1p-36 * vabs(szc) + 0x1p-50 * vabs(vc)) &
+                       certified(vs, 0x1p-36 * vabs(szs) + 0x1p-50 * vabs(vs));
     // Interleave (cos, sin) per pair: lanes 0, L, 1, L + 1, ...
     using F = typename LanesOf<D>::Float;
     const F fc = __builtin_convertvector(vc, F), fs = __builtin_convertvector(vs, F);
@@ -188,12 +248,58 @@ template <typename D>
   return npairs - kept;
 }
 
+template <typename D>
+[[gnu::always_inline]] inline int64_t exp_pairs_impl(const double* u1,
+                                                     const double* u2,
+                                                     int64_t npairs,
+                                                     const ExpNormal& p,
+                                                     const float* g, float* out,
+                                                     uint8_t* keep) {
+  constexpr int L = sizeof(D) / sizeof(double);
+  int64_t kept = 0;
+  for (int64_t p0 = 0; p0 < npairs; p0 += L) {
+    const int64_t np = std::min<int64_t>(L, npairs - p0);
+    D a = {}, b = {}, zc = {}, zs = {};
+    load_pairs(u1, u2, p0, np, a, b);
+    const Bits<D> trig_ok = normal_block(a, b, zc, zs);
+    // The pair's two scale factors: g[2i] goes with cos, g[2i + 1] with sin.
+    D gc = {}, gs = {};
+    CN_UNROLL
+    for (int l = 0; l < L; ++l) {
+      const bool in = g && l < np;
+      gc[l] = in ? g[2 * (p0 + l)] : 1.0;
+      gs[l] = in ? g[2 * (p0 + l) + 1] : 1.0;
+    }
+    D vc = {}, vs = {};
+    const Bits<D> ok = trig_ok & exp_value(zc, gc, p, vc) & exp_value(zs, gs, p, vs);
+    using F = typename LanesOf<D>::Float;
+    const F fc = __builtin_convertvector(vc, F), fs = __builtin_convertvector(vs, F);
+    // Only kept pairs are written: a rejected pair's g stays readable when
+    // out aliases g.
+    for (int64_t l = 0; l < np; ++l) {
+      const auto k = static_cast<uint8_t>(ok[l] >> 63);
+      keep[p0 + l] = k;
+      kept += k;
+      if (!k) continue;
+      out[2 * (p0 + l)] = fc[l];
+      out[2 * (p0 + l) + 1] = fs[l];
+    }
+  }
+  return npairs - kept;
+}
+
 using PairKernel = int64_t (*)(const double*, const double*, int64_t, double,
                                double, float*, uint8_t*);
+using ExpKernel = int64_t (*)(const double*, const double*, int64_t,
+                              const ExpNormal&, const float*, float*, uint8_t*);
 
 int64_t pairs_generic(const double* u1, const double* u2, int64_t npairs,
                       double mean, double stddev, float* out, uint8_t* keep) {
   return pairs_impl<D2>(u1, u2, npairs, mean, stddev, out, keep);
+}
+int64_t exp_generic(const double* u1, const double* u2, int64_t npairs,
+                    const ExpNormal& p, const float* g, float* out, uint8_t* keep) {
+  return exp_pairs_impl<D2>(u1, u2, npairs, p, g, out, keep);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -207,9 +313,21 @@ __attribute__((target("avx512f,fma"))) int64_t pairs_avx512(
     double stddev, float* out, uint8_t* keep) {
   return pairs_impl<D8>(u1, u2, npairs, mean, stddev, out, keep);
 }
+__attribute__((target("avx2,fma"))) int64_t exp_avx2(
+    const double* u1, const double* u2, int64_t npairs, const ExpNormal& p,
+    const float* g, float* out, uint8_t* keep) {
+  return exp_pairs_impl<D4>(u1, u2, npairs, p, g, out, keep);
+}
+__attribute__((target("avx512f,fma"))) int64_t exp_avx512(
+    const double* u1, const double* u2, int64_t npairs, const ExpNormal& p,
+    const float* g, float* out, uint8_t* keep) {
+  return exp_pairs_impl<D8>(u1, u2, npairs, p, g, out, keep);
+}
 const PairKernel kPairTable[3] = {pairs_generic, pairs_avx2, pairs_avx512};
+const ExpKernel kExpTable[3] = {exp_generic, exp_avx2, exp_avx512};
 #else
 const PairKernel kPairTable[3] = {pairs_generic, pairs_generic, pairs_generic};
+const ExpKernel kExpTable[3] = {exp_generic, exp_generic, exp_generic};
 #endif
 
 #undef CN_UNROLL
@@ -220,6 +338,12 @@ int64_t box_muller_pairs(const double* u1, const double* u2, int64_t npairs,
                          double mean, double stddev, float* out, uint8_t* keep) {
   return kPairTable[simd::current_level()](u1, u2, npairs, mean, stddev, out,
                                            keep);
+}
+
+int64_t exp_normal_pairs(const double* u1, const double* u2, int64_t npairs,
+                         const ExpNormal& p, const float* g, float* out,
+                         uint8_t* keep) {
+  return kExpTable[simd::current_level()](u1, u2, npairs, p, g, out, keep);
 }
 
 }  // namespace cn::exec::gauss

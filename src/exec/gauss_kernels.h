@@ -1,4 +1,4 @@
-// Block Box–Muller pairs for Rng::fill_normal, libm-free and certified.
+// Block Box–Muller pairs for Rng's Gaussian spans, libm-free and certified.
 //
 // Rng::normal turns one uniform pair (u1, u2) into two normals with libm:
 // r = sqrt(-2 log u1), a = 2π u2, (r cos a, r sin a). box_muller_pairs
@@ -11,7 +11,10 @@
 // caller's to recompute with libm, so kept and recomputed values together
 // are bit-identical to the scalar loop at every level, while the polynomial
 // itself may round differently per level (and uses FMA where the level has
-// it).
+// it). exp_normal_pairs extends the same pairs through a polynomial exp
+// (Tang, ACM TOMS 15(2), 1989; fdlibm's coefficients) for the lognormal
+// spans of the write path, under a margin that also covers the exp error
+// amplified by the exponent.
 #pragma once
 
 #include <cstdint>
@@ -28,5 +31,27 @@ namespace cn::exec::gauss {
 /// not kept. Dispatches on exec::simd::current_level().
 int64_t box_muller_pairs(const double* u1, const double* u2, int64_t npairs,
                          double mean, double stddev, float* out, uint8_t* keep);
+
+/// The map from a normal z to one value of Rng::fill_exp_normal:
+///   x = mean + stddev * z,  c = clamp ? max(0, x) : x,  out = g * exp(k * c),
+/// evaluated in double and rounded once to float. A lognormal factor is
+/// {0, sigma, 1, false} with g = 1; drift's (t/t0)^-max(0, nu) is
+/// {nu_mean, nu_sigma, -log(t/t0), true} scaling the conductance.
+struct ExpNormal {
+  double mean = 0.0;
+  double stddev = 1.0;
+  double k = 1.0;
+  bool clamp = false;
+};
+
+/// Like box_muller_pairs, but out[2i + j] = float(g[2i + j] * exp(k * c(x)))
+/// for the pair's cos (j = 0) and sin (j = 1) normal, with g = 1 when g is
+/// null. keep[i] = 1 when both floats are certified equal to libm's chain.
+/// Only kept pairs are written, so out may alias g and a rejected pair's
+/// g stays readable for the scalar recomputation. Returns the number of
+/// pairs not kept.
+int64_t exp_normal_pairs(const double* u1, const double* u2, int64_t npairs,
+                         const ExpNormal& p, const float* g, float* out,
+                         uint8_t* keep);
 
 }  // namespace cn::exec::gauss

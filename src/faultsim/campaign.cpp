@@ -119,6 +119,9 @@ void CampaignReport::write_json(const std::string& path) const {
 }
 
 Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
+  // The tiles check their (fault-adjusted) device too; checking the base
+  // device here fails a bad config before any training.
+  analog::validate_device(opts_.dev);
   if (opts_.chips < 1)
     throw std::invalid_argument("Campaign: need at least one chip per scenario");
   if (opts_.parallel_scenarios < 0)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 namespace cn::faultsim {
@@ -37,14 +38,11 @@ void StuckAtFault::apply_mapped(float* g_pos, float* g_neg, const TileCtx& ctx,
 void DriftFault::apply(float* g_pos, float* g_neg, const TileCtx& ctx,
                        const analog::RramDeviceParams&, Rng& rng) const {
   if (t_ratio == 1.0 || (nu_mean == 0.0 && nu_sigma == 0.0)) return;
-  const double log_t = std::log(t_ratio);
+  // g * (t/t0)^-nu = g * exp(-log(t/t0) * max(0, nu)), one nu per cell,
+  // G+ then G-.
+  const exec::gauss::ExpNormal aging{nu_mean, nu_sigma, -std::log(t_ratio), true};
   const int64_t n = ctx.rows * ctx.cols;
-  for (float* g : {g_pos, g_neg}) {
-    for (int64_t i = 0; i < n; ++i) {
-      const double nu = std::max(0.0, rng.normal(nu_mean, nu_sigma));
-      g[i] = static_cast<float>(g[i] * std::exp(-nu * log_t));
-    }
-  }
+  for (float* g : {g_pos, g_neg}) rng.fill_exp_normal(g, g, n, aging);
 }
 
 void IrDropFault::apply(float* g_pos, float* g_neg, const TileCtx& ctx,
@@ -77,12 +75,25 @@ void ThermalFault::apply(float* g_pos, float* g_neg, const TileCtx& ctx,
   const double over = temperature / t_nominal - 1.0;
   const double sigma = cell_sigma * over;
   if (sigma <= 0.0) return;
+  const exec::gauss::ExpNormal lognormal{0.0, sigma, 1.0, false};
   const int64_t n = ctx.rows * ctx.cols;
-  for (float* g : {g_pos, g_neg}) {
-    for (int64_t i = 0; i < n; ++i)
-      g[i] = static_cast<float>(g[i] * rng.lognormal(0.0, sigma));
-  }
+  for (float* g : {g_pos, g_neg}) rng.fill_exp_normal(g, g, n, lognormal);
 }
+
+namespace {
+// The grid builders' one severity check: a NaN, infinite or out-of-range
+// value would otherwise program NaN conductances or silently disable the
+// scenario.
+void require(bool ok, const char* kind, const char* what, double value) {
+  if (ok) return;
+  std::ostringstream os;
+  os << kind << ": " << what << ", got " << value;
+  throw std::invalid_argument(os.str());
+}
+
+bool unit_interval(double v) { return std::isfinite(v) && v >= 0.0 && v <= 1.0; }
+bool positive(double v) { return std::isfinite(v) && v > 0.0; }
+}  // namespace
 
 FaultSpec fault_free() {
   FaultSpec s;
@@ -91,6 +102,9 @@ FaultSpec fault_free() {
 }
 
 FaultSpec stuck_at(double rate, double high_fraction) {
+  require(unit_interval(rate), "stuck_at", "rate must be in [0, 1]", rate);
+  require(unit_interval(high_fraction), "stuck_at",
+          "high_fraction must be in [0, 1]", high_fraction);
   FaultSpec s;
   s.kind = "stuck_at";
   s.severity = rate;
@@ -100,6 +114,9 @@ FaultSpec stuck_at(double rate, double high_fraction) {
 }
 
 FaultSpec drift(double t_ratio, double nu_mean, double nu_sigma) {
+  require(positive(t_ratio), "drift", "t_ratio must be finite and > 0", t_ratio);
+  require(std::isfinite(nu_mean), "drift", "nu must be finite", nu_mean);
+  require(std::isfinite(nu_sigma), "drift", "nu_sigma must be finite", nu_sigma);
   FaultSpec s;
   s.kind = "drift";
   s.severity = t_ratio;
@@ -108,6 +125,7 @@ FaultSpec drift(double t_ratio, double nu_mean, double nu_sigma) {
 }
 
 FaultSpec ir_drop(double alpha) {
+  require(unit_interval(alpha), "ir_drop", "alpha must be in [0, 1]", alpha);
   FaultSpec s;
   s.kind = "ir_drop";
   s.severity = alpha;
@@ -116,6 +134,9 @@ FaultSpec ir_drop(double alpha) {
 }
 
 FaultSpec thermal(double temperature, double t_nominal) {
+  require(positive(temperature), "thermal",
+          "temperature must be finite and > 0", temperature);
+  require(positive(t_nominal), "thermal", "t0 must be finite and > 0", t_nominal);
   FaultSpec s;
   s.kind = "thermal";
   s.severity = temperature;

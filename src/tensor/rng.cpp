@@ -84,11 +84,19 @@ bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::fork() { return Rng(next_u64() ^ 0xD1B54A32D192ED03ull); }
 
-void Rng::fill_normal(float* out, int64_t n, float mean, float stddev) {
-  const double m = mean, s = stddev;
+// The Gaussian spans share one loop. `pairs(u1, u2, np, i, keep)` maps
+// np uniform pairs to out[i .. i + 2np) through a certified block kernel
+// and returns how many pairs it did not keep; `value(j, z)` is the scalar
+// libm form of out[j] for a normal z. A cached second normal is libm's
+// exact double: it goes first, as is. An odd tail takes a fresh pair
+// through normal(), which leaves libm's exact second value in the cache.
+template <typename Pairs, typename Value>
+void Rng::fill_span(float* out, int64_t n, const Pairs& pairs, const Value& value) {
   int64_t i = 0;
-  // A cached second normal is libm's exact double: it goes first, as is.
-  if (n > 0 && has_cached_normal_) out[i++] = static_cast<float>(normal(m, s));
+  if (n > 0 && has_cached_normal_) {
+    out[0] = value(0, normal());
+    i = 1;
+  }
   constexpr int64_t kBlock = 64;  // pairs per kernel call
   double u1[kBlock] = {}, u2[kBlock] = {};
   uint8_t keep[kBlock] = {};
@@ -100,21 +108,43 @@ void Rng::fill_normal(float* out, int64_t n, float mean, float stddev) {
       } while (u1[p] <= 1e-300);
       u2[p] = uniform();
     }
-    float* o = out + i;
-    if (exec::gauss::box_muller_pairs(u1, u2, np, m, s, o, keep) > 0) {
+    if (pairs(u1, u2, np, i, keep) > 0) {
       for (int64_t p = 0; p < np; ++p) {
         if (keep[p]) continue;
         double c = 0.0, sn = 0.0;
         box_muller(u1[p], u2[p], c, sn);
-        o[2 * p] = static_cast<float>(m + s * c);
-        o[2 * p + 1] = static_cast<float>(m + s * sn);
+        out[i + 2 * p] = value(i + 2 * p, c);
+        out[i + 2 * p + 1] = value(i + 2 * p + 1, sn);
       }
     }
     i += 2 * np;
   }
-  // An odd tail takes a fresh pair through normal(), which leaves libm's
-  // exact second value in the cache.
-  if (i < n) out[i] = static_cast<float>(normal(m, s));
+  if (i < n) out[i] = value(i, normal());
+}
+
+void Rng::fill_normal(float* out, int64_t n, float mean, float stddev) {
+  const double m = mean, s = stddev;
+  fill_span(
+      out, n,
+      [&](const double* u1, const double* u2, int64_t np, int64_t i, uint8_t* keep) {
+        return exec::gauss::box_muller_pairs(u1, u2, np, m, s, out + i, keep);
+      },
+      [&](int64_t, double z) { return static_cast<float>(m + s * z); });
+}
+
+void Rng::fill_exp_normal(float* out, const float* g, int64_t n,
+                          const exec::gauss::ExpNormal& p) {
+  fill_span(
+      out, n,
+      [&](const double* u1, const double* u2, int64_t np, int64_t i, uint8_t* keep) {
+        return exec::gauss::exp_normal_pairs(u1, u2, np, p, g ? g + i : nullptr,
+                                             out + i, keep);
+      },
+      [&](int64_t j, double z) {
+        const double x = p.mean + p.stddev * z;
+        const double c = p.clamp ? std::max(0.0, x) : x;
+        return static_cast<float>((g ? g[j] : 1.0) * std::exp(p.k * c));
+      });
 }
 
 void Rng::fill_normal(Tensor& t, float mean, float stddev) {
@@ -126,8 +156,7 @@ void Rng::fill_uniform(Tensor& t, float lo, float hi) {
 }
 
 void Rng::fill_lognormal_factor(Tensor& t, float sigma) {
-  for (int64_t i = 0; i < t.size(); ++i)
-    t[i] = static_cast<float>(lognormal(0.0, sigma));
+  fill_exp_normal(t.data(), nullptr, t.size(), {0.0, sigma, 1.0, false});
 }
 
 }  // namespace cn

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "exec/gauss_kernels.h"
 #include "tensor/tensor.h"
 
 namespace cn {
@@ -49,10 +50,19 @@ class Rng {
   /// leading value and an odd tail take the scalar libm path.
   void fill_normal(float* out, int64_t n, float mean, float stddev);
 
+  /// The write path's lognormal span: out[i] = float(g[i] * exp(k * c(x)))
+  /// with x = normal(p.mean, p.stddev) and c, k as in exec::gauss::ExpNormal
+  /// (g[i] = 1 when g is null), bit for bit what n scalar draws compute in
+  /// that order, end state included. out may alias g. Pairs go through the
+  /// certified exp_normal_pairs kernel; the rest as in fill_normal.
+  void fill_exp_normal(float* out, const float* g, int64_t n,
+                       const exec::gauss::ExpNormal& p);
+
   // Tensor fills.
   void fill_normal(Tensor& t, float mean, float stddev);
   void fill_uniform(Tensor& t, float lo, float hi);
-  /// Fills with exp(theta), theta ~ N(0, sigma^2) — the paper's Eq. (1)-(2).
+  /// Fills with exp(theta), theta ~ N(0, sigma^2) — the paper's Eq. (1)-(2),
+  /// i.e. float(lognormal(0, sigma)) per element, through fill_exp_normal.
   void fill_lognormal_factor(Tensor& t, float sigma);
 
   /// Fisher-Yates shuffle of an index array.
@@ -65,6 +75,9 @@ class Rng {
   }
 
  private:
+  template <typename Pairs, typename Value>
+  void fill_span(float* out, int64_t n, const Pairs& pairs, const Value& value);
+
   uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

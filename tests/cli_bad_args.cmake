@@ -57,6 +57,16 @@ if(CHECKS STREQUAL "correctnet_cli")
   expect_rejected("statusz_port expects a port in 0..65535, got '-5'"
                   faults --config "${cfg}")
   file(REMOVE "${cfg}")
+  # Degenerate severities and device sigmas fail the campaign config before
+  # training: drift at t = 0 would program NaN conductances, a NaN sigma
+  # would read as no noise.
+  file(WRITE "${cfg}" "drift.times = 0\n")
+  expect_rejected("drift: t_ratio must be finite and > 0, got 0"
+                  faults --config "${cfg}")
+  file(WRITE "${cfg}" "stuck.rates = 0.01\nprogram_sigma = nan\n")
+  expect_rejected("program_sigma must be finite and >= 0, got nan"
+                  faults --config "${cfg}")
+  file(REMOVE "${cfg}")
   # --quiet duplicated --log-level quiet and is gone.
   expect_rejected("usage:" faults --quiet)
 elseif(CHECKS STREQUAL "serve_demo")

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "exec_testutil.h"
 #include "tensor/ops.h"
 
 namespace cn::analog {
@@ -111,6 +116,119 @@ TEST(CrossbarArray, RejectsBadInputs) {
   RramDeviceParams bad = ideal_device();
   bad.g_max = bad.g_min;
   EXPECT_THROW(CrossbarTile(w, 1.0f, bad, rng), std::invalid_argument);
+}
+
+TEST(CrossbarTile, RejectsNonFiniteOrNegativeSigmas) {
+  // A NaN or negative sigma fails every "> 0" guard and would program or
+  // read noise-free without a word.
+  Rng rng(8);
+  Tensor w({2, 2});
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(), -0.1f,
+                        std::numeric_limits<float>::infinity()};
+  for (float bad : kBad) {
+    RramDeviceParams prog = ideal_device();
+    prog.program_sigma = bad;
+    EXPECT_THROW(CrossbarTile(w, 1.0f, prog, rng), std::invalid_argument) << bad;
+    EXPECT_THROW(CrossbarArray(w, prog, rng), std::invalid_argument) << bad;
+    RramDeviceParams read = ideal_device();
+    read.readout.read_sigma = bad;
+    EXPECT_THROW(CrossbarTile(w, 1.0f, read, rng), std::invalid_argument) << bad;
+    EXPECT_THROW(validate_device(read), std::invalid_argument) << bad;
+  }
+  RramDeviceParams ok = ideal_device();
+  ok.program_sigma = 0.0f;
+  ok.readout.read_sigma = 0.0f;
+  EXPECT_NO_THROW(validate_device(ok));
+}
+
+// Copies a tile's conductances when applied as a fault model and draws
+// nothing: the tests' window onto the programmed arrays.
+struct Probe final : FaultModel {
+  mutable std::vector<float> pos, neg;
+  void apply(float* g_pos, float* g_neg, const TileCtx& ctx,
+             const RramDeviceParams&, Rng&) const override {
+    const int64_t n = ctx.rows * ctx.cols;
+    pos.assign(g_pos, g_pos + n);
+    neg.assign(g_neg, g_neg + n);
+  }
+  std::string name() const override { return "probe"; }
+};
+
+// CrossbarTile's programming loop before the lognormal span, kept as the
+// reference: two scalar lognormal draws per weight, G+ then G-, each
+// applied as a float product.
+void reference_program(const Tensor& w, float w_absmax, const RramDeviceParams& dev,
+                       Rng& rng, std::vector<float>& g_pos, std::vector<float>& g_neg) {
+  const float scale = (w_absmax > 0.0f) ? w_absmax / (dev.g_max - dev.g_min) : 1.0f;
+  g_pos.resize(static_cast<size_t>(w.size()));
+  g_neg.resize(static_cast<size_t>(w.size()));
+  for (int64_t i = 0; i < w.size(); ++i) {
+    const float wv = w[i];
+    float gp = dev.g_min + (wv > 0.0f ? wv / scale : 0.0f);
+    float gn = dev.g_min + (wv < 0.0f ? -wv / scale : 0.0f);
+    gp = std::min(gp, dev.g_max);
+    gn = std::min(gn, dev.g_max);
+    if (dev.conductance_levels > 1) {
+      gp = quantize_uniform(gp, dev.g_min, dev.g_max, dev.conductance_levels);
+      gn = quantize_uniform(gn, dev.g_min, dev.g_max, dev.conductance_levels);
+    }
+    if (dev.program_sigma > 0.0f) {
+      gp *= static_cast<float>(rng.lognormal(0.0, dev.program_sigma));
+      gn *= static_cast<float>(rng.lognormal(0.0, dev.program_sigma));
+    }
+    g_pos[static_cast<size_t>(i)] = gp;
+    g_neg[static_cast<size_t>(i)] = gn;
+  }
+}
+
+TEST(CrossbarTile, ProgrammingMatchesTheScalarLognormalLoop) {
+  // Odd shapes (spans that end mid-chunk and on odd counts), level
+  // quantization on and off, every sigma the lognormal tests use, and a
+  // stream that starts on a cached normal: conductances and the stream's
+  // end state must equal the scalar loop's at every simd level.
+  struct Shape {
+    int64_t rows, cols;
+  };
+  const Shape kShapes[] = {{1, 1}, {7, 13}, {33, 17}, {64, 129}};
+  const float kSigmas[] = {0.0f, 0.02f, 0.1f, 0.3f, 0.5f, 1.0f, 3.0f};
+  testutil::for_each_simd_level([&](int level) {
+    uint64_t seed = 70;
+    for (const Shape& sh : kShapes)
+      for (float sigma : kSigmas)
+        for (int levels : {0, 16})
+          for (bool cached : {false, true}) {
+            Rng wr(++seed);
+            Tensor w({sh.rows, sh.cols});
+            wr.fill_normal(w, 0.0f, 0.5f);
+            RramDeviceParams dev = ideal_device();
+            dev.program_sigma = sigma;
+            dev.conductance_levels = levels;
+            Rng rng(seed * 7), ref(seed * 7);
+            if (cached) {
+              rng.normal();
+              ref.normal();
+            }
+            CrossbarTile tile(w, max_abs(w), dev, rng, /*defer_lowering=*/true);
+            Probe probe;
+            FaultModel::TileCtx ctx;
+            ctx.rows = ctx.array_rows = sh.rows;
+            ctx.cols = ctx.array_cols = sh.cols;
+            tile.apply_faults({&probe}, ctx, rng);
+            std::vector<float> want_pos, want_neg;
+            reference_program(w, max_abs(w), dev, ref, want_pos, want_neg);
+            const std::string what =
+                "level " + std::to_string(level) + " " + std::to_string(sh.rows) +
+                "x" + std::to_string(sh.cols) + " sigma=" + std::to_string(sigma) +
+                " levels=" + std::to_string(levels) + (cached ? " cached" : "");
+            testutil::expect_bitwise_equal(probe.pos.data(), want_pos.data(),
+                                           w.size(), what + " G+");
+            testutil::expect_bitwise_equal(probe.neg.data(), want_neg.data(),
+                                           w.size(), what + " G-");
+            const double a = rng.normal(), b = ref.normal();
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << what << ": next draw";
+            EXPECT_EQ(rng.next_u64(), ref.next_u64()) << what << ": stream";
+          }
+  });
 }
 
 TEST(CrossbarTile, RejectsNonRank2WeightBeforeReadingItsShape) {

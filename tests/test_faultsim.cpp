@@ -5,14 +5,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/compensation.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "exec_testutil.h"
 #include "models/lenet.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
@@ -204,6 +209,231 @@ TEST(FaultModels, ThermalScalesSigmasAndPerturbsCells) {
   for (int64_t i = 0; i < we_clean.size(); ++i)
     diff += std::abs(static_cast<double>(we_clean[i]) - we_hot[i]);
   EXPECT_GT(diff, 0.0);
+}
+
+// The fault models' loops before the lognormal span, kept as references:
+// a scalar normal plus a libm exp per cell, G+ then G-.
+void reference_drift(const DriftFault& f, float* g_pos, float* g_neg, int64_t n,
+                     Rng& rng) {
+  if (f.t_ratio == 1.0 || (f.nu_mean == 0.0 && f.nu_sigma == 0.0)) return;
+  const double log_t = std::log(f.t_ratio);
+  for (float* g : {g_pos, g_neg}) {
+    for (int64_t i = 0; i < n; ++i) {
+      const double nu = std::max(0.0, rng.normal(f.nu_mean, f.nu_sigma));
+      g[i] = static_cast<float>(g[i] * std::exp(-nu * log_t));
+    }
+  }
+}
+
+void reference_thermal(const ThermalFault& f, float* g_pos, float* g_neg,
+                       int64_t n, Rng& rng) {
+  const double sigma = f.cell_sigma * (f.temperature / f.t_nominal - 1.0);
+  if (sigma <= 0.0) return;
+  for (float* g : {g_pos, g_neg}) {
+    for (int64_t i = 0; i < n; ++i)
+      g[i] = static_cast<float>(g[i] * rng.lognormal(0.0, sigma));
+  }
+}
+
+// The references as fault models, to run through arrays and remap.
+struct ReferenceDrift final : analog::FaultModel {
+  DriftFault f;
+  explicit ReferenceDrift(DriftFault d) : f(d) {}
+  void apply(float* g_pos, float* g_neg, const TileCtx& ctx,
+             const analog::RramDeviceParams&, Rng& rng) const override {
+    reference_drift(f, g_pos, g_neg, ctx.rows * ctx.cols, rng);
+  }
+  std::string name() const override { return "drift"; }
+};
+
+struct ReferenceThermal final : analog::FaultModel {
+  ThermalFault f;
+  explicit ReferenceThermal(ThermalFault t) : f(t) {}
+  void prepare_device(analog::RramDeviceParams& dev) const override {
+    f.prepare_device(dev);
+  }
+  void apply(float* g_pos, float* g_neg, const TileCtx& ctx,
+             const analog::RramDeviceParams&, Rng& rng) const override {
+    reference_thermal(f, g_pos, g_neg, ctx.rows * ctx.cols, rng);
+  }
+  std::string name() const override { return "thermal"; }
+};
+
+// Appends every tile's conductances as the last model of a list; draws
+// nothing.
+struct Probe final : analog::FaultModel {
+  mutable std::vector<float> seen;
+  void apply(float* g_pos, float* g_neg, const TileCtx& ctx,
+             const analog::RramDeviceParams&, Rng&) const override {
+    const int64_t n = ctx.rows * ctx.cols;
+    seen.insert(seen.end(), g_pos, g_pos + n);
+    seen.insert(seen.end(), g_neg, g_neg + n);
+  }
+  std::string name() const override { return "probe"; }
+};
+
+void expect_same_stream(Rng& a, Rng& b, const std::string& what) {
+  const double x = a.normal(), y = b.normal();
+  EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << what << ": next draw differs";
+  EXPECT_EQ(a.next_u64(), b.next_u64()) << what << ": stream differs";
+}
+
+TEST(FaultModels, DriftAndThermalMatchTheScalarLoops) {
+  // Odd tile sizes (so G- starts on the cached second normal of G+'s last
+  // pair), a cached and an uncached start, clamped and gaining drift and
+  // hot and cold thermal: every conductance and the stream's end state
+  // equal the scalar loops at every simd level.
+  struct Shape {
+    int64_t rows, cols;
+  };
+  const Shape kShapes[] = {{1, 1}, {3, 5}, {17, 9}, {31, 33}};
+  const DriftFault kDrift[] = {DriftFault(1e3), DriftFault(10.0),
+                               DriftFault(0.5), DriftFault(1e4, 0.05, 0.3),
+                               DriftFault(1e3, 0.0, 0.0), DriftFault(1.0)};
+  const ThermalFault kThermal[] = {ThermalFault(400.0), ThermalFault(900.0),
+                                   ThermalFault(350.0, 300.0, 1.0),
+                                   ThermalFault(250.0), ThermalFault(300.0)};
+  const analog::RramDeviceParams dev = quiet_dev();
+  testutil::for_each_simd_level([&](int level) {
+    uint64_t seed = 900;
+    for (const Shape& sh : kShapes)
+      for (bool cached : {false, true}) {
+        analog::FaultModel::TileCtx ctx;
+        ctx.rows = ctx.array_rows = sh.rows;
+        ctx.cols = ctx.array_cols = sh.cols;
+        const int64_t n = sh.rows * sh.cols;
+        std::vector<float> base(static_cast<size_t>(2 * n));
+        Rng fill(++seed);
+        for (float& g : base) g = static_cast<float>(fill.uniform(dev.g_min, dev.g_max));
+        const std::string where = "level " + std::to_string(level) + " " +
+                                  std::to_string(sh.rows) + "x" +
+                                  std::to_string(sh.cols) + (cached ? " cached" : "");
+        auto check = [&](auto&& span, auto&& ref, const std::string& what) {
+          std::vector<float> got = base, want = base;
+          Rng a(seed * 3), b(seed * 3);
+          if (cached) {
+            a.normal();
+            b.normal();
+          }
+          span(got.data(), got.data() + n, a);
+          ref(want.data(), want.data() + n, b);
+          testutil::expect_bitwise_equal(got.data(), want.data(), 2 * n, what);
+          expect_same_stream(a, b, what);
+        };
+        for (const DriftFault& f : kDrift)
+          check([&](float* gp, float* gn, Rng& r) { f.apply(gp, gn, ctx, dev, r); },
+                [&](float* gp, float* gn, Rng& r) { reference_drift(f, gp, gn, n, r); },
+                where + " drift t=" + std::to_string(f.t_ratio) + " nu_sigma=" +
+                    std::to_string(f.nu_sigma));
+        for (const ThermalFault& f : kThermal)
+          check([&](float* gp, float* gn, Rng& r) { f.apply(gp, gn, ctx, dev, r); },
+                [&](float* gp, float* gn, Rng& r) { reference_thermal(f, gp, gn, n, r); },
+                where + " thermal T=" + std::to_string(f.temperature));
+      }
+  });
+}
+
+TEST(FaultModels, SpansMatchTheScalarLoopsThroughRemappedArrays) {
+  // Stuck-at, drift and thermal stacked on a programmed array with odd
+  // tiles, remap off and on: the array built with the span models equals
+  // the one built with the reference loops, conductance for conductance,
+  // and both leave the programming stream in the same place.
+  analog::RramDeviceParams dev = quiet_dev();
+  dev.program_sigma = 0.1f;
+  const Tensor w = random_weight(23, 37, 61);
+  const FaultSpec stuck = stuck_at(0.05);
+  const auto span_drift = std::make_shared<DriftFault>(1e3);
+  const auto span_thermal = std::make_shared<ThermalFault>(400.0);
+  const ReferenceDrift ref_drift(*span_drift);
+  const ReferenceThermal ref_thermal(*span_thermal);
+  remap::RemapParams rp;
+  rp.enabled = true;
+  rp.spare_rows = 2;
+  rp.spare_cols = 2;
+  testutil::for_each_simd_level([&](int level) {
+    for (bool remap_on : {false, true}) {
+      Probe span_probe, ref_probe;
+      const analog::FaultList span_list = {stuck.models[0].get(), span_drift.get(),
+                                           span_thermal.get(), &span_probe};
+      const analog::FaultList ref_list = {stuck.models[0].get(), &ref_drift,
+                                          &ref_thermal, &ref_probe};
+      Rng a(5), b(5);
+      const analog::CrossbarArray got(w, dev, a, /*tile=*/16, &span_list,
+                                      remap_on ? &rp : nullptr);
+      const analog::CrossbarArray want(w, dev, b, /*tile=*/16, &ref_list,
+                                       remap_on ? &rp : nullptr);
+      const std::string what = "level " + std::to_string(level) +
+                               (remap_on ? " remap on" : " remap off");
+      ASSERT_EQ(span_probe.seen.size(), ref_probe.seen.size()) << what;
+      testutil::expect_bitwise_equal(span_probe.seen.data(), ref_probe.seen.data(),
+                                     static_cast<int64_t>(span_probe.seen.size()),
+                                     what + " conductances");
+      testutil::expect_bitwise_equal(got.effective_weights(), want.effective_weights(),
+                                     what + " weights");
+      EXPECT_EQ(got.remap_stats().defects, want.remap_stats().defects) << what;
+      if (remap_on) {
+        EXPECT_GT(got.remap_stats().absorbed(), 0) << what;
+      }
+      expect_same_stream(a, b, what);
+    }
+  });
+}
+
+// ---------- degenerate severities and devices ----------
+
+TEST(FaultGrid, RejectsDegenerateSeverities) {
+  // Each of these used to program NaN conductances, zero every cell or
+  // silently disable the scenario.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* kind;
+    double severity;
+  };
+  const Bad kBad[] = {{"drift", 0.0},     {"drift", -5.0},    {"drift", nan},
+                      {"drift", inf},     {"thermal", nan},   {"thermal", 0.0},
+                      {"thermal", -300.0}, {"ir_drop", nan},  {"ir_drop", -0.1},
+                      {"ir_drop", 1.5},   {"stuck_at", nan},  {"stuck_at", -0.01},
+                      {"stuck_at", 2.0}};
+  for (const Bad& b : kBad) {
+    try {
+      make_fault(b.kind, b.severity);
+      ADD_FAILURE() << b.kind << "(" << b.severity << ") was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(b.kind), std::string::npos) << msg;
+      std::ostringstream v;
+      v << b.severity;
+      EXPECT_NE(msg.find(v.str()), std::string::npos) << msg;
+    }
+  }
+  EXPECT_THROW(stuck_at(0.1, nan), std::invalid_argument);
+  EXPECT_THROW(stuck_at(0.1, 1.5), std::invalid_argument);
+  EXPECT_THROW(drift(10.0, nan), std::invalid_argument);
+  EXPECT_THROW(drift(10.0, 0.05, inf), std::invalid_argument);
+  EXPECT_THROW(thermal(400.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(thermal(400.0, nan), std::invalid_argument);
+  // The edges of every range stay valid; t < t0 and T < T0 are physical.
+  for (const Bad& ok : {Bad{"stuck_at", 0.0}, Bad{"stuck_at", 1.0}, Bad{"drift", 1.0},
+                        Bad{"drift", 0.5}, Bad{"ir_drop", 0.0}, Bad{"ir_drop", 1.0},
+                        Bad{"thermal", 300.0}, Bad{"thermal", 1.0}})
+    EXPECT_NO_THROW(make_fault(ok.kind, ok.severity)) << ok.kind << " " << ok.severity;
+  EXPECT_NO_THROW(make_fault("none", nan));
+}
+
+TEST(FaultGrid, CampaignConfigRejectsDegenerateValuesBeforeRunning) {
+  for (const char* bad :
+       {"drift.times = 0\n", "drift.times = 10, nan\n", "thermal.temps = 0\n",
+        "ir.alphas = nan\n", "stuck.rates = -1\n", "stuck.rates = 0.1\nstuck.high_fraction = 2\n",
+        "thermal.temps = 400\nthermal.t0 = 0\n", "program_sigma = nan\n",
+        "program_sigma = -0.1\n", "read_sigma = nan\n"}) {
+    EXPECT_THROW(campaign_from_config(core::KeyValueConfig::from_string(bad)),
+                 std::invalid_argument)
+        << bad;
+  }
+  CampaignOptions co;
+  co.dev.readout.read_sigma = -1.0f;
+  EXPECT_THROW(Campaign{co}, std::invalid_argument);
 }
 
 // ---------- chip-farm fault injection ----------

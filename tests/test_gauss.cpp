@@ -1,10 +1,12 @@
-// The Gaussian span primitive, Rng::fill_normal, against the scalar loop it
-// replaces, and its block Box–Muller kernel (exec/gauss_kernels.h) against
-// libm on crafted uniform pairs. Every comparison is bitwise and runs at
-// every exec::simd level the host supports: the kernel's polynomials round
-// differently per level, and the rounding test must absorb that.
+// The Gaussian span primitives, Rng::fill_normal and Rng::fill_exp_normal,
+// against the scalar loops they replace, and their block kernels
+// (exec/gauss_kernels.h) against libm on crafted uniform pairs. Every
+// comparison is bitwise and runs at every exec::simd level the host
+// supports: the kernel's polynomials round differently per level, and the
+// rounding test must absorb that.
 #include "exec/gauss_kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -237,6 +239,358 @@ TEST(GaussKernel, KeepsAllButARareFewRandomPairs) {
       pairs += np;
     }
     EXPECT_LT(static_cast<double>(rejected) / pairs, 2e-3) << "level " << level;
+  });
+}
+
+// ---- The lognormal span, Rng::fill_exp_normal ----------------------------
+
+using exec::gauss::ExpNormal;
+
+// The three write-path forms, each as its scalar loop computed one draw at
+// a time before the span: a lognormal factor (programming, the paper's
+// Monte-Carlo factors), a lognormal scaling a conductance (thermal), and
+// drift's (t/t0)^-max(0, nu) scaling a conductance.
+enum class Form { kFactor, kScaled, kDrift };
+
+struct ExpCase {
+  Form form;
+  double mean, sigma;
+  double t_ratio;  // drift only
+  ExpNormal spec() const {
+    if (form == Form::kDrift) return {mean, sigma, -std::log(t_ratio), true};
+    return {mean, sigma, 1.0, false};
+  }
+  std::string name() const {
+    const char* f = form == Form::kFactor ? "factor"
+                    : form == Form::kScaled ? "scaled" : "drift";
+    return std::string(f) + " mean=" + std::to_string(mean) + " sigma=" +
+           std::to_string(sigma) +
+           (form == Form::kDrift ? " t=" + std::to_string(t_ratio) : "");
+  }
+};
+
+float scalar_exp_value(Rng& rng, const ExpCase& c, float g) {
+  switch (c.form) {
+    case Form::kFactor:
+      return static_cast<float>(rng.lognormal(c.mean, c.sigma));
+    case Form::kScaled:
+      return static_cast<float>(g * rng.lognormal(c.mean, c.sigma));
+    case Form::kDrift: {
+      const double log_t = std::log(c.t_ratio);
+      const double nu = std::max(0.0, rng.normal(c.mean, c.sigma));
+      return static_cast<float>(g * std::exp(-nu * log_t));
+    }
+  }
+  return 0.0f;
+}
+
+// Conductance-like scale values in [g_min, g_max] of the default device.
+std::vector<float> conductances(int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> g(static_cast<size_t>(n));
+  for (auto& v : g) v = static_cast<float>(rng.uniform(1e-6, 1e-4));
+  return g;
+}
+
+// Runs the span (in place for the scaled forms, as the fault models do)
+// from `span` and the scalar loop from `ref`, both in the same state, and
+// checks the values and the end state as expect_span_matches does.
+void expect_exp_span_matches(Rng& span, Rng& ref, int64_t n, const ExpCase& c,
+                             const std::string& what) {
+  const bool scaled = c.form != Form::kFactor;
+  std::vector<float> got = conductances(n + 1, static_cast<uint64_t>(n) + 17);
+  got[static_cast<size_t>(n)] = -7.0f;
+  const std::vector<float> g = got;
+  span.fill_exp_normal(got.data(), scaled ? got.data() : nullptr, n, c.spec());
+  std::vector<float> want(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i)
+    want[static_cast<size_t>(i)] = scalar_exp_value(ref, c, g[static_cast<size_t>(i)]);
+  testutil::expect_bitwise_equal(got.data(), want.data(), n, what);
+  EXPECT_EQ(got[static_cast<size_t>(n)], -7.0f) << what << ": wrote past n";
+  const double a = span.normal(), b = ref.normal();
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << what << ": next draw differs";
+  EXPECT_EQ(span.next_u64(), ref.next_u64()) << what << ": stream differs";
+}
+
+std::vector<ExpCase> exp_cases() {
+  std::vector<ExpCase> cases;
+  for (double sigma : {0.02, 0.1, 0.3, 0.5, 1.0, 3.0}) {
+    cases.push_back({Form::kFactor, 0.0, sigma, 1.0});
+    cases.push_back({Form::kScaled, 0.0, sigma, 1.0});
+    // Drift at the default nu 0.05 (the default spread is 0.02; wider
+    // spreads put many lanes on the clamp).
+    cases.push_back({Form::kDrift, 0.05, sigma, 1e4});
+  }
+  cases.push_back({Form::kFactor, -0.75, 0.5, 1.0});
+  cases.push_back({Form::kScaled, 1.5, 0.3, 1.0});
+  cases.push_back({Form::kDrift, 0.05, 0.02, 10.0});
+  cases.push_back({Form::kDrift, 0.05, 0.02, 0.5});  // t < t0: a gain
+  return cases;
+}
+
+TEST(FillExpNormal, SpanMatchesScalarLoopOnEverySizeAndStart) {
+  const int64_t kSizes[] = {0, 1, 2, 3, 15, 16, 17, 127, 128, 129, 300};
+  const std::vector<ExpCase> cases = exp_cases();
+  testutil::for_each_simd_level([&](int level) {
+    uint64_t seed = 5000;
+    for (int64_t n : kSizes)
+      for (const ExpCase& c : cases)
+        for (bool cached : {false, true}) {
+          Rng span(++seed), ref(seed);
+          if (cached) {  // start on a cached second normal
+            span.normal();
+            ref.normal();
+          }
+          expect_exp_span_matches(span, ref, n, c,
+                                  "level " + std::to_string(level) + " n=" +
+                                      std::to_string(n) + " " + c.name() +
+                                      (cached ? " cached" : ""));
+        }
+  });
+}
+
+TEST(FillExpNormal, TenMillionDrawsMatchTheScalarLoopBitwise) {
+  // One long stream per level, cut into spans of every length from 1 to
+  // 300 and cycling through every form and sigma: 0 mismatches allowed.
+  constexpr int64_t kDraws = 10'000'000;
+  const std::vector<ExpCase> cases = exp_cases();
+  const std::vector<float> g = conductances(300, 3);
+  testutil::for_each_simd_level([&](int level) {
+    Rng span(420 + level), ref(420 + level);
+    std::vector<float> got(300);
+    int64_t done = 0, mismatches = 0, calls = 0;
+    while (done < kDraws) {
+      const int64_t n = 1 + calls % 300;
+      const ExpCase& c = cases[static_cast<size_t>(calls) % cases.size()];
+      const bool scaled = c.form != Form::kFactor;
+      std::copy(g.begin(), g.begin() + n, got.begin());
+      span.fill_exp_normal(got.data(), scaled ? got.data() : nullptr, n, c.spec());
+      for (int64_t i = 0; i < n; ++i) {
+        const float want = scalar_exp_value(ref, c, g[static_cast<size_t>(i)]);
+        mismatches += std::memcmp(&got[static_cast<size_t>(i)], &want,
+                                  sizeof want) != 0;
+      }
+      done += n;
+      ++calls;
+    }
+    EXPECT_EQ(mismatches, 0) << "level " << level << ", " << done << " draws";
+    EXPECT_EQ(span.next_u64(), ref.next_u64()) << "level " << level;
+  });
+}
+
+TEST(FillExpNormal, LognormalFactorsForwardToTheSpan) {
+  // VariationModel's lognormal factors (the paper's Monte-Carlo chips and
+  // the factor-mode layers) are float(lognormal(0, sigma)) per weight.
+  analog::VariationModel vm;
+  vm.kind = analog::VariationKind::kLognormal;
+  vm.sigma = 0.5f;
+  Tensor w({13, 11});
+  Rng c(8), d(8);
+  const Tensor f = vm.sample_factors(w, c);
+  std::vector<float> fw(static_cast<size_t>(w.size()));
+  for (auto& v : fw) v = static_cast<float>(d.lognormal(0.0, vm.sigma));
+  testutil::expect_bitwise_equal(f.data(), fw.data(), f.size(), "factors");
+  EXPECT_EQ(c.next_u64(), d.next_u64());
+}
+
+// libm's chain for one normal z: what the kernel must reproduce.
+double libm_exp_value(double z, const ExpNormal& p, double g) {
+  const double x = p.mean + p.stddev * z;
+  const double c = p.clamp ? std::max(0.0, x) : x;
+  return g * std::exp(p.k * c);
+}
+
+// A random certifiable uniform pair and its libm normals.
+void random_pair(Rng& rng, double& u1, double& u2, double z[2]) {
+  do {
+    u1 = rng.uniform();
+  } while (u1 <= 1e-300);
+  u2 = rng.uniform();
+  libm_pair(u1, u2, z[0], z[1]);
+}
+
+TEST(ExpNormalKernel, CraftedPairsAreKeptOnlyWhenExact) {
+  // The uniform-grid extremes and the trig zeros of the Box–Muller test,
+  // through each form: near-zero trig lanes go to libm, and every kept
+  // value equals libm's chain rounded to float.
+  const double kU1[] = {0x1p-53, 1.0 - 0x1p-53, 0.5, 0.3, 0.9};
+  std::vector<double> u2s = {0.0, 0.1, 1.0 - 0x1p-53};
+  for (double q : {0.25, 0.5, 0.75})
+    for (double u : {std::nextafter(q, 0.0), q, std::nextafter(q, 1.0)})
+      u2s.push_back(u);
+  std::vector<double> u1, u2;
+  for (double a : kU1)
+    for (double b : u2s) {
+      u1.push_back(a);
+      u2.push_back(b);
+    }
+  const int64_t np = static_cast<int64_t>(u1.size());
+  const std::vector<float> g = conductances(2 * np, 11);
+  testutil::for_each_simd_level([&](int level) {
+    for (const ExpCase& c : exp_cases()) {
+      const ExpNormal p = c.spec();
+      const bool scaled = c.form != Form::kFactor;
+      std::vector<float> out(static_cast<size_t>(2 * np), -7.0f);
+      std::vector<uint8_t> keep(static_cast<size_t>(np), 2);
+      const int64_t rejected = exec::gauss::exp_normal_pairs(
+          u1.data(), u2.data(), np, p, scaled ? g.data() : nullptr, out.data(),
+          keep.data());
+      int64_t counted = 0;
+      for (size_t i = 0; i < u1.size(); ++i) {
+        ASSERT_LE(keep[i], 1);
+        counted += keep[i] == 0;
+        if (u2[i] != 0.1) {
+          EXPECT_EQ(keep[i], 0) << "near-zero trig lane kept: u2 = " << u2[i];
+        }
+        if (!keep[i]) {  // rejected pairs are left untouched
+          EXPECT_EQ(out[2 * i], -7.0f);
+          EXPECT_EQ(out[2 * i + 1], -7.0f);
+          continue;
+        }
+        double z[2];
+        libm_pair(u1[i], u2[i], z[0], z[1]);
+        float want[2];
+        for (int j = 0; j < 2; ++j)
+          want[j] = static_cast<float>(
+              libm_exp_value(z[j], p, scaled ? g[2 * i + j] : 1.0));
+        testutil::expect_bitwise_equal(out.data() + 2 * i, want, 2,
+                                       "level " + std::to_string(level) + " " +
+                                           c.name() + " pair " + std::to_string(i));
+      }
+      EXPECT_EQ(rejected, counted);
+    }
+  });
+}
+
+TEST(ExpNormalKernel, ValuesOnAFloatRoundingBoundaryAreNeverKept) {
+  // Pick the mean so that libm's chain lands on the midpoint between two
+  // floats to within a few double roundings, for each form; the kernel's
+  // polynomials differ from libm in the last bits, so such a lane must
+  // never be kept.
+  testutil::for_each_simd_level([&](int level) {
+    Rng rng(191 + level);
+    int64_t tried = 0;
+    for (int it = 0; it < 3000; ++it) {
+      double u1 = 0.0, u2 = 0.0, z[2];
+      random_pair(rng, u1, u2, z);
+      const int lane = it % 2;
+      const int form = (it / 2) % 3;
+      const double sigma = 0.1 * (1 + it % 7);
+      // The float midpoint to hit: in [1, 2) for a factor, in [2^-15, 2^-14)
+      // for a scaled value and in [2^-17, 2^-16) for drift, below g (in
+      // [2e-5, 5e-5]) so that x = log(mid / g) / k > 0 lies past the clamp.
+      const double odd = static_cast<double>(2 * rng.uniform_int(1 << 20) + 1);
+      const double mid = std::ldexp(1.0 + odd * 0x1p-24, form == 0 ? 0 : form == 1 ? -15 : -17);
+      float g[2] = {1.0f, 1.0f};
+      if (form > 0) g[0] = g[1] = static_cast<float>(rng.uniform(2e-5, 5e-5));
+      ExpNormal p{0.0, sigma, 1.0, false};
+      if (form == 2) p = {0.0, sigma, -std::log(1e3), true};
+      p.mean = std::log(mid / g[lane]) / p.k - sigma * z[lane];
+      const double v = libm_exp_value(z[lane], p, g[lane]);
+      // Only boundary cases: libm's double within 2^-45 of the midpoint.
+      if (std::fabs(v - mid) > 0x1p-45 * std::fabs(mid)) continue;
+      ++tried;
+      float out[2] = {};
+      uint8_t keep = 2;
+      exec::gauss::exp_normal_pairs(&u1, &u2, 1, p, form ? g : nullptr, out, &keep);
+      EXPECT_EQ(keep, 0) << "level " << level << ": kept a boundary value (form "
+                         << form << ", u1 " << u1 << ", u2 " << u2 << ", lane "
+                         << lane << ")";
+    }
+    EXPECT_GT(tried, 1000) << "too few boundary cases constructed";
+  });
+}
+
+TEST(ExpNormalKernel, ClampEdgeIsNeverGuessed) {
+  // Drift's max(0, x): with the mean set to -sigma z (x at zero to within
+  // a rounding, either sign) the lane must go to libm; x clearly negative
+  // is clamped, kept and leaves g exactly as it is; x clearly positive is
+  // kept and equals libm.
+  testutil::for_each_simd_level([&](int level) {
+    Rng rng(301 + level);
+    for (int it = 0; it < 2000; ++it) {
+      double u1 = 0.0, u2 = 0.0, z[2];
+      random_pair(rng, u1, u2, z);
+      const int lane = it % 2;
+      if (std::fabs(z[lane]) < 1e-3 || std::fabs(z[1 - lane]) < 1e-3) continue;
+      const double sigma = 0.02 * (1 + it % 5);
+      const float g[2] = {3e-5f, 7e-5f};
+      const double kOffsets[] = {0.0, 0x1p-60, -0x1p-60, -1e-3, 1e-3};
+      const double off = kOffsets[(it / 2) % 5];
+      const ExpNormal p{-sigma * z[lane] + off, sigma, -std::log(1e4), true};
+      float out[2] = {-7.0f, -7.0f};
+      uint8_t keep = 2;
+      exec::gauss::exp_normal_pairs(&u1, &u2, 1, p, g, out, &keep);
+      const std::string what = "level " + std::to_string(level) + " offset " +
+                               std::to_string(off) + " lane " + std::to_string(lane);
+      if (std::fabs(off) < 1e-6) {
+        EXPECT_EQ(keep, 0) << what << ": kept an uncertain clamp";
+        continue;
+      }
+      // The other lane is generic, so rare rejections are fine here.
+      if (!keep) continue;
+      const float want = static_cast<float>(libm_exp_value(z[lane], p, g[lane]));
+      EXPECT_EQ(std::memcmp(&out[lane], &want, sizeof want), 0) << what;
+      if (off < 0.0) {
+        EXPECT_EQ(out[lane], g[lane]) << what << ": clamped lane must keep g";
+      }
+    }
+  });
+}
+
+TEST(ExpNormalKernel, RejectsNonFiniteScalesAndOutOfRangeResults) {
+  // A NaN or infinite g, a zero g (its product leaves the normal float
+  // range) and an exponent beyond vexp's range all take the libm path.
+  testutil::for_each_simd_level([&](int level) {
+    Rng rng(401 + level);
+    const float kBad[] = {std::nanf(""), INFINITY, -INFINITY, 0.0f, 1e-40f};
+    for (float bad : kBad) {
+      double u1 = 0.0, u2 = 0.0, z[2];
+      random_pair(rng, u1, u2, z);
+      const float g[2] = {bad, bad};
+      float out[2] = {};
+      uint8_t keep = 2;
+      exec::gauss::exp_normal_pairs(&u1, &u2, 1, {0.0, 0.1, 1.0, false}, g, out, &keep);
+      EXPECT_EQ(keep, 0) << "level " << level << " g = " << bad;
+    }
+    double u1 = 0.0, u2 = 0.0, z[2];
+    random_pair(rng, u1, u2, z);
+    uint8_t keep = 2;
+    float out[2] = {};
+    exec::gauss::exp_normal_pairs(&u1, &u2, 1, {600.0, 0.1, 1.0, false}, nullptr,
+                                  out, &keep);
+    EXPECT_EQ(keep, 0) << "level " << level << ": exponent beyond range kept";
+  });
+}
+
+TEST(ExpNormalKernel, KeepsAllButARareFewRandomPairs) {
+  // The fast path must carry the load at the write path's shapes:
+  // programming factors at sigma 0.1 and drift at its defaults.
+  const ExpNormal kSpecs[] = {{0.0, 0.1, 1.0, false},
+                              {0.05, 0.02, -std::log(1e4), true}};
+  testutil::for_each_simd_level([&](int level) {
+    for (const ExpNormal& p : kSpecs) {
+      Rng rng(77 + level);
+      constexpr int64_t kPairs = 40;
+      double u1[kPairs] = {}, u2[kPairs] = {};
+      std::vector<float> g = conductances(2 * kPairs, 5);
+      float out[2 * kPairs + 1] = {};
+      uint8_t keep[kPairs] = {};
+      int64_t pairs = 0, rejected = 0;
+      for (int it = 0; it < 20000; ++it) {
+        const int64_t np = 1 + it % kPairs;
+        for (int64_t i = 0; i < np; ++i) {
+          double z[2];
+          random_pair(rng, u1[i], u2[i], z);
+        }
+        out[2 * np] = -7.0f;
+        rejected += exec::gauss::exp_normal_pairs(u1, u2, np, p, g.data(), out, keep);
+        ASSERT_EQ(out[2 * np], -7.0f) << "wrote past 2 * npairs";
+        pairs += np;
+      }
+      EXPECT_LT(static_cast<double>(rejected) / pairs, 2e-3)
+          << "level " << level << " k " << p.k;
+    }
   });
 }
 
