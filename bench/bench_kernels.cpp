@@ -8,6 +8,7 @@
 // CPU time would leave out the workers' share.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -163,6 +164,41 @@ void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
   state.SetItemsProcessed(state.iterations() * 4 * n * n * batch);
 }
 
+// One tile's bitline currents through the lowered simd target, the way the
+// batched matmul calls them: 64 column-major items (an im2col block) in
+// row_block() item blocks, at the auto-dispatched level, single-threaded.
+// Shapes: LeNet-5 conv1 (25 wordlines x 6 bitlines) and a full 128 x 128
+// tile. GFLOP/s counts 4 flops per cell per item (2 products + 2 adds).
+void BM_TileCurrents(benchmark::State& state, int64_t rows, int64_t cols) {
+  constexpr int64_t kItems = 64;
+  Rng rng(13);
+  const analog::RramDeviceParams dev;
+  std::vector<float> gp(static_cast<size_t>(rows * cols)), gn(gp.size());
+  for (size_t i = 0; i < gp.size(); ++i) {
+    gp[i] = static_cast<float>(rng.uniform(dev.g_min, dev.g_max));
+    gn[i] = static_cast<float>(rng.uniform(dev.g_min, dev.g_max));
+  }
+  std::vector<float> x(static_cast<size_t>(rows * kItems));
+  for (float& v : x) v = static_cast<float>(rng.uniform());
+  std::vector<float> cur(static_cast<size_t>(8 * cols));
+  const auto tile = exec::get_target("simd").lower(
+      {gp.data(), gn.data(), rows, cols, dev.g_min, dev.g_max});
+  const int64_t rb = tile->row_block();
+  exec::Scratch scratch;
+  for (auto _ : state) {
+    for (int64_t i = 0; i < kItems; i += rb)
+      tile->currents(x.data() + i, std::min(rb, kItems - i), 1, kItems,
+                     cur.data(), cols, scratch);
+    benchmark::DoNotOptimize(cur.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      4e-9 * static_cast<double>(rows * cols * kItems),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK_CAPTURE(BM_TileCurrents, 25x6, 25, 6)->UseRealTime();
+BENCHMARK_CAPTURE(BM_TileCurrents, 128x128, 128, 128)->UseRealTime();
+
 void BM_VariationSampling(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(6);
@@ -202,6 +238,39 @@ void BM_ReadNoise(benchmark::State& state, bool span) {
 }
 BENCHMARK_CAPTURE(BM_ReadNoise, scalar, false)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ReadNoise, span, true)->UseRealTime();
+
+// Read noise for one item block of the batched crossbar path: 8 rows of n
+// draws of normal(0, read_sigma), row k from its own fresh stream
+// Rng(seed_k), as CrossbarTile::accumulate_rows draws them. `per_row` is one
+// Rng(seed).fill_normal per row; `lanes` is Rng::fill_normal_rows (the 8
+// xoshiro256** streams stepped in SIMD lanes, one Box–Muller kernel call per
+// block). Same bits; per_draw is the real time per draw, seeding included.
+void BM_ReadNoiseRows(benchmark::State& state, bool lanes) {
+  constexpr int64_t kRows = 8;
+  const int64_t n = state.range(0);
+  const float sigma = 0.02f;
+  std::vector<float> out(static_cast<size_t>(kRows * n));
+  uint64_t seeds[kRows];
+  uint64_t block = 0;
+  for (auto _ : state) {
+    for (int64_t k = 0; k < kRows; ++k)
+      seeds[k] = mix64(block * 0x100000001ull + static_cast<uint64_t>(k));
+    ++block;
+    if (lanes) {
+      Rng::fill_normal_rows(seeds, kRows, n, 0.0f, sigma, out.data(), n);
+    } else {
+      for (int64_t k = 0; k < kRows; ++k)
+        Rng(seeds[k]).fill_normal(out.data() + k * n, n, 0.0f, sigma);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_draw"] = benchmark::Counter(
+      static_cast<double>(kRows * n),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ReadNoiseRows, per_row, false)->Arg(16)->Arg(128)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReadNoiseRows, lanes, true)->Arg(16)->Arg(128)->UseRealTime();
 
 // One tile's programming variation as CrossbarTile draws it: 2 * 128 * 128
 // lognormal(0, 0.1) factors, G+ and G- interleaved. `scalar` is the per-draw

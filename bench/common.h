@@ -7,15 +7,18 @@
 //   LeNet-5-Cifar10 -> LeNet5-Objects10   (3x32x32, 10 classes)
 //   LeNet-5-MNIST   -> LeNet5-Digits      (1x28x28, 10 classes)
 //
-// Trained models are cached under ./cnet_cache/ so benches share artifacts;
-// delete the directory to retrain from scratch. Every bench prints aligned
+// Trained models are cached under ./cnet_cache/ so benches share artifacts,
+// keyed on everything that decides their weights (train_key); delete the
+// directory to retrain from scratch. Every bench prints aligned
 // text tables (the paper's rows/series) and writes a CSV alongside.
 #pragma once
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,14 +125,16 @@ inline std::vector<Workload> all_workloads() {
 
 // ---------- dataset / model construction ----------
 
-inline data::SplitDataset make_dataset(const Workload& w) {
+inline data::DigitsSpec digits_spec(const Workload& w) {
   const auto& rc = core::RuntimeConfig::get();
-  if (w.digits) {
-    data::DigitsSpec spec;
-    spec.train_count = std::min(w.train_count, rc.train_cap);
-    spec.test_count = std::min(w.test_count, rc.test_cap);
-    return data::make_digits(spec);
-  }
+  data::DigitsSpec spec;
+  spec.train_count = std::min(w.train_count, rc.train_cap);
+  spec.test_count = std::min(w.test_count, rc.test_cap);
+  return spec;
+}
+
+inline data::ObjectsSpec objects_spec(const Workload& w) {
+  const auto& rc = core::RuntimeConfig::get();
   data::ObjectsSpec spec;
   spec.num_classes = w.num_classes;
   spec.train_count = std::min(w.train_count, std::max(rc.train_cap, w.train_count));
@@ -143,7 +148,12 @@ inline data::SplitDataset make_dataset(const Workload& w) {
     spec.class_similarity = 0.6f;
     spec.jitter_frac = 0.15f;
   }
-  return data::make_objects(spec);
+  return spec;
+}
+
+inline data::SplitDataset make_dataset(const Workload& w) {
+  return w.digits ? data::make_digits(digits_spec(w))
+                  : data::make_objects(objects_spec(w));
 }
 
 inline nn::Sequential make_model(const Workload& w, Rng& rng) {
@@ -159,6 +169,70 @@ inline nn::Sequential make_model(const Workload& w, Rng& rng) {
 inline std::string cache_dir() {
   std::filesystem::create_directories("cnet_cache");
   return "cnet_cache";
+}
+
+/// Init seeds of the three cached stages' models.
+inline constexpr uint64_t kBaseInitSeed = 2023, kLipInitSeed = 2024,
+                          kCorrInitSeed = 2025;
+
+/// Bump whenever the training code changes what a fixed configuration
+/// trains: the cache key sees configurations, not code.
+inline constexpr uint64_t kTrainingCodeVersion = 1;
+
+/// FNV-1a over the values that decide a trained model's weights.
+class CacheKey {
+ public:
+  template <typename T>
+  CacheKey& add(const T& v) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>,
+                  "CacheKey hashes plain values");
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (unsigned char b : bytes) h_ = (h_ ^ b) * 0x100000001b3ull;
+    return *this;
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// The key of one training run of workload `w`: the training-code version,
+/// the network, the dataset spec (capped sizes and seed included), the
+/// model's init seed and every TrainConfig field that reaches training
+/// (all but the on_epoch callback). Callers add what else the run starts
+/// from (a parent model's key, a compensation plan).
+inline CacheKey train_key(const Workload& w, const core::TrainConfig& c,
+                          uint64_t init_seed) {
+  CacheKey k;
+  k.add(kTrainingCodeVersion).add(w.net).add(w.digits).add(w.num_classes);
+  if (w.digits) {
+    const data::DigitsSpec d = digits_spec(w);
+    k.add(d.train_count).add(d.test_count).add(d.jitter_px).add(d.thickness)
+        .add(d.noise_std).add(d.seed);
+  } else {
+    const data::ObjectsSpec o = objects_spec(w);
+    k.add(o.num_classes).add(o.train_count).add(o.test_count)
+        .add(o.blobs_per_class).add(o.gratings_per_class).add(o.jitter_frac)
+        .add(o.noise_std).add(o.class_similarity).add(o.seed);
+  }
+  k.add(init_seed).add(c.epochs).add(c.batch_size).add(c.lr).add(c.lr_decay)
+      .add(c.optimizer).add(c.weight_decay).add(c.clip_norm)
+      .add(c.lipschitz.enabled).add(c.lipschitz.k).add(c.lipschitz.sigma)
+      .add(c.lipschitz.beta).add(c.lipschitz.lambda_min)
+      .add(c.lipschitz_warmup_epochs).add(c.variation_in_loop)
+      .add(c.variation.kind).add(c.variation.sigma).add(c.seed);
+  return k;
+}
+
+/// Cache file name of one trained stage: <name>_<stage>_<key in hex>.wts,
+/// so a run with other epochs, sizes, seeds or code never loads it.
+inline std::string cache_file(const Workload& w, const std::string& stage,
+                              const CacheKey& key) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(key.value()));
+  return w.name + "_" + stage + "_" + hex + ".wts";
 }
 
 inline core::TrainConfig base_train_config(const Workload& w) {
@@ -191,9 +265,11 @@ inline core::TrainConfig comp_train_config(const Workload& w, float sigma = 0.5f
 
 /// Trains (or loads from cache) the baseline network for a workload.
 inline nn::Sequential get_base_model(const Workload& w, const data::SplitDataset& ds) {
-  Rng rng(2023);
+  Rng rng(kBaseInitSeed);
   nn::Sequential m = make_model(w, rng);
-  const std::string path = cache_dir() + "/" + w.name + "_base.wts";
+  const std::string path =
+      cache_dir() + "/" +
+      cache_file(w, "base", train_key(w, base_train_config(w), kBaseInitSeed));
   if (std::filesystem::exists(path)) {
     nn::load_weights(m, path);
     return m;
@@ -209,9 +285,11 @@ inline nn::Sequential get_base_model(const Workload& w, const data::SplitDataset
 /// Trains (or loads) the Lipschitz-regularized network.
 inline nn::Sequential get_lipschitz_model(const Workload& w,
                                           const data::SplitDataset& ds) {
-  Rng rng(2024);
+  Rng rng(kLipInitSeed);
   nn::Sequential m = make_model(w, rng);
-  const std::string path = cache_dir() + "/" + w.name + "_lip.wts";
+  const std::string path =
+      cache_dir() + "/" +
+      cache_file(w, "lip", train_key(w, lipschitz_train_config(w), kLipInitSeed));
   if (std::filesystem::exists(path)) {
     nn::load_weights(m, path);
     return m;
@@ -249,9 +327,13 @@ inline nn::Sequential get_corrected_model(const Workload& w,
   nn::Sequential lip = get_lipschitz_model(w, ds);
   core::CompensationPlan plan = default_plan(w, lip);
   if (plan_out) *plan_out = plan;
-  Rng rng(2025);
+  Rng rng(kCorrInitSeed);
   nn::Sequential m = core::with_compensation(lip, plan, rng);
-  const std::string path = cache_dir() + "/" + w.name + "_corr.wts";
+  // Compensation trains on top of the Lipschitz model with this plan.
+  CacheKey key = train_key(w, comp_train_config(w), kCorrInitSeed);
+  key.add(train_key(w, lipschitz_train_config(w), kLipInitSeed).value());
+  for (const auto& [layer, filters] : plan.entries) key.add(layer).add(filters);
+  const std::string path = cache_dir() + "/" + cache_file(w, "corr", key);
   if (std::filesystem::exists(path)) {
     nn::load_weights(m, path);
     return m;

@@ -12,6 +12,11 @@
 namespace cn::analog {
 
 namespace {
+// Read noise on one current row: currents[c] *= 1 + noise[c].
+void apply_read_noise(float* currents, const float* noise, int64_t n) {
+  for (int64_t c = 0; c < n; ++c) currents[c] *= 1.0f + noise[c];
+}
+
 // Validates before the member initializers read dim(1).
 const Tensor& rank2(const Tensor& w) {
   if (w.rank() != 2) throw std::invalid_argument("CrossbarTile: weight must be rank-2");
@@ -176,13 +181,17 @@ void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
     // One span draw per chunk; fill_normal is bit-identical to a scalar
     // normal(0, read_sigma) per current, however the row is split.
     constexpr int64_t kChunk = 128;
-    float noise[kChunk] = {};
+    float noise[kChunk];
     for (int64_t c0 = 0; c0 < cols_; c0 += kChunk) {
       const int64_t m = std::min(kChunk, cols_ - c0);
       read_rng->fill_normal(noise, m, 0.0f, dev_.readout.read_sigma);
-      for (int64_t c = 0; c < m; ++c) currents[c0 + c] *= 1.0f + noise[c];
+      apply_read_noise(currents + c0, noise, m);
     }
   }
+  read_out(currents, y);
+}
+
+void CrossbarTile::read_out(float* currents, float* y) const {
   if (dev_.readout.adc_bits > 0) {
     // Full scale: every row driving g_max differentially.
     const float fs = static_cast<float>(rows_) * (dev_.g_max - dev_.g_min);
@@ -193,21 +202,30 @@ void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
 
 void CrossbarTile::accumulate_rows(const float* x, int64_t nitems,
                                    int64_t x_item_stride, int64_t x_word_stride,
-                                   float* y, int64_t ldy, Rng* const* row_rngs,
-                                   float* cur_scratch,
+                                   float* y, int64_t ldy,
+                                   const uint64_t* row_seeds, float* cur_scratch,
                                    exec::Scratch& scratch) const {
   // Item-blocking width never changes results (items accumulate
   // independently), only register/cache pressure; clamp to the 8 current
-  // rows cur_scratch holds.
+  // rows cur_scratch holds. The 8 rows after them take the block's noise.
   const int64_t row_block = std::min<int64_t>(8, exec_->row_block());
+  const bool noisy = row_seeds && dev_.readout.read_sigma > 0.0f;
+  float* noise = cur_scratch + 8 * cols_;
   int64_t done = 0;
   while (done < nitems) {
     const int64_t rb = std::min<int64_t>(row_block, nitems - done);
     exec_->currents(x + done * x_item_stride, rb, x_item_stride, x_word_stride,
                     cur_scratch, cols_, scratch);
-    for (int64_t i = 0; i < rb; ++i)
-      finish_row(cur_scratch + i * cols_, y + (done + i) * ldy,
-                 row_rngs ? row_rngs[done + i] : nullptr);
+    // Item i's noise row is what Rng(row_seeds[i]).fill_normal draws, the
+    // stream finish_row would read it from.
+    if (noisy)
+      Rng::fill_normal_rows(row_seeds + done, rb, cols_, 0.0f,
+                            dev_.readout.read_sigma, noise, cols_);
+    for (int64_t i = 0; i < rb; ++i) {
+      float* cur = cur_scratch + i * cols_;
+      if (noisy) apply_read_noise(cur, noise + i * cols_, cols_);
+      read_out(cur, y + (done + i) * ldy);
+    }
     done += rb;
   }
 }
@@ -327,37 +345,32 @@ Tensor CrossbarArray::matmul_impl(const float* xd, int64_t n, bool colmajor,
   const bool noisy = read_rng && dev_.readout.read_sigma > 0.0f;
   const uint64_t noise_base = noisy ? read_rng->next_u64() : 0ull;
 
-  const int64_t row_block = 64;
+  constexpr int64_t row_block = 64;
   const int64_t nblocks = (n + row_block - 1) / row_block;
   const int64_t ngroups = static_cast<int64_t>(col_groups_.size());
   parallel_for(0, ngroups * nblocks, [&](int64_t lo, int64_t hi) {
-    std::vector<float> cur(static_cast<size_t>(8 * max_tile_cols_));
+    // Per worker: 8 current rows and 8 noise rows, the target's scratch,
+    // and the read-noise seeds of one item block.
+    std::vector<float> cur(static_cast<size_t>(16 * max_tile_cols_));
     exec::Scratch scratch;
-    std::vector<Rng> rngs;
-    std::vector<Rng*> rng_ptrs;
+    uint64_t seeds[row_block];
     for (int64_t w = lo; w < hi; ++w) {
       const auto& group = col_groups_[static_cast<size_t>(w / nblocks)];
       const int64_t r0 = (w % nblocks) * row_block;
       const int64_t r1 = std::min(n, r0 + row_block);
       for (size_t t : group) {
         const Placed& p = tiles_[t];
-        Rng* const* row_rngs = nullptr;
-        if (noisy) {
-          rngs.clear();
-          rng_ptrs.clear();
+        if (noisy)
           for (int64_t i = r0; i < r1; ++i)
-            rngs.emplace_back(mix64(noise_base ^
-                                    (static_cast<uint64_t>(t) * 0x100000001ull +
-                                     static_cast<uint64_t>(i))));
-          for (auto& r : rngs) rng_ptrs.push_back(&r);
-          row_rngs = rng_ptrs.data();
-        }
+            seeds[i - r0] = mix64(noise_base ^
+                                  (static_cast<uint64_t>(t) * 0x100000001ull +
+                                   static_cast<uint64_t>(i)));
         const float* xt = colmajor ? xd + p.row0 * n + r0 : xd + r0 * in_ + p.row0;
         const int64_t xis = colmajor ? 1 : in_;
         const int64_t xws = colmajor ? n : 1;
         p.tile.accumulate_rows(xt, r1 - r0, xis, xws,
-                               y.data() + r0 * out_ + p.col0, out_, row_rngs,
-                               cur.data(), scratch);
+                               y.data() + r0 * out_ + p.col0, out_,
+                               noisy ? seeds : nullptr, cur.data(), scratch);
       }
     }
   }, 1);

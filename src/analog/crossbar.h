@@ -175,21 +175,27 @@ class CrossbarTile {
   /// column-major ones like im2col outputs (item_stride = 1, word_stride =
   /// ld). With a bit-exact target each result row is bit-identical to
   /// accumulate_matvec (same per-column wordline accumulation order).
-  /// `row_rngs` (nullable) holds one read-noise stream per item;
-  /// `cur_scratch` must hold >= 8 * cols() floats, and `scratch` is the
-  /// calling worker's target scratch.
+  /// `row_seeds` (nullable) holds one read-noise seed per item: item i's
+  /// noise is what finish_row draws from a fresh Rng(row_seeds[i]), drawn
+  /// for a whole item block at once (Rng::fill_normal_rows).
+  /// `cur_scratch` must hold >= 16 * cols() floats (8 current rows, 8 noise
+  /// rows), and `scratch` is the calling worker's target scratch.
   void accumulate_rows(const float* x, int64_t nitems, int64_t x_item_stride,
                        int64_t x_word_stride, float* y, int64_t ldy,
-                       Rng* const* row_rngs, float* cur_scratch,
+                       const uint64_t* row_seeds, float* cur_scratch,
                        exec::Scratch& scratch) const;
 
   /// The effective (perturbed, quantized) weight matrix (rows=in, cols=out).
   Tensor effective_weights() const;
 
  private:
-  /// Read noise + ADC + scaled accumulation of one current row into y;
-  /// shared tail of the scalar and batched paths (exact parity).
+  /// Read noise + ADC + scaled accumulation of one current row into y, the
+  /// matvec path's tail and the reference for the batched one (exact
+  /// parity): noise drawn from `read_rng`, then read_out.
   void finish_row(float* currents, float* y, Rng* read_rng) const;
+  /// ADC + scaled accumulation of one (noisy) current row into y: the tail
+  /// both paths share.
+  void read_out(float* currents, float* y) const;
 
   /// (Re-)lowers the programmed conductances through the execution target
   /// (after programming or fault injection): the target may precompute

@@ -1,7 +1,7 @@
-// Block Box–Muller pairs (see gauss_kernels.h), built like the other
-// exec::simd kernels: one always-inline template body over GCC generic
-// vectors, instantiated per ISA level under target attributes and picked
-// per call.
+// Block Box–Muller pairs and xoshiro256** lanes (see gauss_kernels.h),
+// built like the other exec::simd kernels: one always-inline template body
+// over GCC generic vectors, instantiated per ISA level under target
+// attributes and picked per call.
 //
 // The polynomials are fdlibm's (e_log.c, k_sin.c, k_cos.c, e_exp.c; Sun
 // Microsystems, freely distributable), each under 1-2 ulps, so the computed
@@ -55,6 +55,10 @@ template <>
 struct LanesOf<D8> { using Bits = U8; using Float = F8; };
 template <typename D>
 using Bits = typename LanesOf<D>::Bits;
+// One keep flag per lane.
+template <typename D>
+using KeepBytes
+    __attribute__((vector_size(sizeof(D) / sizeof(double)))) = unsigned char;
 
 constexpr unsigned long long kSign = 0x8000000000000000ull;
 
@@ -219,6 +223,7 @@ template <typename D>
                                                  uint8_t* keep) {
   constexpr int L = sizeof(D) / sizeof(double);
   int64_t kept = 0;
+  Bits<D> kept_lanes = {};
   for (int64_t p0 = 0; p0 < npairs; p0 += L) {
     const int64_t np = std::min<int64_t>(L, npairs - p0);
     D a = {}, b = {}, zc = {}, zs = {};
@@ -239,12 +244,24 @@ template <typename D>
       pairs[2 * l] = fc[l];
       pairs[2 * l + 1] = fs[l];
     }
+    const Bits<D> k = ok >> 63;
+    if (np == L) {
+      // A whole vector: fixed-size stores, the keep flags narrowed in one
+      // conversion, and the count summed once after the loop.
+      std::memcpy(out + 2 * p0, pairs, sizeof pairs);
+      const KeepBytes<D> kb = __builtin_convertvector(k, KeepBytes<D>);
+      std::memcpy(keep + p0, &kb, sizeof kb);
+      kept_lanes += k;
+      continue;
+    }
     std::memcpy(out + 2 * p0, pairs, static_cast<size_t>(2 * np) * sizeof(float));
     for (int64_t l = 0; l < np; ++l) {
-      keep[p0 + l] = static_cast<uint8_t>(ok[l] >> 63);
-      kept += static_cast<int64_t>(ok[l] >> 63);
+      keep[p0 + l] = static_cast<uint8_t>(k[l]);
+      kept += static_cast<int64_t>(k[l]);
     }
   }
+  CN_UNROLL
+  for (int l = 0; l < L; ++l) kept += static_cast<int64_t>(kept_lanes[l]);
   return npairs - kept;
 }
 
@@ -288,6 +305,85 @@ template <typename D>
   return npairs - kept;
 }
 
+// One xoshiro256** step of one stream per lane (Rng::next_u64 with the
+// multiplications by 5 and 9 as shift-adds: AVX-512F and AVX2 have no
+// 64-bit lane multiply).
+template <typename U>
+[[gnu::always_inline]] inline U xoshiro_next(U& s0, U& s1, U& s2, U& s3) {
+  const U x5 = s1 + (s1 << 2);
+  const U rot = (x5 << 7) | (x5 >> 57);
+  const U result = rot + (rot << 3);
+  const U t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = (s3 << 45) | (s3 >> 19);
+  return result;
+}
+
+// (x >> 11) * 2^-53 without a 64-bit integer convert (AVX-512F has none):
+// the 53 bits split into 32 high and 21 low ones, each turned into a double
+// exactly through the 2^52 magic, and their scaled sum is exact too (it
+// spans at most 53 bits).
+template <typename D>
+[[gnu::always_inline]] inline D uniform53(Bits<D> x) {
+  const Bits<D> m = x >> 11;
+  const D hi = (D)((m >> 21) | 0x4330000000000000ull) - 0x1p52;
+  const D lo = (D)((m & 0x1fffffull) | 0x4330000000000000ull) - 0x1p52;
+  return hi * 0x1p-32 + lo * 0x1p-53;
+}
+
+// The 8 streams as G vectors of the level's width L, so no level splits a
+// vector wider than its registers.
+template <typename D>
+[[gnu::always_inline]] inline uint32_t lanes_impl(uint64_t* state, int nstreams,
+                                                  int64_t npairs, double* u1,
+                                                  double* u2) {
+  constexpr int L = sizeof(D) / sizeof(double), G = 8 / L;
+  using U = Bits<D>;
+  U s[4][G];
+  for (int j = 0; j < 4; ++j)
+    for (int g = 0; g < G; ++g) std::memcpy(&s[j][g], state + 8 * j + L * g, sizeof(U));
+  // Sign bit set in lanes that drew a u1 of 0: x >> 11 is below 2^53, so
+  // (x >> 11) - 1 wraps to the top only from 0.
+  U zero_u1[G] = {};
+  for (int64_t p = 0; p < npairs; ++p) {
+    D a[G], b[G];
+    CN_UNROLL
+    for (int g = 0; g < G; ++g) {
+      const U x1 = xoshiro_next(s[0][g], s[1][g], s[2][g], s[3][g]);
+      const U x2 = xoshiro_next(s[0][g], s[1][g], s[2][g], s[3][g]);
+      zero_u1[g] |= (x1 >> 11) - 1ull;
+      a[g] = uniform53<D>(x1);
+      b[g] = uniform53<D>(x2);
+    }
+    if (nstreams == 8) {
+      std::memcpy(u1 + 8 * p, a, sizeof a);
+      std::memcpy(u2 + 8 * p, b, sizeof b);
+    } else {
+      for (int k = 0; k < nstreams; ++k) {
+        u1[p * nstreams + k] = a[k / L][k % L];
+        u2[p * nstreams + k] = b[k / L][k % L];
+      }
+    }
+  }
+  for (int j = 0; j < 4; ++j)
+    for (int g = 0; g < G; ++g) std::memcpy(state + 8 * j + L * g, &s[j][g], sizeof(U));
+  uint32_t mask = 0;
+  for (int k = 0; k < nstreams; ++k)
+    mask |= static_cast<uint32_t>(zero_u1[k / L][k % L] >> 63) << k;
+  return mask;
+}
+
+using LaneKernel = uint32_t (*)(uint64_t*, int, int64_t, double*, double*);
+
+uint32_t lanes_generic(uint64_t* state, int nstreams, int64_t npairs, double* u1,
+                       double* u2) {
+  return lanes_impl<D2>(state, nstreams, npairs, u1, u2);
+}
+
 using PairKernel = int64_t (*)(const double*, const double*, int64_t, double,
                                double, float*, uint8_t*);
 using ExpKernel = int64_t (*)(const double*, const double*, int64_t,
@@ -323,11 +419,21 @@ __attribute__((target("avx512f,fma"))) int64_t exp_avx512(
     const float* g, float* out, uint8_t* keep) {
   return exp_pairs_impl<D8>(u1, u2, npairs, p, g, out, keep);
 }
+__attribute__((target("avx2"))) uint32_t lanes_avx2(
+    uint64_t* state, int nstreams, int64_t npairs, double* u1, double* u2) {
+  return lanes_impl<D4>(state, nstreams, npairs, u1, u2);
+}
+__attribute__((target("avx512f"))) uint32_t lanes_avx512(
+    uint64_t* state, int nstreams, int64_t npairs, double* u1, double* u2) {
+  return lanes_impl<D8>(state, nstreams, npairs, u1, u2);
+}
 const PairKernel kPairTable[3] = {pairs_generic, pairs_avx2, pairs_avx512};
 const ExpKernel kExpTable[3] = {exp_generic, exp_avx2, exp_avx512};
+const LaneKernel kLaneTable[3] = {lanes_generic, lanes_avx2, lanes_avx512};
 #else
 const PairKernel kPairTable[3] = {pairs_generic, pairs_generic, pairs_generic};
 const ExpKernel kExpTable[3] = {exp_generic, exp_generic, exp_generic};
+const LaneKernel kLaneTable[3] = {lanes_generic, lanes_generic, lanes_generic};
 #endif
 
 #undef CN_UNROLL
@@ -338,6 +444,11 @@ int64_t box_muller_pairs(const double* u1, const double* u2, int64_t npairs,
                          double mean, double stddev, float* out, uint8_t* keep) {
   return kPairTable[simd::current_level()](u1, u2, npairs, mean, stddev, out,
                                            keep);
+}
+
+uint32_t uniform_pair_lanes(uint64_t* state, int nstreams, int64_t npairs,
+                            double* u1, double* u2) {
+  return kLaneTable[simd::current_level()](state, nstreams, npairs, u1, u2);
 }
 
 int64_t exp_normal_pairs(const double* u1, const double* u2, int64_t npairs,

@@ -14,7 +14,8 @@
 // it). exp_normal_pairs extends the same pairs through a polynomial exp
 // (Tang, ACM TOMS 15(2), 1989; fdlibm's coefficients) for the lognormal
 // spans of the write path, under a margin that also covers the exp error
-// amplified by the exponent.
+// amplified by the exponent. uniform_pair_lanes steps up to 8 xoshiro256**
+// streams in SIMD lanes to feed the pairs of Rng::fill_normal_rows.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,21 @@ namespace cn::exec::gauss {
 /// not kept. Dispatches on exec::simd::current_level().
 int64_t box_muller_pairs(const double* u1, const double* u2, int64_t npairs,
                          double mean, double stddev, float* out, uint8_t* keep);
+
+/// Up to 8 xoshiro256** streams (Blackman & Vigna, ACM TOMS 47(4), 2021)
+/// stepped in SIMD lanes, for Rng::fill_normal_rows. state holds 32 words
+/// whatever nstreams is: state[j * 8 + k] is word j of stream k, in Rng's
+/// state order (word-major, so one word of every stream loads as one
+/// vector). Each of the nstreams <= 8 streams advances in place by
+/// 2 * npairs steps; the lanes past them are stepped too but hold no
+/// stream. For p < npairs, outputs 2p and
+/// 2p + 1 of stream k become the uniforms u1[p * nstreams + k] and
+/// u2[p * nstreams + k], (x >> 11) * 2^-53 exactly as Rng::uniform computes
+/// them. Returns a mask with bit k set when some u1 of stream k is 0: the
+/// draw Rng::normal rejects and redraws, so that stream's pairs no longer
+/// line up with the scalar ones. Dispatches on exec::simd::current_level().
+uint32_t uniform_pair_lanes(uint64_t* state, int nstreams, int64_t npairs,
+                            double* u1, double* u2);
 
 /// The map from a normal z to one value of Rng::fill_exp_normal:
 ///   x = mean + stddev * z,  c = clamp ? max(0, x) : x,  out = g * exp(k * c),

@@ -23,44 +23,57 @@
 namespace cn::exec {
 namespace {
 
-// Register-blocked current accumulation for RB input rows at once: one pass
-// over the tile's conductances serves RB rows, and per-(row, column)
+// Register-blocked current accumulation for RB input items at once: one
+// pass over the tile's conductances serves RB items, and per-(item, column)
 // accumulators keep the exact wordline summation order of the scalar path.
-// Adding a zero-voltage term is a bitwise no-op for these sums (products are
-// +/-normal or signed zero; round-to-nearest never flips an accumulator to
-// -0), so the scalar path's v == 0 skip does not change results. The g
-// arrays carry 8 doubles of end padding: lanes past `cols` compute garbage
-// that is simply not written back.
-// CONTIG: the RB input items are contiguous at each wordline (column-major
-// batch, x_item_stride == 1), letting the voltage loads vectorize. FMA: fuse
-// each multiply-add (bit-identical, see the header comment; only for levels
+// The voltages are widened to double once per call into the worker's buffer
+// `v`, so every column block broadcasts them straight from memory instead
+// of converting them again (packing and register blocking after Goto & van
+// de Geijn, ACM TOMS 34(3), 2008). The conductances stay floats and each
+// wordline's 8 per side are widened in registers (exact): the small-batch
+// layers stream the whole tile for a few items, so their speed is the bytes
+// per conductance. Adding a zero-voltage term is a bitwise no-op for these
+// sums (products are +/-normal or signed zero; round-to-nearest never flips
+// an accumulator to -0), so the scalar path's v == 0 skip does not change
+// results. The g arrays carry 8 floats of end padding: lanes past `cols`
+// compute garbage that is simply not written back. FMA: fuse each
+// multiply-add (bit-identical, see the header comment; only for levels
 // whose target has the instruction).
-template <int RB, bool CONTIG, bool FMA>
+template <int RB, bool FMA>
 [[gnu::always_inline]] inline void block_currents_impl(
-    const double* gp, const double* gn, int64_t rows, int64_t cols,
-    const float* x, int64_t xis, int64_t xws, float* cur, int64_t ldcur) {
+    const float* gp, const float* gn, int64_t rows, int64_t cols,
+    const float* x, int64_t xis, int64_t xws, double* v, float* cur,
+    int64_t ldcur) {
+  // v[r * RB + i] for item i at wordline r, the order the column blocks
+  // broadcast them in. Column-major batches (xis == 1, im2col) load each
+  // wordline's RB voltages as one vector.
+  if (xis == 1) {
+    for (int64_t r = 0; r < rows; ++r)
+      for (int i = 0; i < RB; ++i)
+        v[r * RB + i] = static_cast<double>(x[r * xws + i]);
+  } else {
+    for (int64_t r = 0; r < rows; ++r)
+      for (int i = 0; i < RB; ++i)
+        v[r * RB + i] = static_cast<double>(x[i * xis + r * xws]);
+  }
   for (int64_t c0 = 0; c0 < cols; c0 += 8) {
     double accp[RB][8] = {}, accn[RB][8] = {};
     for (int64_t r = 0; r < rows; ++r) {
-      const double* gpr = gp + r * cols + c0;
-      const double* gnr = gn + r * cols + c0;
-      double v[RB];
-      if (CONTIG) {
-        const float* xr = x + r * xws;
-        for (int i = 0; i < RB; ++i) v[i] = static_cast<double>(xr[i]);
-      } else {
-        for (int i = 0; i < RB; ++i)
-          v[i] = static_cast<double>(x[i * xis + r * xws]);
+      double gpr[8], gnr[8];
+      for (int c = 0; c < 8; ++c) {
+        gpr[c] = static_cast<double>(gp[r * cols + c0 + c]);
+        gnr[c] = static_cast<double>(gn[r * cols + c0 + c]);
       }
+      const double* vr = v + r * RB;
       for (int c = 0; c < 8; ++c) {
         const double gpc = gpr[c], gnc = gnr[c];
         for (int i = 0; i < RB; ++i) {
           if constexpr (FMA) {
-            accp[i][c] = __builtin_fma(v[i], gpc, accp[i][c]);
-            accn[i][c] = __builtin_fma(v[i], gnc, accn[i][c]);
+            accp[i][c] = __builtin_fma(vr[i], gpc, accp[i][c]);
+            accn[i][c] = __builtin_fma(vr[i], gnc, accn[i][c]);
           } else {
-            accp[i][c] += v[i] * gpc;
-            accn[i][c] += v[i] * gnc;
+            accp[i][c] += vr[i] * gpc;
+            accn[i][c] += vr[i] * gnc;
           }
         }
       }
@@ -72,33 +85,33 @@ template <int RB, bool CONTIG, bool FMA>
   }
 }
 
-template <int RB, bool CONTIG>
-void block_currents_generic(const double* gp, const double* gn, int64_t rows,
-                            int64_t cols, const float* x, int64_t xis, int64_t xws,
-                            float* cur, int64_t ldcur) {
-  block_currents_impl<RB, CONTIG, false>(gp, gn, rows, cols, x, xis, xws, cur,
-                                         ldcur);
+template <int RB>
+void block_currents_generic(const float* gp, const float* gn, int64_t rows,
+                            int64_t cols, const float* x, int64_t xis,
+                            int64_t xws, double* v, float* cur, int64_t ldcur) {
+  block_currents_impl<RB, false>(gp, gn, rows, cols, x, xis, xws, v, cur, ldcur);
 }
 
-using BlockKernel = void (*)(const double*, const double*, int64_t, int64_t,
-                             const float*, int64_t, int64_t, float*, int64_t);
+using BlockKernel = void (*)(const float*, const float*, int64_t, int64_t,
+                             const float*, int64_t, int64_t, double*, float*,
+                             int64_t);
 
 // Wider SIMD variants with fused multiply-adds, dispatched at runtime.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-template <int RB, bool CONTIG>
+template <int RB>
 __attribute__((target("avx2,fma"))) void block_currents_avx2(
-    const double* gp, const double* gn, int64_t rows, int64_t cols,
-    const float* x, int64_t xis, int64_t xws, float* cur, int64_t ldcur) {
-  block_currents_impl<RB, CONTIG, true>(gp, gn, rows, cols, x, xis, xws, cur,
-                                        ldcur);
+    const float* gp, const float* gn, int64_t rows, int64_t cols,
+    const float* x, int64_t xis, int64_t xws, double* v, float* cur,
+    int64_t ldcur) {
+  block_currents_impl<RB, true>(gp, gn, rows, cols, x, xis, xws, v, cur, ldcur);
 }
 
-template <int RB, bool CONTIG>
+template <int RB>
 __attribute__((target("avx512f,fma"))) void block_currents_avx512(
-    const double* gp, const double* gn, int64_t rows, int64_t cols,
-    const float* x, int64_t xis, int64_t xws, float* cur, int64_t ldcur) {
-  block_currents_impl<RB, CONTIG, true>(gp, gn, rows, cols, x, xis, xws, cur,
-                                        ldcur);
+    const float* gp, const float* gn, int64_t rows, int64_t cols,
+    const float* x, int64_t xis, int64_t xws, double* v, float* cur,
+    int64_t ldcur) {
+  block_currents_impl<RB, true>(gp, gn, rows, cols, x, xis, xws, v, cur, ldcur);
 }
 
 #define CN_HAVE_X86_TARGETS 1
@@ -106,16 +119,13 @@ __attribute__((target("avx512f,fma"))) void block_currents_avx512(
 #define CN_HAVE_X86_TARGETS 0
 #endif
 
-// One kernel table per ISA level (level-major: generic, avx2, avx512f), so
-// dispatch can be forced per level for the parity tests. Builds without
-// x86 target attributes alias every level to the generic kernels.
-#define CN_KERNEL_LEVEL(fn)                                                   \
-  {{fn<1, false>, fn<2, false>, fn<3, false>, fn<4, false>, fn<5, false>,     \
-    fn<6, false>, fn<7, false>, fn<8, false>},                                \
-   {fn<1, true>, fn<2, true>, fn<3, true>, fn<4, true>, fn<5, true>,          \
-    fn<6, true>, fn<7, true>, fn<8, true>}}
+// One kernel per ISA level (level-major: generic, avx2, avx512f) and item
+// count, so dispatch can be forced per level for the parity tests. Builds
+// without x86 target attributes alias every level to the generic kernels.
+#define CN_KERNEL_LEVEL(fn) \
+  {fn<1>, fn<2>, fn<3>, fn<4>, fn<5>, fn<6>, fn<7>, fn<8>}
 
-const BlockKernel kKernelTable[3][2][8] = {
+const BlockKernel kKernelTable[3][8] = {
     CN_KERNEL_LEVEL(block_currents_generic),
 #if CN_HAVE_X86_TARGETS
     CN_KERNEL_LEVEL(block_currents_avx2),
@@ -139,20 +149,16 @@ int detect_level() {
 // -1 = auto (host detection); otherwise a forced level.
 std::atomic<int> g_forced_level{-1};
 
-/// One lowered tile: padded double-precision conductance copies
-/// (float->double conversion is exact, so results match the scalar float
-/// path bit for bit while the hot loop skips per-element converts), executed
-/// at the per-call dispatch level.
+/// One lowered tile: padded copies of the float conductances, executed at
+/// the per-call dispatch level.
 class SimdTileExec final : public TileExec {
  public:
   explicit SimdTileExec(const TileView& t) : rows_(t.rows), cols_(t.cols) {
     const size_t n = static_cast<size_t>(rows_ * cols_);
-    gd_pos_.assign(n + 8, 0.0);
-    gd_neg_.assign(n + 8, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      gd_pos_[i] = static_cast<double>(t.g_pos[i]);
-      gd_neg_[i] = static_cast<double>(t.g_neg[i]);
-    }
+    g_pos_.assign(n + 8, 0.0f);
+    g_neg_.assign(n + 8, 0.0f);
+    std::copy(t.g_pos, t.g_pos + n, g_pos_.begin());
+    std::copy(t.g_neg, t.g_neg + n, g_neg_.begin());
   }
 
   int64_t row_block() const override {
@@ -162,16 +168,18 @@ class SimdTileExec final : public TileExec {
   }
 
   void currents(const float* x, int64_t nitems, int64_t xis, int64_t xws,
-                float* cur, int64_t ldcur, Scratch&) const override {
-    const BlockKernel* kernels =
-        kKernelTable[simd::current_level()][xis == 1 ? 1 : 0];
-    kernels[nitems - 1](gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, xis,
-                        xws, cur, ldcur);
+                float* cur, int64_t ldcur, Scratch& scratch) const override {
+    std::vector<double>& v = scratch.voltages;
+    if (v.size() < static_cast<size_t>(rows_ * nitems))
+      v.resize(static_cast<size_t>(rows_ * nitems));
+    kKernelTable[simd::current_level()][nitems - 1](
+        g_pos_.data(), g_neg_.data(), rows_, cols_, x, xis, xws, v.data(), cur,
+        ldcur);
   }
 
  private:
   int64_t rows_, cols_;
-  std::vector<double> gd_pos_, gd_neg_;
+  std::vector<float> g_pos_, g_neg_;
 };
 
 class SimdTarget final : public Target {

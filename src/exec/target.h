@@ -46,10 +46,14 @@ struct TileView {
 };
 
 /// Per-worker state handed to TileExec::currents, one per thread, so that
-/// TileExec itself stays stateless across calls. Empty: the simd kernels
-/// keep their accumulators in registers. A target that needs per-worker
-/// buffers adds them here.
-struct Scratch {};
+/// TileExec itself stays stateless across calls. Workers never share one.
+struct Scratch {
+  /// The simd kernels' voltage block: an item block's inputs widened to
+  /// double once per call (v[r * nitems + i] for item i at wordline r), so
+  /// the register-blocked kernel broadcasts them from memory. Grows to the
+  /// largest wordlines x items block seen, then is reused.
+  std::vector<double> voltages;
+};
 
 /// One tile lowered for execution. Implementations are immutable after
 /// construction and must be safe to call concurrently (matmul workers share

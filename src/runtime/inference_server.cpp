@@ -1,7 +1,9 @@
 #include "runtime/inference_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -195,6 +197,23 @@ const char* InferenceServer::admission_reject_reason(int64_t depth,
 }
 
 std::future<Tensor> InferenceServer::submit(Tensor input) {
+  // A NaN or infinite element would flow through every layer of the batch
+  // it lands in; refuse it before it is queued, counted or fixes the shape.
+  // The scan runs on every request, so it is branch-free (it vectorizes):
+  // adding 2^23 to the exponent field carries into the top bit only from
+  // the all-ones exponent of NaN and inf.
+  uint32_t nonfinite = 0;
+  for (int64_t i = 0; i < input.size(); ++i) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, input.data() + i, sizeof bits);
+    nonfinite |= (bits & 0x7f800000u) + 0x00800000u;
+  }
+  if (nonfinite >> 31)
+    for (int64_t i = 0; i < input.size(); ++i)
+      if (!std::isfinite(input[i]))
+        throw std::invalid_argument("InferenceServer: input element " +
+                                    std::to_string(i) + " is not finite (" +
+                                    std::to_string(input[i]) + ")");
   Request req;
   req.input = std::move(input);
   req.enqueued = std::chrono::steady_clock::now();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "exec/gauss_kernels.h"
 
@@ -98,8 +99,8 @@ void Rng::fill_span(float* out, int64_t n, const Pairs& pairs, const Value& valu
     i = 1;
   }
   constexpr int64_t kBlock = 64;  // pairs per kernel call
-  double u1[kBlock] = {}, u2[kBlock] = {};
-  uint8_t keep[kBlock] = {};
+  double u1[kBlock], u2[kBlock];
+  uint8_t keep[kBlock];
   while (n - i >= 2) {
     const int64_t np = std::min(kBlock, (n - i) / 2);
     for (int64_t p = 0; p < np; ++p) {
@@ -130,6 +131,56 @@ void Rng::fill_normal(float* out, int64_t n, float mean, float stddev) {
         return exec::gauss::box_muller_pairs(u1, u2, np, m, s, out + i, keep);
       },
       [&](int64_t, double z) { return static_cast<float>(m + s * z); });
+}
+
+void Rng::fill_normal_rows(const uint64_t* seeds, int64_t nrows, int64_t n,
+                           float mean, float stddev, float* out, int64_t ld) {
+  constexpr int kLanes = 8;
+  constexpr int64_t kPairs = 32;  // pairs per stream per kernel call
+  const double m = mean, s = stddev;
+  // A fresh stream's fill_normal is ceil(n / 2) uniform pairs: the full
+  // pairs, then for an odd n one more whose cos is the last value.
+  const int64_t npairs = (n + 1) / 2;
+  double u1[kLanes * kPairs], u2[kLanes * kPairs];
+  float z[2 * kLanes * kPairs];
+  uint8_t keep[kLanes * kPairs];
+  for (int64_t k0 = 0; k0 < nrows; k0 += kLanes) {
+    const int ns = static_cast<int>(std::min<int64_t>(kLanes, nrows - k0));
+    uint64_t state[4 * kLanes] = {};
+    for (int k = 0; k < ns; ++k) {
+      const Rng r(seeds[k0 + k]);
+      for (int j = 0; j < 4; ++j) state[j * kLanes + k] = r.s_[j];
+    }
+    uint32_t redraw = 0;
+    for (int64_t p0 = 0; p0 < npairs; p0 += kPairs) {
+      const int64_t np = std::min(kPairs, npairs - p0);
+      redraw |= exec::gauss::uniform_pair_lanes(state, ns, np, u1, u2);
+      const int64_t rejected =
+          exec::gauss::box_muller_pairs(u1, u2, np * ns, m, s, z, keep);
+      // Pair p of stream k sits at z[2 (p ns + k)]; for an odd n the last
+      // pair contributes only its cos.
+      const int64_t nfull = std::min(np, n / 2 - p0);
+      for (int k = 0; k < ns; ++k) {
+        float* o = out + (k0 + k) * ld + 2 * p0;
+        for (int64_t p = 0; p < nfull; ++p)
+          std::memcpy(o + 2 * p, z + 2 * (p * ns + k), 2 * sizeof(float));
+        if (nfull < np) o[2 * nfull] = z[2 * (nfull * ns + k)];
+      }
+      if (rejected == 0) continue;
+      for (int64_t q = 0; q < np * ns; ++q) {
+        if (keep[q]) continue;
+        const int64_t j = 2 * (p0 + q / ns);
+        float* o = out + (k0 + q % ns) * ld + j;
+        double c = 0.0, sn = 0.0;
+        box_muller(u1[q], u2[q], c, sn);
+        o[0] = static_cast<float>(m + s * c);
+        if (j + 1 < n) o[1] = static_cast<float>(m + s * sn);
+      }
+    }
+    for (int k = 0; k < ns; ++k)
+      if ((redraw >> k) & 1u)
+        Rng(seeds[k0 + k]).fill_normal(out + (k0 + k) * ld, n, mean, stddev);
+  }
 }
 
 void Rng::fill_exp_normal(float* out, const float* g, int64_t n,

@@ -50,6 +50,17 @@ class Rng {
   /// leading value and an odd tail take the scalar libm path.
   void fill_normal(float* out, int64_t n, float mean, float stddev);
 
+  /// Read noise for a block of fresh streams: row k of out (stride ld)
+  /// becomes, bit for bit, what Rng(seeds[k]).fill_normal(out + k * ld, n,
+  /// mean, stddev) writes. Up to 8 rows at a time run their xoshiro256**
+  /// streams in SIMD lanes (exec::gauss::uniform_pair_lanes) and feed one
+  /// box_muller_pairs call per block; libm recomputes the pairs the kernel
+  /// does not certify, an odd n takes the cos of one more pair, and a row
+  /// whose stream draws a u1 of 0 (which normal() redraws) is recomputed
+  /// with fill_normal.
+  static void fill_normal_rows(const uint64_t* seeds, int64_t nrows, int64_t n,
+                               float mean, float stddev, float* out, int64_t ld);
+
   /// The write path's lognormal span: out[i] = float(g[i] * exp(k * c(x)))
   /// with x = normal(p.mean, p.stddev) and c, k as in exec::gauss::ExpNormal
   /// (g[i] = 1 when g is null), bit for bit what n scalar draws compute in

@@ -281,6 +281,81 @@ TEST(CrossbarExec, ReadNoiseMatchesScalarNormalReference) {
   });
 }
 
+// The batched path draws each item block's noise rows at once
+// (Rng::fill_normal_rows): checked against the same scalar-normal reference
+// at tile widths that leave the 8-stream lanes partly empty or split a row
+// into several kernel blocks, with 70 items so the 8-item blocks, the
+// 64-item work blocks and their tails are all crossed. Each tile spans
+// every wordline (in <= width), so with g in [0, 1] and max |w| = 1 an
+// output is the raw current of its one tile.
+TEST(CrossbarExec, BatchedReadNoiseBlocksMatchScalarNormalReference) {
+  const int64_t kBatch = 70;
+  const float kSigma = 0.05f;
+  for (int64_t width : {1, 6, 101, 129}) {
+    const int64_t in = std::min<int64_t>(width, 40), out = 2 * width + width / 2 + 1;
+    RramDeviceParams dev;
+    dev.g_min = 0.0f;
+    dev.g_max = 1.0f;
+    dev.readout.read_sigma = kSigma;
+    Rng rng(710 + static_cast<uint64_t>(width));
+    Tensor w({out, in});
+    rng.fill_uniform(w, -0.9f, 0.9f);
+    w[0] = 1.0f;
+    Tensor x({kBatch, in});
+    rng.fill_normal(x, 0.0f, 1.0f);
+    Tensor x_cm({in, kBatch});
+    for (int64_t n = 0; n < kBatch; ++n)
+      for (int64_t k = 0; k < in; ++k) x_cm[k * kBatch + n] = x[n * in + k];
+    Rng prog(711);
+    const CrossbarArray xbar(w, dev, prog, width);
+    const int64_t ntiles = (out + width - 1) / width;
+    ASSERT_EQ(xbar.num_tiles(), ntiles);
+    const Tensor cur = xbar.matmul(x);  // noiseless: the raw currents
+
+    testutil::for_each_simd_level([&](int level) {
+      const std::string at = " width " + std::to_string(width) + " [simd level " +
+                             std::to_string(level) + "]";
+      Rng rows_rng(910), cols_rng(910), base_rng(910);
+      const Tensor got_rows = xbar.matmul(x, &rows_rng);
+      const Tensor got_cols = xbar.matmul_cols(x_cm, &cols_rng);
+      const uint64_t base = base_rng.next_u64();
+      Tensor want({kBatch, out});
+      for (int64_t n = 0; n < kBatch; ++n)
+        for (int64_t t = 0; t < ntiles; ++t) {
+          Rng stream(mix64(base ^ (static_cast<uint64_t>(t) * 0x100000001ull +
+                                   static_cast<uint64_t>(n))));
+          for (int64_t c = t * width; c < std::min(out, (t + 1) * width); ++c)
+            want[n * out + c] =
+                cur[n * out + c] *
+                (1.0f + static_cast<float>(stream.normal(0.0, kSigma)));
+        }
+      testutil::expect_bitwise_equal(got_rows, want, "matmul" + at);
+      testutil::expect_bitwise_equal(got_cols, want, "matmul_cols" + at);
+    });
+  }
+}
+
+TEST(CrossbarExec, SmallTileShapesKeepBatchedAndMatvecBitIdentical) {
+  // The kernel's edges: 1-3 wordlines (the widened voltage block is a few
+  // doubles), and bitline counts below, at and past the 8-column register
+  // block, at every forced level.
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.2f;
+  dev.readout.adc_bits = 8;
+  uint64_t seed = 1000;
+  for (int64_t rows = 1; rows <= 3; ++rows)
+    for (int64_t cols : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 129}) {
+      ParityShape shape;
+      shape.in = rows;
+      shape.out = cols;
+      shape.batch = 11;
+      shape.tile = 256;
+      expect_paths_bit_identical(dev, nullptr, ++seed,
+                                 std::to_string(rows) + "x" + std::to_string(cols),
+                                 shape);
+    }
+}
+
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   // With read noise on, matvec and matmul use different stream derivations
   // by design; what each must guarantee is exact reproducibility from the

@@ -594,5 +594,136 @@ TEST(ExpNormalKernel, KeepsAllButARareFewRandomPairs) {
   });
 }
 
+// Rng(seed) seeds state word j with splitmix64's (j + 1)-th output, i.e.
+// mix64(seed + j * 0x9E3779B97F4A7C15): the lane state of stream k.
+void seed_lane(uint64_t* state, int k, uint64_t seed) {
+  for (int j = 0; j < 4; ++j)
+    state[j * 8 + k] = mix64(seed + static_cast<uint64_t>(j) * 0x9E3779B97F4A7C15ull);
+}
+
+// The seed whose state has s[1] = 0, so that its first output is 0: u1 = 0,
+// which Rng::normal rejects and redraws (mix64 is a bijection that maps
+// -0x9E3779B97F4A7C15 to 0).
+constexpr uint64_t kZeroFirstDrawSeed = 0ull - 2 * 0x9E3779B97F4A7C15ull;
+
+TEST(UniformLanes, TenMillionOutputsMatchNextU64) {
+  // Every lane count 1-8 and call length 1-64 pairs: each lane's uniforms
+  // are its stream's next_u64() >> 11 scaled by 2^-53, in order (the low 11
+  // bits of an output are not visible, but the state that made them is:
+  // every later output depends on it). No u1 of 0 on these streams.
+  constexpr int64_t kOutputs = 10'000'000;
+  testutil::for_each_simd_level([&](int level) {
+    int64_t done = 0, mismatches = 0, calls = 0;
+    std::vector<double> u1(8 * 64), u2(8 * 64);
+    while (done < kOutputs) {
+      const int ns = 1 + static_cast<int>(calls % 8);
+      uint64_t state[32] = {};
+      std::vector<Rng> ref;
+      for (int k = 0; k < ns; ++k) {
+        const uint64_t seed = 1000 * static_cast<uint64_t>(level) + calls * 8 + k;
+        seed_lane(state, k, seed);
+        ref.emplace_back(seed);
+      }
+      for (int rep = 0; rep < 8; ++rep) {
+        const int64_t np = 1 + (calls * 7 + rep * 13) % 64;
+        ASSERT_EQ(exec::gauss::uniform_pair_lanes(state, ns, np, u1.data(), u2.data()),
+                  0u);
+        for (int64_t p = 0; p < np; ++p)
+          for (int k = 0; k < ns; ++k) {
+            const auto x1 = static_cast<double>(ref[static_cast<size_t>(k)].next_u64() >> 11);
+            const auto x2 = static_cast<double>(ref[static_cast<size_t>(k)].next_u64() >> 11);
+            mismatches += u1[static_cast<size_t>(p * ns + k)] * 0x1p53 != x1;
+            mismatches += u2[static_cast<size_t>(p * ns + k)] * 0x1p53 != x2;
+          }
+        done += 2 * np * ns;
+      }
+      ++calls;
+    }
+    EXPECT_EQ(mismatches, 0) << "level " << level << ", " << done << " outputs";
+  });
+}
+
+TEST(UniformLanes, FlagsExactlyTheStreamsThatDrawAZeroU1) {
+  testutil::for_each_simd_level([&](int level) {
+    for (int planted = 0; planted < 8; ++planted) {
+      uint64_t state[32] = {};
+      for (int k = 0; k < 8; ++k)
+        seed_lane(state, k, k == planted ? kZeroFirstDrawSeed : 50u + k);
+      ASSERT_EQ(state[8 + planted], 0u);  // s[1] = 0
+      double u1[8 * 3], u2[8 * 3];
+      EXPECT_EQ(exec::gauss::uniform_pair_lanes(state, 8, 3, u1, u2), 1u << planted)
+          << "level " << level;
+      EXPECT_EQ(u1[planted], 0.0);
+      // Past the stream count nothing is reported, planted or not.
+      seed_lane(state, planted, kZeroFirstDrawSeed);
+      EXPECT_EQ(exec::gauss::uniform_pair_lanes(state, planted, 3, u1, u2), 0u);
+    }
+  });
+}
+
+// Draws the rows both ways with a sentinel-filled stride ld = n + 3 and
+// compares each row bitwise; the gaps between rows must stay untouched.
+void expect_rows_match(const std::vector<uint64_t>& seeds, int64_t n, float mean,
+                       float stddev, const std::string& what) {
+  const auto nrows = static_cast<int64_t>(seeds.size());
+  const int64_t ld = n + 3;
+  std::vector<float> got(static_cast<size_t>(nrows * ld), -7.0f);
+  Rng::fill_normal_rows(seeds.data(), nrows, n, mean, stddev, got.data(), ld);
+  std::vector<float> want(static_cast<size_t>(n));
+  for (int64_t k = 0; k < nrows; ++k) {
+    Rng(seeds[static_cast<size_t>(k)]).fill_normal(want.data(), n, mean, stddev);
+    const float* row = got.data() + k * ld;
+    testutil::expect_bitwise_equal(row, want.data(), n,
+                                   what + " row " + std::to_string(k));
+    for (int64_t i = n; i < ld; ++i)
+      ASSERT_EQ(row[i], -7.0f) << what << " row " << k << ": wrote past n";
+  }
+}
+
+TEST(FillNormalRows, MatchesPerRowFillNormalOnEverySizeAndRowCount) {
+  // n 0-300 (odd n ends on the cos of one more pair) and 1-8 rows, plus
+  // row counts past one 8-lane group.
+  testutil::for_each_simd_level([&](int level) {
+    uint64_t seed = 5000;
+    for (int64_t n = 0; n <= 300; ++n)
+      for (int64_t nrows = 1; nrows <= 8; ++nrows) {
+        std::vector<uint64_t> seeds;
+        for (int64_t k = 0; k < nrows; ++k) seeds.push_back(mix64(++seed));
+        const float sigma = n % 3 == 0 ? 0.02f : 1.0f;
+        expect_rows_match(seeds, n, n % 2 ? 0.0f : 0.25f, sigma,
+                          "level " + std::to_string(level) + " n=" +
+                              std::to_string(n) + " rows=" + std::to_string(nrows));
+      }
+    for (int64_t nrows : {9, 16, 19}) {
+      std::vector<uint64_t> seeds;
+      for (int64_t k = 0; k < nrows; ++k) seeds.push_back(mix64(++seed));
+      expect_rows_match(seeds, 129, 0.0f, 0.02f,
+                        "level " + std::to_string(level) + " rows=" +
+                            std::to_string(nrows));
+    }
+  });
+}
+
+TEST(FillNormalRows, ARowThatRedrawsAZeroU1FallsBackToItsOwnStream) {
+  // The planted stream's first u1 is 0: the scalar path draws a fresh u1,
+  // shifting that row's pairs by one draw against the lanes. Planted in
+  // every lane position, with odd and even n, alone and among 8 rows.
+  testutil::for_each_simd_level([&](int level) {
+    for (int64_t n : {1, 2, 7, 128, 129})
+      for (int64_t nrows : {1, 5, 8})
+        for (int64_t planted = 0; planted < nrows; ++planted) {
+          std::vector<uint64_t> seeds;
+          for (int64_t k = 0; k < nrows; ++k)
+            seeds.push_back(k == planted ? kZeroFirstDrawSeed : mix64(900 + k));
+          expect_rows_match(seeds, n, 0.0f, 0.02f,
+                            "level " + std::to_string(level) + " planted " +
+                                std::to_string(planted) + " n=" + std::to_string(n));
+        }
+    // The reference really redraws: its first value is not the lanes' pair.
+    Rng planted(kZeroFirstDrawSeed);
+    EXPECT_EQ(planted.next_u64(), 0u);
+  });
+}
+
 }  // namespace
 }  // namespace cn

@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -552,6 +554,46 @@ TEST(Admission, RejectedOrInvalidSubmitsDoNotStartTheWallClock) {
   const ServerStats st = server.stats();
   EXPECT_EQ(st.requests, 0u);
   EXPECT_EQ(st.wall_seconds, 0.0);
+}
+
+TEST(InferenceServer, NonFiniteInputsAreRejectedBeforeTheyAreQueued) {
+  // A NaN or infinite element throws naming its index; the request is never
+  // queued or counted, and does not fix the server's input shape.
+  auto& f = fixture();
+  analog::VariationModel vm{analog::VariationKind::kNone, 0.0f};
+  ChipFarmOptions fo;
+  fo.instances = 1;
+  fo.max_live = 1;
+  ChipFarm farm(f.model, vm, fo);
+  InferenceServerOptions so;
+  so.workers = 1;
+  InferenceServer server(farm, so);
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (float bad : kBad) {
+    Tensor img = f.ds.test.image(0);
+    img[17] = bad;
+    try {
+      server.submit(img);
+      ADD_FAILURE() << "accepted a non-finite input (" << bad << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("element 17"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A non-finite input of another shape is refused as non-finite too.
+  Tensor odd({5});
+  odd[4] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(server.submit(odd), std::invalid_argument);
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.requests, 0u);
+  EXPECT_EQ(st.rejected, 0u);
+  EXPECT_EQ(st.wall_seconds, 0.0);
+  // The first finite request still fixes the shape and is served.
+  EXPECT_EQ(server.submit(f.ds.test.image(1)).get().size(), 10);
+  server.shutdown();
+  EXPECT_EQ(server.stats().requests, 1u);
 }
 
 // ---------- fault drills ----------
