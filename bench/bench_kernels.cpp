@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, the digital conv and
-// dense kernels, crossbar MVM, the batched crossbar matmul on every
-// registered execution target, crossbar read-noise draws and programming
+// dense kernels, crossbar MVM, the batched crossbar matmul, the simd tile
+// kernel, crossbar read-noise draws and programming
 // lognormals (scalar loop vs the Gaussian spans), tile programming, and
 // Monte-Carlo perturbation sampling.
 // Legs that run on the thread pool time real (wall) time: the main thread's
@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "analog/crossbar.h"
@@ -142,10 +141,8 @@ void BM_CrossbarMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarMatvec)->Arg(128)->Arg(512);
 
-// The batched crossbar matmul on one explicit execution target; registered
-// per target in main (targets are enumerated from the registry at startup,
-// so a new register_target call grows the bench without edits here).
-void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
+// The batched crossbar matmul (the simd tile kernel plus the periphery).
+void BM_CrossbarMatmul(benchmark::State& state) {
   const int64_t n = state.range(0), batch = 32;
   Rng rng(7);
   Tensor w({n, n});
@@ -153,7 +150,7 @@ void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
   analog::RramDeviceParams dev;
   dev.program_sigma = 0.1f;
   Rng prog(8);
-  analog::CrossbarArray xbar(w, dev, prog, /*tile=*/128, nullptr, nullptr, t);
+  analog::CrossbarArray xbar(w, dev, prog, /*tile=*/128);
   Tensor x({batch, n});
   rng.fill_normal(x, 0.0f, 1.0f);
   for (auto _ : state) {
@@ -163,6 +160,8 @@ void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
   // 4 flops per cell per item (differential pair: 2 products + 2 adds).
   state.SetItemsProcessed(state.iterations() * 4 * n * n * batch);
 }
+// Real time: the matmul runs on the pool, not the main thread.
+BENCHMARK(BM_CrossbarMatmul)->Arg(128)->Arg(512)->UseRealTime();
 
 // One tile's bitline currents through the lowered simd target, the way the
 // batched matmul calls them: 64 column-major items (an im2col block) in
@@ -321,21 +320,4 @@ BENCHMARK(BM_ProgramTile)->Arg(128)->UseRealTime();
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the per-target crossbar legs are
-// registered dynamically from the execution-target registry.
-int main(int argc, char** argv) {
-  for (const cn::exec::Target* t : cn::exec::registered_targets()) {
-    if (!t->available()) continue;
-    const std::string name = "BM_CrossbarMatmul/" + t->name();
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [t](benchmark::State& s) { BM_CrossbarMatmulTarget(s, t); })
-        ->Arg(128)
-        ->Arg(512)
-        ->UseRealTime();  // the matmul runs on the pool, not the main thread
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,13 +7,13 @@
 //   runtime     — ChipFarm + McEngine with sample-level parallelism and the
 //                 tile-blocked CrossbarArray::matmul batched kernel.
 // The two must agree bit-for-bit (read noise off); the interesting number is
-// the wall-clock ratio. A second section benches the factor-injection MC
-// path and the micro-batching InferenceServer.
+// the wall-clock ratio. Before it, two fusion legs time the fused digital
+// forward; after it, the micro-batching InferenceServer is measured open
+// loop, then held to its overload and fault-drill contracts.
 //
 // Writes BENCH_runtime.json (see bench::BenchJson). `--quick` shrinks the
 // workload for CI smoke runs.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -25,7 +25,6 @@
 
 #include "common.h"
 #include "data/batcher.h"
-#include "exec/target.h"
 #include "faultsim/fault_models.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -33,11 +32,8 @@
 #include "nn/dropout.h"
 #include "nn/fusion.h"
 #include "nn/pooling.h"
-#include "obs/exposition.h"
-#include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "tensor/ops.h"
-#include "tensor/threadpool.h"
 #include "runtime/chip_farm.h"
 #include "runtime/inference_server.h"
 #include "runtime/mc_engine.h"
@@ -291,37 +287,8 @@ int main(int argc, char** argv) {
   json.set("mc_crossbar_bit_identical", identical);
   json.set("mc_crossbar_mean_acc", rt.mean);
 
-  // ---------- factor-injection MC: seed-style loop vs McEngine ----------
-  analog::VariationModel vm{analog::VariationKind::kLognormal, 0.4f};
-  const int mc_samples = quick ? 8 : 16;
-  {
-    // Seed-style: one work clone, one rng stream, strictly sequential.
-    nn::Sequential work = model.clone_model();
-    Rng mc_rng(4242);
-    t0 = Clock::now();
-    for (int s = 0; s < mc_samples; ++s) {
-      analog::perturb_from(work, vm, mc_rng, 0);
-      core::evaluate(work, ds.test, 128);
-    }
-    work.clear_all_variations();
-  }
-  const double t_factor_seq = seconds_since(t0);
-  core::McOptions mo;
-  mo.samples = mc_samples;
-  mo.seed = 4242;
-  t0 = Clock::now();
-  const core::McResult fr = core::mc_accuracy(model, ds.test, vm, mo);
-  const double t_factor_rt = seconds_since(t0);
-  std::printf("  [mc-factor]   seed path   : %.3fs\n", t_factor_seq);
-  std::printf("  [mc-factor]   runtime     : %.3fs  (mean acc %.3f, %u threads)\n",
-              t_factor_rt, fr.mean, ThreadPool::global().size());
-  json.set("mc_factor_seed_s", t_factor_seq);
-  json.set("mc_factor_runtime_s", t_factor_rt);
-  json.set("mc_factor_samples", static_cast<int64_t>(mc_samples));
-  json.set("threads", static_cast<int64_t>(ThreadPool::global().size()));
-
   // ---------- InferenceServer micro-batching ----------
-  double base_server_rps = 0;  // unscraped throughput, scrape-leg baseline
+  double base_server_rps = 0;  // open-loop capacity, the overload leg's base
   {
     analog::VariationModel none{analog::VariationKind::kNone, 0.0f};
     runtime::ChipFarmOptions sfo;
@@ -364,108 +331,6 @@ int main(int argc, char** argv) {
     json.set("server_p50_us", st.p50_latency_us);
     json.set("server_p99_us", st.p99_latency_us);
     json.set("server_p999_us", st.p999_latency_us);
-  }
-
-  // ---------- InferenceServer under bursty arrivals ----------
-  // The open-loop leg above slams every request in at once, so latency is
-  // dominated by queueing behind the drain. This leg sends small bursts with
-  // idle gaps — the arrival pattern micro-batching exists for — and records
-  // the tail percentiles, which the avg-only stats used to hide.
-  {
-    analog::VariationModel none{analog::VariationKind::kNone, 0.0f};
-    runtime::ChipFarmOptions sfo;
-    sfo.instances = 2;
-    sfo.max_live = 2;
-    runtime::ChipFarm sfarm(model, none, sfo);
-    runtime::InferenceServerOptions so;
-    so.max_batch = 16;
-    so.max_wait_us = 500;
-    so.workers = 2;
-    runtime::InferenceServer server(sfarm, so);
-    const int64_t burst_size = 8;
-    const int64_t bursts = quick ? 8 : 24;
-    const int64_t requests = burst_size * bursts;
-    std::vector<std::future<Tensor>> futs;
-    futs.reserve(static_cast<size_t>(requests));
-    t0 = Clock::now();
-    for (int64_t b = 0; b < bursts; ++b) {
-      for (int64_t i = 0; i < burst_size; ++i) {
-        const int64_t idx = (b * burst_size + i) % test_count;
-        futs.push_back(server.submit(ds.test.image(idx)));
-      }
-      // Wait the burst out before the gap so each burst's latency is its
-      // own batching story, not queueing behind the previous one.
-      futs.back().wait();
-      std::this_thread::sleep_for(std::chrono::microseconds(quick ? 500 : 2000));
-    }
-    for (auto& f : futs) f.wait();
-    const double t_burst = seconds_since(t0);
-    const runtime::ServerStats st = server.stats();
-    std::printf("  [burst]  %lld bursts x %lld requests in %.3fs: %.0f req/s, "
-                "latency p50 %.0fus p99 %.0fus p999 %.0fus\n",
-                static_cast<long long>(bursts),
-                static_cast<long long>(burst_size), t_burst,
-                st.throughput_rps(), st.p50_latency_us, st.p99_latency_us,
-                st.p999_latency_us);
-    json.set("burst_requests", requests);
-    json.set("burst_throughput_rps", st.throughput_rps());
-    json.set("burst_avg_batch", st.avg_batch());
-    json.set("burst_p50_us", st.p50_latency_us);
-    json.set("burst_p99_us", st.p99_latency_us);
-    json.set("burst_p999_us", st.p999_latency_us);
-  }
-
-  // ---------- serving throughput with a live scraper ----------
-  // The open-loop server leg again, but with an ephemeral ExpositionServer
-  // up and a client hitting /metrics at 10 Hz — the deployment shape the
-  // exposition tier is designed for. Recorded (not asserted): the point is a
-  // machine-readable trajectory of scrape overhead, which should stay noise.
-  {
-    analog::VariationModel none{analog::VariationKind::kNone, 0.0f};
-    runtime::ChipFarmOptions sfo;
-    sfo.instances = 2;
-    sfo.max_live = 2;
-    runtime::ChipFarm sfarm(model, none, sfo);
-    runtime::InferenceServerOptions so;
-    so.max_batch = 32;
-    so.max_wait_us = 1000;
-    so.workers = 2;
-    runtime::InferenceServer server(sfarm, so);
-    obs::ExpositionServer expo;  // port 0 = ephemeral
-    expo.set_ready(true);
-    std::atomic<bool> stop_scraper{false};
-    std::atomic<int64_t> scrapes{0};
-    std::thread scraper([&] {
-      while (!stop_scraper.load(std::memory_order_relaxed)) {
-        try {
-          obs::http_get_local(expo.port(), "/metrics");
-          scrapes.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception&) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    });
-    const int64_t requests = std::min<int64_t>(test_count, quick ? 120 : 400);
-    std::vector<std::future<Tensor>> futs;
-    futs.reserve(static_cast<size_t>(requests));
-    t0 = Clock::now();
-    for (int64_t i = 0; i < requests; ++i)
-      futs.push_back(server.submit(ds.test.image(i)));
-    for (auto& f : futs) f.wait();
-    const double t_scraped = seconds_since(t0);
-    stop_scraper.store(true, std::memory_order_relaxed);
-    scraper.join();
-    const runtime::ServerStats st = server.stats();
-    const double overhead =
-        base_server_rps > 0 ? 1.0 - st.throughput_rps() / base_server_rps : 0.0;
-    std::printf("  [scrape] %lld requests in %.3fs with %lld scrapes: "
-                "%.0f req/s (overhead vs unscraped %.1f%%)\n",
-                static_cast<long long>(requests), t_scraped,
-                static_cast<long long>(scrapes.load()), st.throughput_rps(),
-                100.0 * overhead);
-    json.set("server_throughput_rps_scraped", st.throughput_rps());
-    json.set("scrape_count", scrapes.load());
-    json.set("scrape_overhead_frac", overhead);
   }
 
   // ---------- bounded-queue admission under sustained 2x overload ----------
@@ -622,91 +487,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---------- per-execution-target kernel legs ----------
-  // One square array per registered target (identical conductances via a
-  // re-seeded programming rng), the batched matmul timed per target:
-  // GFLOP/s, bit-exactness vs the scalar matvec reference, and the worst
-  // relative error for approximate targets. Written to BENCH_targets.json
-  // so the per-target perf/parity trajectory is machine-readable.
-  {
-    const int64_t n = quick ? 256 : 512;
-    const int64_t batch = quick ? 32 : 64;
-    const int reps = quick ? 3 : 5;
-    Rng wrng(777);
-    Tensor w({n, n});
-    wrng.fill_normal(w, 0.0f, 0.5f);
-    Tensor x({batch, n});
-    wrng.fill_normal(x, 0.0f, 1.0f);
-    analog::RramDeviceParams tdev;
-    tdev.g_min = 1e-6f;
-    tdev.g_max = 1e-4f;
-    tdev.program_sigma = 0.1f;
-
-    // Scalar per-column reference (target-independent), computed once.
-    Rng prog_ref(778);
-    analog::CrossbarArray ref_arr(w, tdev, prog_ref, /*tile=*/n);
-    std::vector<Tensor> ref;
-    ref.reserve(static_cast<size_t>(batch));
-    Tensor xi({n});
-    for (int64_t b = 0; b < batch; ++b) {
-      std::copy(x.data() + b * n, x.data() + (b + 1) * n, xi.data());
-      ref.push_back(ref_arr.matvec(xi));
-    }
-
-    bench::BenchJson tj("targets");
-    tj.set("quick", quick);
-    tj.set("n", n);
-    tj.set("batch", batch);
-    std::printf("  [targets] %lldx%lld array, batch %lld:\n",
-                static_cast<long long>(n), static_cast<long long>(n),
-                static_cast<long long>(batch));
-    for (const exec::Target* t : exec::registered_targets()) {
-      if (!t->available()) continue;
-      Rng prog(778);  // same conductances as the reference array
-      analog::CrossbarArray arr(w, tdev, prog, /*tile=*/n, nullptr, nullptr, t);
-      Tensor y = arr.matmul(x);  // warm-up + parity sample
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r) {
-        Tensor yr = arr.matmul(x);
-        y = std::move(yr);
-      }
-      const double dt = seconds_since(t0) / reps;
-      // 4 flops per cell per item: two products and two adds across the
-      // differential pair.
-      const double gflops =
-          dt > 0 ? 4.0 * static_cast<double>(n) * static_cast<double>(n) *
-                       static_cast<double>(batch) / dt / 1e9
-                 : 0.0;
-      bool exact = true;
-      double max_err = 0.0, max_abs = 0.0;
-      for (int64_t b = 0; b < batch; ++b) {
-        for (int64_t o = 0; o < n; ++o) {
-          const float yv = y[b * n + o];
-          const float rv = ref[static_cast<size_t>(b)][o];
-          if (yv != rv) exact = false;
-          max_err = std::max(max_err, std::abs(static_cast<double>(yv) - rv));
-          max_abs = std::max(max_abs, std::abs(static_cast<double>(rv)));
-        }
-      }
-      const double rel = max_abs > 0 ? max_err / max_abs : 0.0;
-      std::printf("    %-13s %8.2f GFLOP/s  bit-identical: %-3s  "
-                  "max rel err %.2e\n",
-                  t->name().c_str(), gflops, exact ? "yes" : "no", rel);
-      tj.set(t->name() + ".gflops", gflops);
-      tj.set(t->name() + ".bit_exact", exact);
-      tj.set(t->name() + ".max_rel_err", rel);
-      // A target that claims bit-exactness and misses it is a bench
-      // failure, same as the runtime/seed divergence check below.
-      if (t->bit_exact() && !exact) {
-        std::printf("FAIL: target %s claims bit-exactness but diverged\n",
-                    t->name().c_str());
-        return 1;
-      }
-    }
-    tj.write();
-  }
-
-  json.set("wall_s", t_program + t_seq + t_runtime + t_factor_seq + t_factor_rt);
+  json.set("wall_s", t_program + t_seq + t_runtime);
   json.write();
 
   if (!identical) {

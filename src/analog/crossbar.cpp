@@ -38,9 +38,8 @@ void validate_device(const RramDeviceParams& dev) {
 }
 
 CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev,
-                           Rng& rng, bool defer_lowering, const exec::Target* target)
-    : rows_(rank2(w).dim(0)), cols_(w.dim(1)), dev_(dev),
-      target_(target ? target : &exec::default_target()) {
+                           Rng& rng, bool defer_lowering)
+    : rows_(rank2(w).dim(0)), cols_(w.dim(1)), dev_(dev) {
   validate_device(dev);
   const float g_range = dev.g_max - dev.g_min;
   // scale maps conductance difference to weight: w = scale * (g+ - g-).
@@ -94,14 +93,13 @@ void CrossbarTile::lower() {
   view.cols = cols_;
   view.g_min = dev_.g_min;
   view.g_max = dev_.g_max;
-  exec_ = target_->lower(view);
-  // Per-target lowering volume (tiles and conductance bytes consumed). The
-  // name lookup is mutex-guarded, so skip it entirely when gated off — this
-  // runs per tile per chip build.
+  exec_ = exec::default_target().lower(view);
+  // Lowering volume (tiles and conductance bytes consumed). The counter
+  // lookup is mutex-guarded, so skip it entirely when gated off — this runs
+  // per tile per chip build.
   if (obs::metrics().enabled()) {
-    const std::string prefix = "exec." + std::string(target_->name());
-    obs::metrics().counter(prefix + ".tiles").add(1);
-    obs::metrics().counter(prefix + ".bytes")
+    obs::metrics().counter("exec.simd.tiles").add(1);
+    obs::metrics().counter("exec.simd.bytes")
         .add(static_cast<uint64_t>(rows_) * static_cast<uint64_t>(cols_) * 2 *
              sizeof(float));
   }
@@ -239,14 +237,10 @@ Tensor CrossbarTile::effective_weights() const {
 
 CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev,
                              Rng& rng, int64_t tile, const FaultList* faults,
-                             const remap::RemapParams* remap,
-                             const exec::Target* target) {
+                             const remap::RemapParams* remap) {
   if (w_out_in.rank() != 2)
     throw std::invalid_argument("CrossbarArray: weight must be rank-2");
   if (tile < 1) throw std::invalid_argument("CrossbarArray: tile must be positive");
-  // Resolve the default once: every tile of the array lowers through one
-  // target even if the process default changes mid-construction.
-  target_ = target ? target : &exec::default_target();
   dev_ = dev;
   // Nonideality models may rescale device parameters (e.g. temperature-
   // dependent sigmas) before anything is programmed.
@@ -266,9 +260,9 @@ CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev
         for (int64_t c = 0; c < cc; ++c)
           sub[r * cc + c] = w_in_out[(r0 + r) * out_ + (c0 + c)];
       const bool have_faults = faults && !faults->empty();
-      tiles_.push_back(Placed{r0, c0, CrossbarTile(sub, absmax, dev_, rng,
-                                                   /*defer_lowering=*/have_faults,
-                                                   target_)});
+      tiles_.push_back(
+          Placed{r0, c0, CrossbarTile(sub, absmax, dev_, rng,
+                                      /*defer_lowering=*/have_faults)});
       max_tile_cols_ = std::max(max_tile_cols_, cc);
       if (have_faults) {
         FaultModel::TileCtx ctx;
@@ -349,7 +343,7 @@ Tensor CrossbarArray::matmul_impl(const float* xd, int64_t n, bool colmajor,
   const int64_t nblocks = (n + row_block - 1) / row_block;
   const int64_t ngroups = static_cast<int64_t>(col_groups_.size());
   parallel_for(0, ngroups * nblocks, [&](int64_t lo, int64_t hi) {
-    // Per worker: 8 current rows and 8 noise rows, the target's scratch,
+    // Per worker: 8 current rows and 8 noise rows, the kernel's scratch,
     // and the read-noise seeds of one item block.
     std::vector<float> cur(static_cast<size_t>(16 * max_tile_cols_));
     exec::Scratch scratch;

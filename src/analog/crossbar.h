@@ -24,7 +24,6 @@
 #include "tensor/tensor.h"
 
 namespace cn::exec {
-class Target;
 class TileExec;
 struct Scratch;
 }  // namespace cn::exec
@@ -124,14 +123,13 @@ class CrossbarTile {
  public:
   /// Programs the tile from `w` (rows=in, cols=out), scaling by max |w| of
   /// the whole array (`w_absmax`). Applies level quantization then
-  /// programming variation via `rng`. The batched path executes through
-  /// `target` (nullptr = exec::default_target()), which lowers the
-  /// programmed conductances once at construction. `defer_lowering` skips
-  /// that when an apply_faults call is known to follow immediately (it
-  /// re-lowers) — callers who defer and then never apply faults would leave
-  /// the batched path with no executable.
+  /// programming variation via `rng`. The batched path executes through the
+  /// simd tile kernel, lowered from the programmed conductances once at
+  /// construction. `defer_lowering` skips that when an apply_faults call is
+  /// known to follow immediately (it re-lowers) — callers who defer and then
+  /// never apply faults would leave the batched path with no executable.
   CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev, Rng& rng,
-               bool defer_lowering = false, const exec::Target* target = nullptr);
+               bool defer_lowering = false);
 
   CrossbarTile(CrossbarTile&&) noexcept;
   CrossbarTile& operator=(CrossbarTile&&) noexcept;
@@ -168,18 +166,18 @@ class CrossbarTile {
                       double* in_acc, float* currents) const;
 
   /// Batched path: accumulates `nitems` input vectors into y rows (stride
-  /// ldy) through the tile's lowered execution target, item-blocked so
-  /// conductance loads amortize across the batch. Input element (item i,
+  /// ldy) through the tile's lowered kernel, item-blocked so conductance
+  /// loads amortize across the batch. Input element (item i,
   /// wordline r) sits at x[i * x_item_stride + r * x_word_stride], which
   /// covers both row-major batches (item_stride = ld, word_stride = 1) and
   /// column-major ones like im2col outputs (item_stride = 1, word_stride =
-  /// ld). With a bit-exact target each result row is bit-identical to
-  /// accumulate_matvec (same per-column wordline accumulation order).
+  /// ld). Each result row is bit-identical to accumulate_matvec (same
+  /// per-column wordline accumulation order).
   /// `row_seeds` (nullable) holds one read-noise seed per item: item i's
   /// noise is what finish_row draws from a fresh Rng(row_seeds[i]), drawn
   /// for a whole item block at once (Rng::fill_normal_rows).
   /// `cur_scratch` must hold >= 16 * cols() floats (8 current rows, 8 noise
-  /// rows), and `scratch` is the calling worker's target scratch.
+  /// rows), and `scratch` is the calling worker's kernel scratch.
   void accumulate_rows(const float* x, int64_t nitems, int64_t x_item_stride,
                        int64_t x_word_stride, float* y, int64_t ldy,
                        const uint64_t* row_seeds, float* cur_scratch,
@@ -197,19 +195,16 @@ class CrossbarTile {
   /// both paths share.
   void read_out(float* currents, float* y) const;
 
-  /// (Re-)lowers the programmed conductances through the execution target
-  /// (after programming or fault injection): the target may precompute
-  /// whatever representation it executes from (e.g. double copies).
+  /// (Re-)lowers the programmed conductances into the simd kernel's padded
+  /// copies (after programming or fault injection).
   void lower();
 
   int64_t rows_, cols_;
   float scale_;                 // weight per Siemens
   RramDeviceParams dev_;
   std::vector<float> g_pos_, g_neg_;  // programmed conductances, row-major
-  const exec::Target* target_;  // registry-owned, process lifetime
-  // The lowered executable the batched path dispatches to. Borrows the g
-  // arrays' heap storage, which survives tile moves; any mutation of the
-  // arrays must re-lower.
+  // The lowered executable the batched path dispatches to: a copy of the g
+  // arrays, so any mutation of the arrays must re-lower.
   std::unique_ptr<exec::TileExec> exec_;
 };
 
@@ -224,20 +219,14 @@ class CrossbarArray {
   /// pure function of its seed. Active `remap` params additionally run the
   /// fault-aware remapping controller on every tile (see
   /// CrossbarTile::apply_faults); the summed repair accounting is readable
-  /// via remap_stats(). The batched path executes through `target` (nullptr
-  /// = exec::default_target() at construction time); the scalar matvec
-  /// reference is target-independent.
+  /// via remap_stats().
   CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev, Rng& rng,
                 int64_t tile = 128, const FaultList* faults = nullptr,
-                const remap::RemapParams* remap = nullptr,
-                const exec::Target* target = nullptr);
+                const remap::RemapParams* remap = nullptr);
 
   int64_t in_dim() const { return in_; }
   int64_t out_dim() const { return out_; }
   int64_t num_tiles() const { return static_cast<int64_t>(tiles_.size()); }
-
-  /// The execution target this array was lowered with.
-  const exec::Target& target() const { return *target_; }
 
   /// y = W_eff · x, with optional read noise if `read_rng` provided and the
   /// device has read_sigma > 0.
@@ -275,7 +264,6 @@ class CrossbarArray {
   };
   int64_t in_, out_;
   int64_t max_tile_cols_ = 0;
-  const exec::Target* target_ = nullptr;
   RramDeviceParams dev_;
   remap::RemapStats remap_stats_;
   std::vector<Placed> tiles_;

@@ -1,7 +1,8 @@
 // The simd kernel family: register-blocked current kernels at three ISA
-// levels (generic / avx2 / avx512f), registered as the "simd" execution
-// target. Dispatch picks the widest supported level per call, or the level
-// forced via exec::simd::force_level (how the parity tests run every level).
+// levels (generic / avx2 / avx512f), the batched path's one tile kernel
+// ("simd", see target.h). Dispatch picks the widest supported level per
+// call, or the level forced via exec::simd::force_level (how the parity
+// tests run every level).
 //
 // The avx levels accumulate with explicit fused multiply-adds and still match
 // the scalar matvec path bit for bit: every term is a float voltage times a
@@ -15,9 +16,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
-#include "exec/builtin.h"
 #include "exec/target.h"
 
 namespace cn::exec {
@@ -185,10 +186,6 @@ class SimdTileExec final : public TileExec {
 class SimdTarget final : public Target {
  public:
   std::string name() const override { return "simd"; }
-  std::string description() const override {
-    return "register-blocked float kernels, widest supported ISA level "
-           "picked per call (default)";
-  }
   bool available() const override { return true; }
   bool bit_exact() const override { return true; }
   std::unique_ptr<TileExec> lower(const TileView& tile) const override {
@@ -220,11 +217,20 @@ int current_level() {
 
 }  // namespace simd
 
-namespace detail {
-
-std::unique_ptr<Target> make_simd_target() {
-  return std::make_unique<SimdTarget>();
+const Target& default_target() {
+  static const SimdTarget target{};
+  return target;
 }
 
-}  // namespace detail
+const Target& get_target(const std::string& name) {
+  if (name != "simd")
+    throw std::runtime_error("unknown execution target '" + name +
+                             "' (the only one is 'simd')");
+  return default_target();
+}
+
+std::vector<const Target*> registered_targets() { return {&default_target()}; }
+
+void set_default_target(const std::string& name) { get_target(name); }
+
 }  // namespace cn::exec

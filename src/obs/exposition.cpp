@@ -162,7 +162,7 @@ std::string render_statusz(bool ready) {
     out += buf;
   }
 
-  // Per-execution-target traffic (exec.<target>.tiles / .bytes counters).
+  // Tile-kernel lowering traffic (the exec.simd.tiles / .bytes counters).
   std::string exec;
   for (const auto& [name, v] : snap.counters) {
     if (name.rfind("exec.", 0) != 0) continue;

@@ -9,7 +9,7 @@
 //              readiness: 200 "ok" once set_ready(true) — frontends flip it
 //              when the chip farm is programmed — else 503 "not ready"
 //   /statusz   human-readable status: build info (obs/build_info.h), uptime,
-//              readiness, campaign progress, per-execution-target tile/byte
+//              readiness, campaign progress, the tile kernel's tile/byte
 //              counters, and every registered statusz section (e.g. the
 //              InferenceServer summary + SLO status)
 //
@@ -122,7 +122,7 @@ void healthz_remove_probe(int id);
 std::vector<std::string> healthz_failing_probes();
 
 /// The /statusz body: build info, uptime, readiness, registry-derived
-/// summaries (campaign progress, per-target exec counters), then every
+/// summaries (campaign progress, exec counters), then every
 /// registered section. Exposed for tests.
 std::string render_statusz(bool ready);
 

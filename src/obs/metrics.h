@@ -4,7 +4,7 @@
 // Design constraints, in order:
 //  1. Instrumentation must never perturb results. No metric touches an rng
 //     stream or a numeric path, so every byte-exactness contract in the repo
-//     (matmul == matvec, seq == parallel CampaignReports, per-target parity)
+//     (matmul == matvec, seq == parallel CampaignReports, per-level parity)
 //     holds with metrics on or off — asserted in tier-1 (tests/test_obs.cpp).
 //  2. The hot path is lock-free. Callers resolve a metric by name once
 //     (mutex-guarded map, setup time) and hold a stable reference; recording

@@ -8,9 +8,8 @@
 // across a pool) applied to the analog-chip simulator: batching feeds the
 // crossbar matmul path whole tile passes instead of per-request MVMs.
 //
-// Workers serve through whatever execution target the farm's crossbar chips
-// were lowered with (exec::default_target()) — swapping targets swaps the
-// served kernels without touching the scheduler.
+// Crossbar chips serve through the one simd tile kernel; the scheduler
+// never sees it.
 //
 // Latency/throughput counters are kept per server and snapshot via stats();
 // per-request enqueue->complete latency feeds an obs::LatencyHistogram, so

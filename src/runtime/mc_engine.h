@@ -7,9 +7,9 @@
 // chip_seed(s) and results reduce in chip order, McResult.samples is
 // bit-identical for any thread count and any number of live slots.
 //
-// The engine evaluates whatever execution target the farm's crossbar chips
-// were lowered with (exec::default_target()), and bit-exact targets leave
-// every McResult byte-identical by the registry's parity contract.
+// Crossbar chips run the one simd tile kernel, whose batched currents equal
+// the scalar matvec bit for bit, so McResult does not depend on the batched
+// path either.
 #pragma once
 
 #include "core/montecarlo.h"

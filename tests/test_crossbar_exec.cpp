@@ -21,6 +21,8 @@
 #include "exec_testutil.h"
 #include "faultsim/fault_models.h"
 #include "models/lenet.h"
+#include "obs/exposition.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 
 namespace cn::analog {
@@ -71,8 +73,7 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
   Rng prog(seed + 1);
-  CrossbarArray xbar(w, dev, prog, shape.tile, faults, nullptr,
-                     &exec::get_target("simd"));
+  CrossbarArray xbar(w, dev, prog, shape.tile, faults);
   std::vector<Tensor> ref;
   Tensor xi({kIn});
   for (int64_t n = 0; n < kBatch; ++n) {
@@ -388,6 +389,39 @@ TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   for (int64_t i = 0; i < yc.size(); ++i)
     diff += std::abs(static_cast<double>(yc[i]) - ye[i]);
   EXPECT_GT(diff, 0.0);
+}
+
+TEST(CrossbarExec, LoweringCountsTilesAndBytes) {
+  // Every tile lowering adds one to exec.simd.tiles and its conductance
+  // bytes (G+ and G- floats) to exec.simd.bytes; /statusz lists both under
+  // "execution targets:".
+  auto& reg = obs::metrics();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const uint64_t tiles0 = reg.counter("exec.simd.tiles").value();
+  const uint64_t bytes0 = reg.counter("exec.simd.bytes").value();
+  // (out 20, in 30) in 16-edge tiles: wordlines split 16 + 14, bitlines
+  // 16 + 4, so four tiles.
+  Rng rng(310);
+  Tensor w({20, 30});
+  rng.fill_normal(w, 0.0f, 0.5f);
+  Rng prog(311);
+  CrossbarArray xbar(w, ideal(), prog, /*tile=*/16);
+  EXPECT_EQ(xbar.num_tiles(), 4);
+  const uint64_t tiles = reg.counter("exec.simd.tiles").value();
+  const uint64_t bytes = reg.counter("exec.simd.bytes").value();
+  EXPECT_EQ(tiles, tiles0 + 4);
+  EXPECT_EQ(bytes, bytes0 + (16 * 16 + 16 * 4 + 14 * 16 + 14 * 4) * 2 * 4);
+
+  const std::string statusz = obs::render_statusz(true);
+  const size_t section = statusz.find("\nexecution targets:\n");
+  ASSERT_NE(section, std::string::npos) << statusz;
+  for (const std::string& line :
+       {"  exec.simd.bytes: " + std::to_string(bytes) + "\n",
+        "  exec.simd.tiles: " + std::to_string(tiles) + "\n"})
+    EXPECT_NE(statusz.find(line, section), std::string::npos)
+        << line << statusz;
+  reg.set_enabled(was_enabled);
 }
 
 TEST(CrossbarDense, IdealMatchesDigitalLayer) {

@@ -18,7 +18,6 @@
 
 #include "analog/crossbar_layers.h"
 #include "data/synthetic.h"
-#include "exec/target.h"
 #include "exec_testutil.h"
 #include "faultsim/campaign.h"
 #include "graph_testutil.h"
@@ -377,8 +376,7 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
     const Tensor x = testutil::random_input(rm, c.input_seed, 2);
     Rng prog(c.prog_seed);
     nn::Sequential chip = analog::program_to_crossbars(
-        rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
-        &exec::get_target("simd"));
+        rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr);
     testutil::for_each_simd_level([&](int level) {
       const Tensor unfused = testutil::reference_forward(chip, x);
       const Tensor fused = chip.forward(x, /*train=*/false);
@@ -423,8 +421,7 @@ TEST(FusionPlan, NoPassPlanMatchesReferenceBitwise) {
 
       Rng prog(seed + 100);
       nn::Sequential chip = analog::program_to_crossbars(
-          rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
-          &exec::get_target("simd"));
+          rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr);
       testutil::expect_bitwise_equal(
           nn::FusedPlan(chip, /*fuse=*/false).execute(x),
           testutil::reference_forward(chip, x), what + " (chip)");
