@@ -13,13 +13,13 @@
 // text tables (the paper's rows/series) and writes a CSV alongside.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/compensation.h"
@@ -32,7 +32,6 @@
 #include "models/lenet.h"
 #include "models/vgg.h"
 #include "nn/serialize.h"
-#include "obs/json.h"
 
 namespace cn::bench {
 
@@ -125,19 +124,23 @@ inline std::vector<Workload> all_workloads() {
 
 // ---------- dataset / model construction ----------
 
-inline data::DigitsSpec digits_spec(const Workload& w) {
-  const auto& rc = core::RuntimeConfig::get();
+// CORRECTNET_TRAIN / CORRECTNET_TEST cap both datasets' sizes; `rc` is a
+// parameter so tests can pass a config in.
+inline data::DigitsSpec digits_spec(
+    const Workload& w,
+    const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
   data::DigitsSpec spec;
   spec.train_count = std::min(w.train_count, rc.train_cap);
   spec.test_count = std::min(w.test_count, rc.test_cap);
   return spec;
 }
 
-inline data::ObjectsSpec objects_spec(const Workload& w) {
-  const auto& rc = core::RuntimeConfig::get();
+inline data::ObjectsSpec objects_spec(
+    const Workload& w,
+    const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
   data::ObjectsSpec spec;
   spec.num_classes = w.num_classes;
-  spec.train_count = std::min(w.train_count, std::max(rc.train_cap, w.train_count));
+  spec.train_count = std::min(w.train_count, rc.train_cap);
   spec.test_count = std::min(w.test_count, rc.test_cap);
   if (w.num_classes >= 100) {
     spec.noise_std = 0.35f;
@@ -202,16 +205,17 @@ class CacheKey {
 /// model's init seed and every TrainConfig field that reaches training
 /// (all but the on_epoch callback). Callers add what else the run starts
 /// from (a parent model's key, a compensation plan).
-inline CacheKey train_key(const Workload& w, const core::TrainConfig& c,
-                          uint64_t init_seed) {
+inline CacheKey train_key(
+    const Workload& w, const core::TrainConfig& c, uint64_t init_seed,
+    const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
   CacheKey k;
   k.add(kTrainingCodeVersion).add(w.net).add(w.digits).add(w.num_classes);
   if (w.digits) {
-    const data::DigitsSpec d = digits_spec(w);
+    const data::DigitsSpec d = digits_spec(w, rc);
     k.add(d.train_count).add(d.test_count).add(d.jitter_px).add(d.thickness)
         .add(d.noise_std).add(d.seed);
   } else {
-    const data::ObjectsSpec o = objects_spec(w);
+    const data::ObjectsSpec o = objects_spec(w, rc);
     k.add(o.num_classes).add(o.train_count).add(o.test_count)
         .add(o.blobs_per_class).add(o.gratings_per_class).add(o.jitter_frac)
         .add(o.noise_std).add(o.class_similarity).add(o.seed);
@@ -371,50 +375,6 @@ inline std::string fmt(double v, int prec = 2) {
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
   return buf;
 }
-
-/// Minimal JSON emitter: every bench can record its headline numbers
-/// (name, wall time, throughput, ...) as BENCH_<name>.json so the perf
-/// trajectory is machine-readable across commits. Keys keep insertion order.
-class BenchJson {
- public:
-  explicit BenchJson(std::string bench_name) : name_(std::move(bench_name)) {
-    set("name", name_);
-  }
-
-  void set(const std::string& key, const std::string& v) {
-    entries_.emplace_back(key, "\"" + obs::json_escaped(v) + "\"");
-  }
-  void set(const std::string& key, const char* v) { set(key, std::string(v)); }
-  void set(const std::string& key, double v) {
-    entries_.emplace_back(key, obs::json_num(v));
-  }
-  void set(const std::string& key, int64_t v) {
-    entries_.emplace_back(key, std::to_string(v));
-  }
-  void set(const std::string& key, int v) { set(key, static_cast<int64_t>(v)); }
-  void set(const std::string& key, bool v) {
-    entries_.emplace_back(key, v ? "true" : "false");
-  }
-
-  /// Writes BENCH_<name>.json into the working directory.
-  void write() const {
-    const std::string path = "BENCH_" + name_ + ".json";
-    std::ofstream os(path);
-    os << "{\n";
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      os << "  \"" << obs::json_escaped(entries_[i].first)
-         << "\": " << entries_[i].second;
-      if (i + 1 < entries_.size()) os << ',';
-      os << '\n';
-    }
-    os << "}\n";
-    std::printf("  (json -> %s)\n", path.c_str());
-  }
-
- private:
-  std::string name_;
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
 
 inline analog::VariationModel lognormal(float sigma) {
   return analog::VariationModel{analog::VariationKind::kLognormal, sigma};

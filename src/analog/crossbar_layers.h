@@ -12,8 +12,8 @@
 //
 // Both layers default to the batched execution path (CrossbarArray::matmul,
 // whole batches per tile pass); set_batched(false) restores the original
-// per-column matvec loop, kept as the baseline for bench_runtime and the
-// exact-equivalence tests.
+// per-column matvec loop, kept as the reference of the exact-equivalence
+// tests.
 #pragma once
 
 #include <memory>

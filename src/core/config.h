@@ -5,7 +5,7 @@
 // to paper fidelity:
 //   CORRECTNET_MC      Monte-Carlo variation samples per point (default 25)
 //   CORRECTNET_EPOCHS  multiplier (x100) on training epochs  (default 100 = 1.0x)
-//   CORRECTNET_TRAIN   training-set size cap                  (default 4000)
+//   CORRECTNET_TRAIN   training-set size cap                  (default none)
 //   CORRECTNET_TEST    test-set size cap                      (default 800)
 // Each value must parse in full as an integer (>= 0 for MC and EPOCHS, >= 1
 // for the caps): '1O' or 'abc' throws std::invalid_argument naming the
@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +23,7 @@ namespace cn::core {
 struct RuntimeConfig {
   int mc_samples = 25;
   double epoch_scale = 1.0;
-  int64_t train_cap = 4000;
+  int64_t train_cap = std::numeric_limits<int64_t>::max();  // no cap
   int64_t test_cap = 800;
 
   /// Scales an epoch count by epoch_scale, min 1.

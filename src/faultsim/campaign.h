@@ -13,12 +13,12 @@
 // written to its grid-order slot (deterministic reduction keyed by scenario
 // index, never by completion order). Per-scenario chip seeds depend only on
 // (campaign seed, fault index), so the CampaignReport — including its JSON —
-// is byte-identical for any scheduling (asserted in tier-1 and by
-// bench_faultsim).
+// is byte-identical for any scheduling (asserted in tier-1:
+// Campaign.SequentialVsParallelReportsAreByteIdentical).
 //
 // The *description* of a campaign (FaultSpecs + model variants + options) is
 // plain data, separate from *execution* (run) and *reporting*
-// (CampaignReport with a JSON emitter in the BENCH_*.json key/value shape).
+// (CampaignReport with a JSON emitter: ordered keys, %.6g numbers).
 #pragma once
 
 #include <cstdint>
@@ -97,8 +97,8 @@ struct CampaignReport {
   /// Mean accuracy of one remap variant of one protection variant.
   double mean_accuracy(const std::string& model_name, bool remapped) const;
 
-  /// JSON in the BENCH_*.json shape (ordered keys, %.6g numbers): campaign
-  /// metadata at the top level plus a "scenarios" array.
+  /// JSON with ordered keys and %.6g numbers: campaign metadata at the top
+  /// level plus a "scenarios" array.
   std::string to_json() const;
   void write_json(const std::string& path) const;
 };

@@ -15,8 +15,8 @@
 //
 // Deliberately not a web framework: HTTP/1.0, Connection: close, GET only,
 // bound to 127.0.0.1 by default. One scraper at 10 Hz is the design load
-// (bench_runtime pins the overhead); requests are served on the acceptor
-// thread, so a slow client delays the next scrape, never the serving path.
+// (its cost is not measured); requests are served on the acceptor thread,
+// so a slow client delays the next scrape, never the serving path.
 // Each connection gets kExpositionConnectionDeadline in total to deliver
 // its request line, and response sends time out after the same span, so an
 // idle or trickling client cannot wedge other scrapes; stop() does not wait

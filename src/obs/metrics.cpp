@@ -237,8 +237,8 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
 }
 
 std::string MetricsRegistry::snapshot_json() const {
-  // Render every metric into a sorted key -> value map, then emit the flat
-  // BenchJson shape ("name" first; maps keep the rest sorted).
+  // Render every metric into a sorted key -> value map, then emit one flat
+  // object ("name" first; the map keeps the rest sorted).
   const RegistrySnapshot snap = snapshot();
   std::map<std::string, std::string> kv;
   for (const auto& [name, v] : snap.counters) kv[name] = std::to_string(v);

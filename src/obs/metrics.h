@@ -24,8 +24,8 @@
 // sample quantile q satisfies  p(q) <= quantile < p(q) * 33/32 + 1  (equality
 // below 32 us). tests/test_obs.cpp pins this against a sorted-vector oracle.
 //
-// Exposure: MetricsRegistry::snapshot_json() emits the flat ordered-key
-// BenchJson shape ("name" first, then sorted metric keys); the metrics sink
+// Exposure: MetricsRegistry::snapshot_json() emits one flat JSON object
+// ("name" first, then the sorted metric keys); the metrics sink
 // of the knob table (obs/sinks.h) writes it to a file. docs/OBSERVABILITY.md
 // is the metric catalog.
 #pragma once
@@ -201,7 +201,7 @@ class MetricsRegistry {
   /// renderers map them to their own conventions.
   RegistrySnapshot snapshot() const;
 
-  /// Flat BenchJson-shaped object: {"name": "metrics", <sorted keys>...}.
+  /// One flat object: {"name": "metrics", <sorted keys>...}.
   /// Counters/gauges emit under their name; a histogram emits
   /// name.count/.mean_us/.min_us/.max_us/.p50_us/.p99_us/.p999_us.
   std::string snapshot_json() const;

@@ -4,6 +4,7 @@
 #include "common.h"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,35 @@ TEST(BenchCache, EveryTrainingInputChangesTheFile) {
   EXPECT_NE(cache_file(smaller, "base", train_key(smaller, cfg, kBaseInitSeed)), f)
       << "dataset size";
   EXPECT_NE(cache_file(w, "lip", train_key(w, cfg, kBaseInitSeed)), f) << "stage";
+}
+
+TEST(BenchCache, TheTrainCapReachesEveryWorkload) {
+  // Uncapped, each workload trains on its own size, so the default cache
+  // names stay what they were; a CORRECTNET_TRAIN-style cap of 1024 shrinks
+  // all four training sets, the objects ones included, and renames the file.
+  const core::RuntimeConfig uncapped{};
+  core::RuntimeConfig capped{};
+  capped.train_cap = 1024;
+  const std::vector<Workload> ws = all_workloads();
+  const int64_t full[] = {8000, 4000, 4000, 2500};
+  ASSERT_EQ(ws.size(), 4u);
+  for (size_t i = 0; i < ws.size(); ++i) {
+    const Workload& w = ws[i];
+    auto train_count = [&](const core::RuntimeConfig& rc) {
+      return w.digits ? digits_spec(w, rc).train_count
+                      : objects_spec(w, rc).train_count;
+    };
+    auto file = [&](const core::RuntimeConfig& rc) {
+      return cache_file(w, "base",
+                        train_key(w, base_train_config(w), kBaseInitSeed, rc));
+    };
+    EXPECT_EQ(train_count(uncapped), full[i]) << w.name;
+    EXPECT_EQ(train_count(capped), 1024) << w.name;
+    core::RuntimeConfig unbitten{};
+    unbitten.train_cap = full[i];  // a cap that does not bite keeps the name
+    EXPECT_EQ(file(unbitten), file(uncapped)) << w.name;
+    EXPECT_NE(file(capped), file(uncapped)) << w.name;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Run-to-run determinism, promoted into tier-1 from bench_faultsim's
-// asserts (bench binaries don't run under ctest): a repeated campaign and a
-// repeated ChipFarm Monte-Carlo must reproduce byte-identical results —
-// every per-chip accuracy sample and the emitted JSON report. Untrained
-// models keep this fast; determinism does not care about accuracy.
+// Run-to-run determinism: a repeated campaign and a repeated ChipFarm
+// Monte-Carlo must reproduce byte-identical results — every per-chip
+// accuracy sample and the emitted JSON report. Untrained models keep this
+// fast; determinism does not care about accuracy.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -57,6 +56,8 @@ faultsim::Campaign make_campaign(const nn::Sequential& model) {
   c.add_fault(faultsim::fault_free());
   c.add_fault(faultsim::stuck_at(0.05));
   c.add_fault(faultsim::drift(100.0));
+  c.add_fault(faultsim::ir_drop(0.1));
+  c.add_fault(faultsim::thermal(400.0));
   return c;
 }
 
@@ -65,7 +66,7 @@ TEST(Determinism, CampaignRerunIsByteIdentical) {
   faultsim::CampaignReport a = make_campaign(f.model).run(f.ds.test);
   faultsim::CampaignReport b = make_campaign(f.model).run(f.ds.test);
 
-  ASSERT_EQ(a.scenarios.size(), 6u);  // 3 fault specs x 2 remap variants
+  ASSERT_EQ(a.scenarios.size(), 10u);  // 5 fault specs x 2 remap variants
   ASSERT_EQ(a.scenarios.size(), b.scenarios.size());
   for (size_t i = 0; i < a.scenarios.size(); ++i) {
     const faultsim::ScenarioResult& x = a.scenarios[i];

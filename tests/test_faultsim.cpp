@@ -684,10 +684,12 @@ TEST(Campaign, SequentialVsParallelReportsAreByteIdentical) {
     c.add_fault(fault_free());
     c.add_fault(stuck_at(0.05));
     c.add_fault(drift(100.0));
+    c.add_fault(ir_drop(0.1));
+    c.add_fault(thermal(400.0));
     return c;
   };
   CampaignReport seq = make(1).run(f.ds.test);
-  ASSERT_EQ(seq.scenarios.size(), 6u);  // 3 fault specs x 2 remap variants
+  ASSERT_EQ(seq.scenarios.size(), 10u);  // 5 fault specs x 2 remap variants
   seq.wall_s = 0.0;
   const std::string ref = seq.to_json();
   for (int64_t parallel : {2, 4}) {

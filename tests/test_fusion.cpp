@@ -427,6 +427,21 @@ TEST(FusionPlan, NoPassPlanMatchesReferenceBitwise) {
           testutil::reference_forward(chip, x), what + " (chip)");
     }
   }
+
+  // LeNet-5 on the digital path: no batchnorm, so the passes that engage
+  // (relu epilogues, pool fusion) leave the fused plan bitwise equal to the
+  // no-pass plan.
+  Rng rng(2023);
+  nn::Sequential lenet = models::lenet5(1, 28, 10, rng);
+  Tensor x({16, 1, 28, 28});
+  rng.fill_normal(x, 0.0f, 1.0f);
+  nn::FusedPlan unfused(lenet, /*fuse=*/false);
+  nn::FusedPlan fused(lenet);
+  EXPECT_GT(fused.stats().pools_fused + fused.stats().post_pools_fused, 0);
+  const Tensor y = unfused.execute(x);
+  testutil::expect_bitwise_equal(y, testutil::reference_forward(lenet, x),
+                                 "lenet5");
+  testutil::expect_bitwise_equal(fused.execute(x), y, "lenet5 (fused)");
 }
 
 TEST(FusionSwitch, ForwardFollowsAFlipBetweenCalls) {

@@ -44,8 +44,8 @@ using obs::LatencyHistogram;
 // ---------- minimal JSON well-formedness checker ----------
 // Recursive-descent over the full JSON grammar (objects, arrays, strings
 // with escapes, numbers, literals). Deliberately independent of the
-// emitters under test: it knows nothing about BenchJson or trace_event
-// shapes, only whether the bytes are JSON.
+// emitters under test: it knows nothing about the metrics-snapshot or
+// trace_event shapes, only whether the bytes are JSON.
 struct JsonParser {
   const std::string& s;
   size_t p = 0;

@@ -255,6 +255,33 @@ TEST(McEngine, SamplesIdenticalAcrossThreadAndSlotCounts) {
   EXPECT_DOUBLE_EQ(serial.stddev, wide.stddev);
 }
 
+TEST(McEngine, CrossbarSamplesEqualTheSeedPathBitForBit) {
+  // Runtime == seed path: with read noise off, McEngine's batched,
+  // sample-parallel accuracies over programmed crossbar chips equal a
+  // sequential per-chip evaluate through the per-column matvec loop.
+  auto& f = fixture();
+  analog::RramDeviceParams dev = quiet_dev();
+  dev.program_sigma = 0.3f;
+  constexpr int64_t kChips = 4;
+  ChipFarmOptions fo;
+  fo.instances = kChips;
+  fo.max_live = kChips;  // every chip stays resident across both paths
+  fo.seed = 42;
+  ChipFarm farm(f.model, dev, fo);
+  std::vector<double> seed_path;
+  for (int64_t s = 0; s < kChips; ++s) {
+    analog::set_batched(farm.chip(s), false);
+    seed_path.push_back(core::evaluate(farm.chip(s), f.ds.test, 128));
+  }
+  for (int64_t s = 0; s < kChips; ++s) analog::set_batched(farm.chip(s), true);
+  McEngineOptions eo;
+  eo.batch_size = 128;
+  const core::McResult rt = McEngine(farm, eo).accuracy(f.ds.test);
+  ASSERT_EQ(rt.samples.size(), seed_path.size());
+  for (size_t s = 0; s < seed_path.size(); ++s)
+    EXPECT_EQ(rt.samples[s], seed_path[s]) << "chip " << s;
+}
+
 TEST(McEngine, CrossbarReadNoiseIdenticalAcrossSlotCountsAndRuns) {
   // Regression: a persistent slot must not remember read-noise draws a
   // previous evaluation consumed — chip handouts re-arm the streams, so
@@ -700,12 +727,13 @@ TEST(ServerDrill, MidTrafficDrillsNeverFailFuturesAndEvictionIsBounded) {
   remap1.action = DrillSpec::Action::kRemap;
   remap1.workers = {1};
   remap1.faults = spec.models;
-  server.drill(remap1);
   futs.clear();
+  submit_phase(32, futs);
+  server.drill(remap1);  // phase-3 requests still in flight
   submit_phase(32, futs);
   for (auto& fut : futs) fut.get();
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.requests, 96u);
+  EXPECT_EQ(st.requests, 128u);
   EXPECT_EQ(st.active_workers, 2);
   EXPECT_EQ(st.drilled_workers, 1);
   EXPECT_EQ(st.drills, 2u);
