@@ -7,7 +7,6 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/init.h"
 #include "nn/pooling.h"
 
@@ -39,10 +38,8 @@ nn::Sequential vgg16(const VggConfig& cfg, Rng& rng) {
   m.emplace<Flatten>("flatten");
   const int64_t feat = c_in * hw * hw;
   const int64_t fc_w = std::max<int64_t>(32, static_cast<int64_t>(192 * cfg.width));
-  if (cfg.dropout > 0.0f) m.emplace<Dropout>(cfg.dropout, cfg.dropout_seed, "drop1");
   m.emplace<Dense>(feat, fc_w, "fc1");
   m.emplace<ReLU>("relu_fc1");
-  if (cfg.dropout > 0.0f) m.emplace<Dropout>(cfg.dropout, cfg.dropout_seed + 1, "drop2");
   m.emplace<Dense>(fc_w, fc_w, "fc2");
   m.emplace<ReLU>("relu_fc2");
   m.emplace<Dense>(fc_w, cfg.num_classes, "fc3");

@@ -16,9 +16,7 @@ struct VggConfig {
   int64_t in_c = 3;
   int64_t in_hw = 32;
   int num_classes = 10;
-  float width = 1.0f;     // channel multiplier
-  float dropout = 0.0f;   // applied before the two hidden FC layers
-  uint64_t dropout_seed = 99;
+  float width = 1.0f;  // channel multiplier
 };
 
 /// Builds the 16-layer VGG: 13 3x3 convs in 5 blocks with maxpool, then

@@ -1,6 +1,6 @@
 #include "nn/activations.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace cn::nn {
 
@@ -29,21 +29,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 }
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(label_); }
-
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  for (int64_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
-  if (train) y_cache_ = y;
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  Tensor gx = grad_out;
-  for (int64_t i = 0; i < gx.size(); ++i) gx[i] *= 1.0f - y_cache_[i] * y_cache_[i];
-  return gx;
-}
-
-std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(label_); }
 
 Tensor Flatten::forward(const Tensor& x, bool train) {
   if (train) in_shape_ = x.shape();

@@ -18,19 +18,6 @@ class ReLU final : public Layer {
   Tensor mask_;  // 1 where x > 0
 };
 
-/// Tanh (used by the RL policy RNN, not by the CNN models).
-class Tanh final : public Layer {
- public:
-  explicit Tanh(std::string label = "tanh") { label_ = std::move(label); }
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Layer> clone() const override;
-  std::string kind() const override { return "tanh"; }
-
- private:
-  Tensor y_cache_;
-};
-
 /// Flatten (N, C, H, W) -> (N, C*H*W). Shape bookkeeping only.
 class Flatten final : public Layer {
  public:

@@ -67,15 +67,11 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
       x.dim(3) != geom_.in_w)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
   if (train) x_cache_ = x;
-  // live_weight() refreshes the effective weight so nominal-weight edits
-  // between forwards (optimizer steps, tests) are always reflected.
-  return forward_fused(x, live_weight().data(), b_.value.data(),
-                       /*pre_pool=*/nullptr, /*relu=*/false);
+  return forward_fused(x, /*pre_pool=*/nullptr, /*relu=*/false);
 }
 
 Tensor Conv2D::forward_relu(const Tensor& x) {
-  return forward_fused(x, live_weight().data(), b_.value.data(),
-                       /*pre_pool=*/nullptr, /*relu=*/true);
+  return forward_fused(x, /*pre_pool=*/nullptr, /*relu=*/true);
 }
 
 const Tensor& Conv2D::live_weight() {
@@ -92,8 +88,7 @@ const Tensor& Conv2D::live_weight() {
   return effective_weight();
 }
 
-Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
-                             const PrePool* pre_pool, bool relu,
+Tensor Conv2D::forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu,
                              const PrePool* post_pool) {
   const int64_t win = pre_pool ? pre_pool->window : 1;
   const int64_t N = x.dim(0);
@@ -112,6 +107,10 @@ Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
   const int64_t img_conv = out_c_ * OH * OW;
   const int64_t img_out = out_c_ * POH * POW;
   Tensor y({N, out_c_, POH, POW});
+  // live_weight() refreshes the effective weight so nominal-weight edits
+  // between forwards (optimizer steps, tests) are always reflected.
+  const float* pw = live_weight().data();
+  const float* pb = b_.value.data();
 
   // out(out_c, OH*OW) = bias + W(out_c, K2) * cols(K2, OH*OW), with cols rows
   // padded to whole 16-pixel kernel blocks.

@@ -31,24 +31,17 @@ class Conv2D final : public Layer, public PerturbableWeight {
   Tensor forward_relu(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  /// Eval/exec kernel through explicit weight (out_c, in_c*kh*kw) and bias
-  /// (out_c) buffers — the bn-fold pass feeds folded tensors here — with an
-  /// optional fused pre-pool stage, branchless ReLU epilogue, and optional
-  /// post-pool stage (the conv's output is pooled per image from a scratch
-  /// buffer before it is written back, so the full-resolution feature map is
-  /// never materialized; the ReLU epilogue, when requested, applies before
-  /// pooling, matching the conv→relu→pool graph order). forward() routes
-  /// through this with the live weight, so the fused and unfused paths share
-  /// one accumulation order (the exactness contract). A post-pool window
-  /// must divide the conv output exactly (the fusion pass guarantees it).
-  Tensor forward_fused(const Tensor& x, const float* w, const float* b,
-                       const PrePool* pre_pool, bool relu,
+  /// Eval/exec kernel with an optional fused pre-pool stage, branchless ReLU
+  /// epilogue, and optional post-pool stage (the conv's output is pooled per
+  /// image from a scratch buffer before it is written back, so the
+  /// full-resolution feature map is never materialized; the ReLU epilogue,
+  /// when requested, applies before pooling, matching the conv→relu→pool
+  /// graph order). forward() routes through this too, so the fused and
+  /// unfused paths share one accumulation order (the exactness contract). A
+  /// post-pool window must divide the conv output exactly (the fusion pass
+  /// guarantees it).
+  Tensor forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu,
                        const PrePool* post_pool = nullptr);
-
-  /// The weight tensor forward() would use right now: refreshes w ∘ f in
-  /// place when variation factors are active. Used by the fused graph
-  /// executor.
-  const Tensor& live_weight();
 
   std::vector<Param*> params() override { return {&w_, &b_}; }
   void collect_analog(std::vector<PerturbableWeight*>& out) override {
@@ -75,6 +68,9 @@ class Conv2D final : public Layer, public PerturbableWeight {
 
  private:
   const Tensor& effective_weight() const { return var_active_ ? w_eff_ : w_.value; }
+  /// The weight tensor a forward uses right now: refreshes w ∘ f in place
+  /// when variation factors are active.
+  const Tensor& live_weight();
 
   ConvGeom geom_;
   int64_t out_c_;

@@ -1,18 +1,15 @@
 #include "nn/graph.h"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace cn::nn {
 
 OpKind classify_op(const std::string& kind) {
   if (kind == "conv2d") return OpKind::kConv2D;
   if (kind == "dense") return OpKind::kDense;
-  if (kind == "batchnorm2d") return OpKind::kBatchNorm;
   if (kind == "relu") return OpKind::kReLU;
   if (kind == "maxpool") return OpKind::kMaxPool;
   if (kind == "avgpool") return OpKind::kAvgPool;
-  if (kind == "dropout") return OpKind::kDropout;
   if (kind == "flatten") return OpKind::kFlatten;
   if (kind == "crossbar_conv2d") return OpKind::kCrossbarConv2D;
   if (kind == "crossbar_dense") return OpKind::kCrossbarDense;
@@ -23,11 +20,9 @@ const char* to_string(OpKind k) {
   switch (k) {
     case OpKind::kConv2D: return "conv2d";
     case OpKind::kDense: return "dense";
-    case OpKind::kBatchNorm: return "batchnorm";
     case OpKind::kReLU: return "relu";
     case OpKind::kMaxPool: return "maxpool";
     case OpKind::kAvgPool: return "avgpool";
-    case OpKind::kDropout: return "dropout";
     case OpKind::kFlatten: return "flatten";
     case OpKind::kCrossbarConv2D: return "crossbar_conv2d";
     case OpKind::kCrossbarDense: return "crossbar_dense";
@@ -36,21 +31,7 @@ const char* to_string(OpKind k) {
   return "?";
 }
 
-LayerGraph LayerGraph::build(Sequential& model, bool train) {
-  if (train) {
-    std::string sensitive;
-    for (int64_t i = 0; i < model.num_layers(); ++i) {
-      const Layer& l = model.layer(i);
-      if (!l.train_mode_sensitive()) continue;
-      if (!sensitive.empty()) sensitive += ", ";
-      sensitive += l.label();
-    }
-    throw std::logic_error(
-        "LayerGraph: train-mode lowering is not supported" +
-        (sensitive.empty()
-             ? std::string(" (no eval-time semantics for training graphs)")
-             : " — train-mode-sensitive layers present: " + sensitive));
-  }
+LayerGraph LayerGraph::build(Sequential& model) {
   LayerGraph g;
   const int64_t n = model.num_layers();
   g.nodes.reserve(static_cast<size_t>(n));
@@ -80,7 +61,6 @@ std::string LayerGraph::to_string() const {
     os << "]";
     if (n.skip) os << " skip";
     if (n.relu_epilogue) os << " +relu";
-    if (n.folded_bn) os << " +bn-fold";
     if (n.pre_pool.window > 0)
       os << " +pre-" << (n.pre_pool.kind == PrePool::Kind::kMax ? "max" : "avg")
          << "pool" << n.pre_pool.window;

@@ -7,10 +7,8 @@
 // explicit (in the spirit of lazy-tensor node-per-op IRs and MIGraphX-style
 // pass pipelines) so passes reason about structure, not vector indices.
 //
-// Lowering is eval-mode only. Train-mode graphs are refused at build time:
-// dropout draws masks and batch-norm consumes batch statistics in train mode
-// (Layer::train_mode_sensitive), so folding or eliding them there would
-// silently change training semantics.
+// Lowering is eval-mode only: a train-mode forward runs the layers in order
+// so each caches the activations its backward needs (Sequential::forward).
 #pragma once
 
 #include <cstdint>
@@ -22,18 +20,14 @@
 
 namespace cn::nn {
 
-class BatchNorm2D;
-
 /// Op classification for pass pattern-matching, derived from Layer::kind().
 /// Unknown kinds become kOpaque and always execute via Layer::forward.
 enum class OpKind {
   kConv2D,
   kDense,
-  kBatchNorm,
   kReLU,
   kMaxPool,
   kAvgPool,
-  kDropout,
   kFlatten,
   kCrossbarConv2D,
   kCrossbarDense,
@@ -53,9 +47,8 @@ struct GraphNode {
   std::vector<int64_t> consumers;  // output node ids (empty = graph output)
 
   // ---- fusion annotations (written by nn::run_fusion_passes) ----
-  bool skip = false;           // absorbed into another node, or elided
+  bool skip = false;           // absorbed into another node
   bool relu_epilogue = false;  // apply max(0, ·) inside this node's epilogue
-  BatchNorm2D* folded_bn = nullptr;  // conv only: fold this BN at execution
   PrePool pre_pool;            // conv only: pooling fused into im2col
                                // (window 0 = none)
   PrePool post_pool;           // conv only: pool the conv's output inside the
@@ -69,11 +62,8 @@ struct GraphNode {
 struct LayerGraph {
   std::vector<GraphNode> nodes;
 
-  /// Builds the node-per-op graph from a Sequential's layer chain. Eval-mode
-  /// lowering only: `train == true` throws std::logic_error, naming every
-  /// train_mode_sensitive layer, instead of silently folding batchnorm with
-  /// stale running statistics or eliding live dropout.
-  static LayerGraph build(Sequential& model, bool train = false);
+  /// Builds the node-per-op graph from a Sequential's layer chain.
+  static LayerGraph build(Sequential& model);
 
   /// Debug dump: one line per node with op, label, edges and annotations.
   std::string to_string() const;

@@ -44,8 +44,8 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output; `train` enables training-only behaviour
-  /// (dropout, batch-norm batch statistics) and activation caching.
+  /// Computes the layer output; `train` also caches the activations
+  /// backward needs.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
@@ -81,19 +81,13 @@ class Layer {
   /// True if the layer carries weights that would sit on an analog crossbar.
   virtual bool is_analog() const { return false; }
 
-  /// True if forward(x, train) behaves differently in train mode beyond
-  /// activation caching (dropout masks, batch-norm batch statistics). The
-  /// layer-graph IR builder (nn/graph.h) refuses to lower train-mode graphs
-  /// and uses this to name the layers that make the lowering unsound.
-  virtual bool train_mode_sensitive() const { return false; }
-
   /// Eval-mode forward with a ReLU epilogue fused into the output: returns
   /// max(0, forward(x, false)) without materializing the pre-activation as a
   /// separate tensor. The default clamps in place after forward — already
   /// exact and already cheaper than a standalone ReLU layer (which deep-copies
   /// its input); layers with a bias-add epilogue override to absorb the clamp
-  /// into that loop. Overrides MUST stay bitwise-identical to the default
-  /// (the fusion-pass tolerance contract, docs/ARCHITECTURE.md).
+  /// into that loop. Overrides MUST stay bitwise-identical to the default:
+  /// every fusion rewrite is exact (docs/ARCHITECTURE.md).
   virtual Tensor forward_relu(const Tensor& x) {
     Tensor y = forward(x, /*train=*/false);
     float* d = y.data();

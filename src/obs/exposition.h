@@ -127,8 +127,8 @@ std::vector<std::string> healthz_failing_probes();
 std::string render_statusz(bool ready);
 
 /// Blocking one-shot HTTP GET against 127.0.0.1:port — the scrape client
-/// used by tests, the bench scraper leg, and nothing else. Returns the raw
-/// response (status line, headers, body); throws on connect/read failure.
+/// used by tests and nothing else. Returns the raw response (status line,
+/// headers, body); throws on connect/read failure.
 std::string http_get_local(int port, const std::string& path);
 
 }  // namespace cn::obs

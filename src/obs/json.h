@@ -1,6 +1,6 @@
 // The JSON string and number formatting every JSON writer in the project
-// shares: campaign reports, metrics snapshots, the snapshot stream, trace
-// files and the bench result files.
+// shares: campaign reports, metrics snapshots, the snapshot stream and trace
+// files.
 #pragma once
 
 #include <cmath>

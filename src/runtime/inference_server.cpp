@@ -145,9 +145,7 @@ InferenceServer::InferenceServer(ChipFarm& farm, const InferenceServerOptions& o
   if (!opts_.model.empty()) title += " [" + opts_.model + "]";
   statusz_section_ =
       obs::statusz_add_section(title, [this] { return stats().summary(); });
-  const bool admission = opts_.queue_limit > 0 || opts_.queue_budget_us > 0 ||
-                         opts_.admission_burn_max > 0;
-  if (admission)
+  if (admission_armed())
     healthz_probe_ = obs::healthz_add_probe(
         title + " admission", [this] { return accepting(); });
   live_server_count().fetch_add(1, std::memory_order_relaxed);
@@ -237,7 +235,6 @@ std::future<Tensor> InferenceServer::submit(Tensor input) {
       {
         std::lock_guard<std::mutex> slk(stats_mu_);
         stats_.rejected += 1;
-        stats_.accepting = false;
       }
       m_rejected_.add(1);
       req.promise.set_exception(std::make_exception_ptr(
@@ -329,11 +326,7 @@ void InferenceServer::worker_loop(int worker) {
         if (recovered && opts_.admission_burn_max > 0 && slo_ &&
             slo_->status().burn_rate > opts_.admission_burn_max)
           recovered = false;
-        if (recovered) {
-          accepting_.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> slk(stats_mu_);
-          stats_.accepting = true;
-        }
+        if (recovered) accepting_.store(true, std::memory_order_relaxed);
       }
     }
     // More work may remain (e.g. during drain); let a sibling grab it while
@@ -504,9 +497,7 @@ ServerStats InferenceServer::stats() const {
     out = stats_;
   }
   out.model = opts_.model;
-  out.admission_configured = opts_.queue_limit > 0 ||
-                             opts_.queue_budget_us > 0 ||
-                             opts_.admission_burn_max > 0;
+  out.admission_configured = admission_armed();
   out.accepting = accepting_.load(std::memory_order_relaxed);
   out.queue_depth = depth;
   out.max_queue_depth = max_depth;

@@ -214,6 +214,12 @@ class InferenceServer {
   // The admission decision for the current queue state; returns the gate
   // that fired (nullptr = admit). Caller holds mu_.
   const char* admission_reject_reason(int64_t depth, double* est_out) const;
+  // True if any admission gate (queue limit, wait budget, burn-rate cap) is
+  // configured.
+  bool admission_armed() const {
+    return opts_.queue_limit > 0 || opts_.queue_budget_us > 0 ||
+           opts_.admission_burn_max > 0;
+  }
   int count_active_workers() const;
 
   ChipFarm& farm_;

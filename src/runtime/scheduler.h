@@ -11,11 +11,11 @@
 //
 // Worker provisioning: when the shared tensor pool is at least c wide the
 // jobs run there; otherwise a dedicated pool of c workers is spun up for the
-// call (the knob must mean something on a narrow box — the bench compares
-// c=1 vs c=N on one core, and sanitizers need real concurrency to see
-// races). Either way, nested parallel_for from inside a job runs inline
-// (ThreadPool's any-pool-worker rule), so each job executes serially within
-// itself and jobs never funnel through another pool's queue.
+// call (the knob must mean something on a narrow box: sanitizers need real
+// concurrency to see races). Either way, nested parallel_for from inside a
+// job runs inline (ThreadPool's any-pool-worker rule), so each job executes
+// serially within itself and jobs never funnel through another pool's
+// queue.
 #pragma once
 
 #include <cstdint>

@@ -5,10 +5,10 @@
 // for_each_simd_level runs a parity check once per exec::simd dispatch level
 // the build and host support, so one tier-1 run covers every kernel variant.
 //
-// expect_bitwise_equal / expect_same_bits / expect_within_ulps are the
-// shared parity assertions: one failure per call with the first mismatching
-// index, both values, the magnitude of the difference, and the mismatch
-// count — instead of a per-element ASSERT_EQ spray.
+// expect_bitwise_equal / expect_same_bits are the shared parity assertions:
+// one failure per call with the first mismatching index, both values, the
+// magnitude of the difference, and the mismatch count — instead of a
+// per-element ASSERT_EQ spray.
 #pragma once
 
 #include <cmath>
@@ -86,43 +86,6 @@ inline void expect_bitwise_equal(const Tensor& got, const Tensor& want,
                                     << got.size() << " elements, want "
                                     << want.size() << ")";
   expect_bitwise_equal(got.data(), want.data(), got.size(), what);
-}
-
-// Asserts every element pair is within `max_ulps` ulps OR within `abs_eps`
-// absolute (the escape hatch for catastrophic cancellation near zero, where
-// ulp distance explodes while the absolute error stays negligible). Reports
-// the worst surviving element on failure.
-inline void expect_within_ulps(const float* got, const float* want, int64_t n,
-                               int64_t max_ulps, float abs_eps,
-                               const std::string& what) {
-  int64_t worst_i = -1, worst_ulps = -1, bad = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t u = ulp_distance(got[i], want[i]);
-    if (u <= max_ulps) continue;
-    if (std::abs(static_cast<double>(got[i]) - want[i]) <= abs_eps) continue;
-    ++bad;
-    if (u > worst_ulps) {
-      worst_ulps = u;
-      worst_i = i;
-    }
-  }
-  if (bad == 0) return;
-  ADD_FAILURE() << what << ": " << bad << "/" << n
-                << " elements beyond " << max_ulps << " ulps (abs escape "
-                << abs_eps << "); worst at [" << worst_i << "]: got "
-                << got[worst_i] << ", want " << want[worst_i] << " (|diff| "
-                << std::abs(static_cast<double>(got[worst_i]) - want[worst_i])
-                << ", " << worst_ulps << " ulps)";
-}
-
-inline void expect_within_ulps(const Tensor& got, const Tensor& want,
-                               int64_t max_ulps, float abs_eps,
-                               const std::string& what) {
-  ASSERT_TRUE(got.same_shape(want)) << what << ": shape mismatch (got "
-                                    << got.size() << " elements, want "
-                                    << want.size() << ")";
-  expect_within_ulps(got.data(), want.data(), got.size(), max_ulps, abs_eps,
-                     what);
 }
 
 // Calls fn(level) once per exec::simd dispatch level from 0 (generic) up

@@ -181,7 +181,8 @@ TEST(DigitalConv, MatchesScalarLoopsAtEveryLevel) {
   for (int trial = 0; trial < 160; ++trial) {
     const ConvCase c = random_case(rng);
     nn::Conv2D conv(c.in_c, c.out_c, c.k, c.stride, c.pad, c.h, c.w, "k");
-    Tensor w({c.out_c, c.in_c * c.k * c.k}), b({c.out_c});
+    Tensor& w = conv.weight().value;
+    Tensor& b = conv.bias().value;
     fill_weights(w, rng, c.zeros);
     rng.fill_normal(b, 0.0f, 0.5f);
     if (c.neg_zero_bias) b[rng.uniform_int(c.out_c)] = -0.0f;
@@ -193,7 +194,7 @@ TEST(DigitalConv, MatchesScalarLoopsAtEveryLevel) {
     const Tensor want = ref_conv_forward(conv, x, w.data(), b.data(), pre, c.relu, post);
     for (int level : levels()) {
       LevelGuard guard(level);
-      const Tensor got = conv.forward_fused(x, w.data(), b.data(), pre, c.relu, post);
+      const Tensor got = conv.forward_fused(x, pre, c.relu, post);
       ASSERT_EQ(got.shape(), want.shape());
       expect_same_bits(got.data(), want.data(), got.size(), describe(c, level));
     }

@@ -1,17 +1,12 @@
 // The layer-graph IR and fusion pass pipeline (nn/graph.h, nn/fusion.h):
-// per-pass unit oracles (bn-fold math, relu-epilogue exactness, pool-fusion
-// vs the standalone layers, dropout elision), the no-pass plan and the
-// fusion switch, train-mode lowering refusal, the randomized graph-parity
-// sweep (fused vs testutil::reference_forward — bitwise without batchnorm,
-// the pinned kBnFold* contract with it — on the digital path and on crossbar
+// per-pass unit oracles (relu-epilogue exactness, pool fusion vs the
+// standalone layers), the no-pass plan and the fusion switch, train-mode
+// forwards bypassing the plan, the randomized graph-parity sweep (fused vs
+// testutil::reference_forward, bitwise, on the digital path and on crossbar
 // chips at every simd level), and campaign-report byte-identity with fusion
 // on vs off.
 #include "nn/fusion.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -41,115 +36,34 @@ const nn::GraphNode* find_node(const nn::LayerGraph& g,
   return nullptr;
 }
 
-// ---------- train-mode lowering ----------
-
-TEST(LayerGraphBuild, TrainModeLoweringThrowsNamingSensitiveLayers) {
-  nn::Sequential m("train");
-  m.emplace<nn::Conv2D>(1, 2, 3, 1, 1, 6, 6, "conv");
-  m.emplace<nn::BatchNorm2D>(2, 0.9f, 1e-5f, "bn0");
-  m.emplace<nn::Dropout>(0.5f, 7, "d0");
-  try {
-    nn::LayerGraph::build(m, /*train=*/true);
-    FAIL() << "train-mode lowering must throw";
-  } catch (const std::logic_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bn0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("d0"), std::string::npos) << msg;
-  }
-  // Training graphs have no lowering even without sensitive layers.
-  nn::Sequential plain("plain");
-  plain.emplace<nn::Dense>(4, 2, "fc");
-  EXPECT_THROW(nn::LayerGraph::build(plain, /*train=*/true), std::logic_error);
-  // Eval-mode lowering of the same chains succeeds.
-  EXPECT_EQ(nn::LayerGraph::build(m).nodes.size(), 3u);
-  EXPECT_EQ(nn::LayerGraph::build(plain).nodes.size(), 1u);
-}
-
-TEST(LayerGraphBuild, LayersReportTrainModeSensitivity) {
-  nn::BatchNorm2D bn(2);
-  nn::Dropout dr(0.5f, 1);
-  nn::Conv2D conv(1, 1, 3, 1, 1, 6, 6);
-  nn::ReLU relu;
-  EXPECT_TRUE(bn.train_mode_sensitive());
-  EXPECT_TRUE(dr.train_mode_sensitive());
-  EXPECT_FALSE(conv.train_mode_sensitive());
-  EXPECT_FALSE(relu.train_mode_sensitive());
-}
+// ---------- train-mode forwards ----------
 
 TEST(LayerGraphBuild, TrainForwardBypassesFusionEntirely) {
-  // A train-mode forward runs the layers in order (live dropout, batch
-  // statistics) and never tries to lower.
+  // A train-mode forward runs the layers in order, so each caches what its
+  // backward needs. It never builds a plan: a fused conv→relu→pool node
+  // fills none of those caches, and Conv2D::backward throws without its
+  // cached input.
+  auto& reg = obs::metrics();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
   Rng rng(41);
   nn::Sequential m("train-fwd");
   auto& conv = m.emplace<nn::Conv2D>(1, 2, 3, 1, 1, 6, 6, "conv");
   rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
-  m.emplace<nn::BatchNorm2D>(2, 0.9f, 1e-5f, "bn");
-  m.emplace<nn::Dropout>(0.5f, 7, "d");
+  m.emplace<nn::ReLU>("relu");
+  m.emplace<nn::MaxPool2D>(2, "pool");
   Tensor x({2, 1, 6, 6});
   rng.fill_normal(x, 0.0f, 1.0f);
+  const uint64_t plans0 = reg.counter("fusion.plans").value();
   const Tensor y = m.forward(x, /*train=*/true);
-  EXPECT_EQ(y.size(), 2 * 2 * 6 * 6);
+  ASSERT_EQ(reg.counter("fusion.plans").value(), plans0);
+  EXPECT_EQ(y.shape(), (Shape{2, 2, 3, 3}));
+  const Tensor dx = m.backward(Tensor(y.shape(), 1.0f));
+  EXPECT_EQ(dx.shape(), x.shape());
+  reg.set_enabled(was_enabled);
 }
 
 // ---------- per-pass oracles ----------
-
-TEST(FusionPasses, BnFoldMatchesManualFoldAndPinnedTolerance) {
-  Rng rng(11);
-  nn::Sequential m("bnfold");
-  auto& conv = m.emplace<nn::Conv2D>(2, 3, 3, 1, 1, 8, 8, "conv");
-  rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
-  rng.fill_normal(conv.bias().value, 0.0f, 0.2f);
-  auto& bn = m.emplace<nn::BatchNorm2D>(3, 0.9f, 1e-5f, "bn");
-  rng.fill_normal(bn.gamma().value, 1.0f, 0.2f);
-  rng.fill_normal(bn.beta().value, 0.0f, 0.2f);
-  // Warm the running statistics away from their (mean 0, var 1) init so the
-  // fold is not trivially a no-op.
-  Tensor warm({4, 2, 8, 8});
-  for (int i = 0; i < 3; ++i) {
-    rng.fill_normal(warm, 0.0f, 1.0f);
-    (void)m.forward(warm, /*train=*/true);
-  }
-
-  Tensor x({2, 2, 8, 8});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  const Tensor unfused = testutil::reference_forward(m, x);
-  const Tensor fused = m.forward(x, /*train=*/false);
-
-  // The plan folded exactly once: bn skipped, conv annotated with it.
-  nn::FusedPlan plan(m);
-  EXPECT_EQ(plan.stats().bn_folded, 1);
-  const nn::GraphNode* bn_node = find_node(plan.graph(), "bn");
-  const nn::GraphNode* conv_node = find_node(plan.graph(), "conv");
-  ASSERT_NE(bn_node, nullptr);
-  ASSERT_NE(conv_node, nullptr);
-  EXPECT_TRUE(bn_node->skip);
-  EXPECT_EQ(conv_node->folded_bn, &bn);
-
-  // Math oracle: a conv carrying the manually folded parameters
-  // (w' = w·γ/√(σ²+ε), b' = (b−μ)·γ/√(σ²+ε)+β, float arithmetic in the same
-  // order as the pass), executed unfused, must reproduce the fused output
-  // bit for bit — same folded tensors, same kernel.
-  nn::Sequential folded("folded");
-  auto& fc = folded.emplace<nn::Conv2D>(2, 3, 3, 1, 1, 8, 8, "convf");
-  const Tensor& w = conv.weight().value;
-  const int64_t k2 = w.dim(1);
-  for (int64_t c = 0; c < 3; ++c) {
-    const float inv_std = 1.0f / std::sqrt(bn.running_var()[c] + bn.eps());
-    const float s = bn.gamma().value[c] * inv_std;
-    for (int64_t k = 0; k < k2; ++k)
-      fc.weight().value[c * k2 + k] = w[c * k2 + k] * s;
-    fc.bias().value[c] =
-        (conv.bias().value[c] - bn.running_mean()[c]) * s + bn.beta().value[c];
-  }
-  const Tensor oracle = testutil::reference_forward(folded, x);
-  testutil::expect_bitwise_equal(fused, oracle, "fused vs manual fold oracle");
-
-  // Against the unfused two-layer model the pass is approximate, pinned by
-  // the bn-fold tolerance contract.
-  testutil::expect_within_ulps(fused, unfused, nn::kBnFoldMaxUlps,
-                               nn::kBnFoldRangeTol * max_abs(unfused),
-                               "bn-fold pinned tolerance");
-}
 
 TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
   Rng rng(21);
@@ -278,27 +192,6 @@ TEST(FusionPasses, PostPoolWinsOverPrePoolBetweenTwoConvs) {
   EXPECT_FALSE(find_node(plan.graph(), "r")->skip);
 }
 
-TEST(FusionPasses, DropoutElisionIsExactIdentity) {
-  Rng rng(51);
-  nn::Sequential m("drop");
-  m.emplace<nn::Dropout>(0.5f, 99, "d0");
-  auto& d = m.emplace<nn::Dense>(8, 5, "fc");
-  rng.fill_normal(d.weight().value, 0.0f, 0.3f);
-  rng.fill_normal(d.bias().value, 0.0f, 0.1f);
-  m.emplace<nn::Dropout>(0.3f, 100, "d1");
-  Tensor x({4, 8});
-  rng.fill_normal(x, 0.0f, 1.0f);
-
-  const Tensor unfused = testutil::reference_forward(m, x);
-  const Tensor fused = m.forward(x, /*train=*/false);
-  testutil::expect_bitwise_equal(fused, unfused, "dropout elision");
-
-  nn::FusedPlan plan(m);
-  EXPECT_EQ(plan.stats().dropout_elided, 2);
-  EXPECT_TRUE(find_node(plan.graph(), "d0")->skip);
-  EXPECT_TRUE(find_node(plan.graph(), "d1")->skip);
-}
-
 TEST(FusionObs, PassCountersAccumulate) {
   auto& reg = obs::metrics();
   const bool was_enabled = reg.enabled();
@@ -320,58 +213,49 @@ TEST(FusionObs, PassCountersAccumulate) {
 // ---------- randomized graph-parity sweep ----------
 
 TEST(FusionParity, RandomizedDigitalGraphSweep) {
-  int bn_models = 0;
-  int64_t rewrites = 0;
+  nn::FusionStats total;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    for (const bool allow_bn : {false, true}) {
+    for (const uint64_t family : {0u, 1u}) {
       testutil::RandomModelSpec spec;
-      spec.seed = seed * 17 + (allow_bn ? 1 : 0);
-      spec.allow_batchnorm = allow_bn;
+      spec.seed = seed * 17 + family;
       testutil::RandomModel rm = testutil::make_random_model(spec);
       const Tensor x = testutil::random_input(rm, seed * 31 + 5);
-      const std::string what =
-          "seed " + std::to_string(spec.seed) + (allow_bn ? " (+bn)" : "");
+      const std::string what = "seed " + std::to_string(spec.seed);
 
       const Tensor unfused = testutil::reference_forward(rm.model, x);
       const Tensor fused = rm.model.forward(x, /*train=*/false);
-      if (rm.has_batchnorm) {
-        ++bn_models;
-        testutil::expect_within_ulps(fused, unfused, nn::kBnFoldMaxUlps,
-                                     nn::kBnFoldRangeTol * max_abs(unfused),
-                                     what);
-      } else {
-        testutil::expect_bitwise_equal(fused, unfused, what);
-      }
+      testutil::expect_bitwise_equal(fused, unfused, what);
       // The cached plan re-executes deterministically.
       const Tensor again = rm.model.forward(x, /*train=*/false);
       testutil::expect_bitwise_equal(again, fused, what + " (plan reuse)");
 
       nn::FusedPlan plan(rm.model);
-      rewrites += plan.stats().rewrites();
+      total.relu_fused += plan.stats().relu_fused;
+      total.post_pools_fused += plan.stats().post_pools_fused;
+      total.pools_fused += plan.stats().pools_fused;
     }
   }
-  EXPECT_GT(bn_models, 0);  // the sweep actually exercised bn-fold
-  EXPECT_GT(rewrites, 0);   // and the passes rewrote something
+  // The sweep exercised every pass.
+  EXPECT_GT(total.relu_fused, 0);
+  EXPECT_GT(total.post_pools_fused, 0);
+  EXPECT_GT(total.pools_fused, 0);
 }
 
 TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
-  // Crossbar lowering keeps bn standalone (conductances are programmed, not
-  // re-scalable), so fused vs unfused on a chip is bitwise at every simd
-  // dispatch level.
+  // On a chip only the relu epilogue engages (the pool rewrites need a
+  // digital conv), and fused vs unfused is bitwise at every simd dispatch
+  // level.
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
   dev.g_max = 1e-4f;
   dev.program_sigma = 0.1f;
   struct Case {
     uint64_t model_seed, input_seed, prog_seed;
-    bool batchnorm;
   };
-  for (const Case& c : {Case{3, 104, 10, false}, Case{8, 109, 15, true},
-                        Case{13, 131, 19, false}}) {
+  for (const Case& c : {Case{3, 104, 10}, Case{8, 109, 15}, Case{13, 131, 19}}) {
     const uint64_t seed = c.model_seed;
     testutil::RandomModelSpec spec;
     spec.seed = seed;
-    spec.allow_batchnorm = c.batchnorm;
     testutil::RandomModel rm = testutil::make_random_model(spec);
     const Tensor x = testutil::random_input(rm, c.input_seed, 2);
     Rng prog(c.prog_seed);
@@ -385,7 +269,6 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
                                          " seed " + std::to_string(seed));
     });
     nn::FusedPlan plan(chip);
-    EXPECT_EQ(plan.stats().bn_folded, 0) << seed;
     EXPECT_EQ(plan.stats().pools_fused, 0) << seed;
     EXPECT_EQ(plan.stats().post_pools_fused, 0) << seed;
   }
@@ -396,20 +279,18 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
 TEST(FusionPlan, NoPassPlanMatchesReferenceBitwise) {
   // FusedPlan(m, /*fuse=*/false) is the unfused executor: no pass runs, no
   // node is skipped, and its output equals the layer-by-layer reference bit
-  // for bit — with or without batchnorm, digital or on a crossbar chip.
+  // for bit, digital or on a crossbar chip.
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
   dev.g_max = 1e-4f;
   dev.program_sigma = 0.1f;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    for (const bool allow_bn : {false, true}) {
+    for (const uint64_t family : {0u, 1u}) {
       testutil::RandomModelSpec spec;
-      spec.seed = seed * 23 + (allow_bn ? 1 : 0);
-      spec.allow_batchnorm = allow_bn;
+      spec.seed = seed * 23 + family;
       testutil::RandomModel rm = testutil::make_random_model(spec);
       const Tensor x = testutil::random_input(rm, seed * 37 + 3);
-      const std::string what =
-          "seed " + std::to_string(spec.seed) + (allow_bn ? " (+bn)" : "");
+      const std::string what = "seed " + std::to_string(spec.seed);
 
       nn::FusedPlan plan(rm.model, /*fuse=*/false);
       EXPECT_FALSE(plan.fused()) << what;
@@ -428,9 +309,8 @@ TEST(FusionPlan, NoPassPlanMatchesReferenceBitwise) {
     }
   }
 
-  // LeNet-5 on the digital path: no batchnorm, so the passes that engage
-  // (relu epilogues, pool fusion) leave the fused plan bitwise equal to the
-  // no-pass plan.
+  // LeNet-5 on the digital path: the passes that engage (relu epilogues,
+  // pool fusion) leave the fused plan bitwise equal to the no-pass plan.
   Rng rng(2023);
   nn::Sequential lenet = models::lenet5(1, 28, 10, rng);
   Tensor x({16, 1, 28, 28});
@@ -446,34 +326,51 @@ TEST(FusionPlan, NoPassPlanMatchesReferenceBitwise) {
 
 TEST(FusionSwitch, ForwardFollowsAFlipBetweenCalls) {
   // Sequential::forward caches its plan. Flipping set_fusion_enabled between
-  // two forwards must rebuild it, never run the stale one. A batchnorm model
-  // whose fold re-rounds some output tells the two plans apart.
+  // two forwards must rebuild it, never run the stale one. Every rewrite is
+  // exact, so the outputs cannot tell the plans apart; the plan-build and
+  // per-pass rewrite counters can.
   FusionGuard guard;
+  auto& reg = obs::metrics();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  auto plans = [&] { return reg.counter("fusion.plans").value(); };
+  auto rewrites = [&] {
+    return reg.counter("fusion.relu_fused").value() +
+           reg.counter("fusion.post_pools_fused").value() +
+           reg.counter("fusion.pools_fused").value();
+  };
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     testutil::RandomModelSpec spec;
     spec.seed = seed;
-    spec.allow_batchnorm = true;
     testutil::RandomModel rm = testutil::make_random_model(spec);
-    if (!rm.has_batchnorm) continue;
+    const auto r =
+        static_cast<uint64_t>(nn::FusedPlan(rm.model).stats().rewrites());
+    if (r == 0) continue;  // nothing fuses: the plans look alike
     const Tensor x = testutil::random_input(rm, seed + 7);
-    const Tensor fused = nn::FusedPlan(rm.model).execute(x);
-    const Tensor unfused = testutil::reference_forward(rm.model, x);
-    if (std::memcmp(fused.data(), unfused.data(),
-                    static_cast<size_t>(fused.size()) * sizeof(float)) == 0)
-      continue;  // the fold happened to be exact: the plans look alike
+    const Tensor want = testutil::reference_forward(rm.model, x);
 
     const std::string what = "seed " + std::to_string(seed);
-    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), fused,
+    const uint64_t p0 = plans(), w0 = rewrites();
+    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), want,
                                    what + " (on)");
+    EXPECT_EQ(plans(), p0 + 1) << what;
+    EXPECT_EQ(rewrites(), w0 + r) << what;
+    (void)rm.model.forward(x, /*train=*/false);
+    EXPECT_EQ(plans(), p0 + 1) << what << ": the cached plan is reused";
     nn::set_fusion_enabled(false);
-    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false),
-                                   unfused, what + " (switched off)");
+    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), want,
+                                   what + " (switched off)");
+    EXPECT_EQ(plans(), p0 + 2) << what;
+    EXPECT_EQ(rewrites(), w0 + r) << what << ": the no-pass plan rewrites nothing";
     nn::set_fusion_enabled(true);
-    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), fused,
+    testutil::expect_bitwise_equal(rm.model.forward(x, /*train=*/false), want,
                                    what + " (switched back on)");
+    EXPECT_EQ(plans(), p0 + 3) << what;
+    EXPECT_EQ(rewrites(), w0 + 2 * r) << what;
+    reg.set_enabled(was_enabled);
     return;
   }
-  FAIL() << "no batchnorm model whose fold changes an output bit";
+  FAIL() << "no model that any pass rewrites";
 }
 
 // ---------- campaign byte-identity ----------

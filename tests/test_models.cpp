@@ -63,16 +63,6 @@ TEST(Vgg, WidthScalesParameters) {
   EXPECT_LT(mn.num_params(), mw.num_params());
 }
 
-TEST(Vgg, DropoutLayersOptional) {
-  Rng rng(8);
-  VggConfig cfg;
-  cfg.dropout = 0.5f;
-  nn::Sequential with = vgg16(cfg, rng);
-  cfg.dropout = 0.0f;
-  nn::Sequential without = vgg16(cfg, rng);
-  EXPECT_EQ(with.num_layers(), without.num_layers() + 2);
-}
-
 TEST(Vgg, InitializedWeightsAreFinite) {
   Rng rng(9);
   VggConfig cfg;

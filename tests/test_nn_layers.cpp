@@ -3,7 +3,6 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
@@ -124,14 +123,6 @@ TEST(ReLU, BackwardMasks) {
   EXPECT_FLOAT_EQ(g[1], 7.0f);
 }
 
-TEST(Tanh, ForwardRange) {
-  Tanh t;
-  Tensor y = t.forward(Tensor::from({-100, 0, 100}), false);
-  EXPECT_NEAR(y[0], -1.0f, 1e-5);
-  EXPECT_FLOAT_EQ(y[1], 0.0f);
-  EXPECT_NEAR(y[2], 1.0f, 1e-5);
-}
-
 TEST(Flatten, RoundTrip) {
   Flatten f;
   Tensor x({2, 3, 4, 5});
@@ -169,27 +160,6 @@ TEST(AvgPool, BackwardDistributesUniformly) {
   p.forward(Tensor({1, 1, 2, 2}), true);
   Tensor g = p.backward(Tensor({1, 1, 1, 1}, std::vector<float>{4.0f}));
   for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 1.0f);
-}
-
-TEST(Dropout, InferenceIsIdentity) {
-  Dropout d(0.5f, 1);
-  Tensor x = Tensor::from({1, 2, 3});
-  Tensor y = d.forward(x, false);
-  for (int64_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainPreservesExpectation) {
-  Dropout d(0.3f, 2);
-  Tensor x({10000}, 1.0f);
-  Tensor y = d.forward(x, true);
-  double s = 0.0;
-  for (int64_t i = 0; i < y.size(); ++i) s += y[i];
-  EXPECT_NEAR(s / y.size(), 1.0, 0.05);
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(1.0f, 1), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1f, 1), std::invalid_argument);
 }
 
 TEST(Sequential, ComposesAndClones) {
