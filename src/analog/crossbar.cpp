@@ -109,7 +109,7 @@ void CrossbarTile::apply_faults(const FaultList& faults,
                                 const FaultModel::TileCtx& ctx, Rng& rng,
                                 const remap::RemapParams* remap,
                                 remap::RemapStats* stats) {
-  if (!remap || !remap->active()) {
+  if (!remap || !remap->active() || !remap_can_act(faults)) {
     for (const FaultModel* f : faults)
       f->apply(g_pos_.data(), g_neg_.data(), ctx, dev_, rng);
     lower();

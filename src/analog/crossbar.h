@@ -115,6 +115,18 @@ class FaultModel {
 /// outlive every chip programmed with them.
 using FaultList = std::vector<const FaultModel*>;
 
+/// Whether fault-aware remapping can act on chips programmed with `faults`:
+/// true iff some model reports a defect map. When false, a remapped chip is
+/// the unremapped chip of the same seed bit for bit — every model takes the
+/// plain apply() path with the same rng draws, no repair plan runs and the
+/// repair accounting is zero — so callers may reuse the remap-off result
+/// (faultsim::Campaign does).
+inline bool remap_can_act(const FaultList& faults) {
+  for (const FaultModel* f : faults)
+    if (f->has_defect_map()) return true;
+  return false;
+}
+
 /// One crossbar tile holding a weight matrix W (rows, cols): rows are inputs
 /// (wordlines), cols are outputs (bitlines), i.e. y = W^T x is computed as
 /// column current sums. CorrectNet layers store W as (out, in); use

@@ -195,15 +195,37 @@ CampaignReport Campaign::run(const data::Dataset& test) {
   lists.reserve(faults_.size());
   for (const FaultSpec& spec : faults_) lists.push_back(spec.list());
 
+  // Schedule only distinct cells. Where remapping has nothing to act on
+  // (analog::remap_can_act is false: no model reports a defect map), the
+  // remap-on cell is its remap-off twin bit for bit — same scenario seed,
+  // same apply() draws, no repair plan — so one job evaluates the remap-off
+  // chips and writes both rows. Job j covers cells[cell] and, when `twin`,
+  // the remap-on cell right after it.
+  struct Job {
+    size_t cell;
+    bool twin;
+  };
+  std::vector<Job> jobs;
+  jobs.reserve(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const bool twin = opts_.remap.enabled && !cells[i].remap_on &&
+                      !analog::remap_can_act(lists[cells[i].fi]);
+    jobs.push_back(Job{i, twin});
+    if (twin) ++i;
+  }
+
   const int64_t n = static_cast<int64_t>(cells.size());
+  const int64_t n_jobs = static_cast<int64_t>(jobs.size());
   const int64_t conc =
-      runtime::effective_concurrency(opts_.parallel_scenarios, n);
+      runtime::effective_concurrency(opts_.parallel_scenarios, n_jobs);
   report.scenarios.resize(static_cast<size_t>(n));
 
   // Observability plumbing. All of it is timing/count-only — nothing below
   // touches rng streams or the numeric path, so the report JSON is
   // byte-identical with metrics/tracing on or off (tier-1 asserted).
+  // campaign.scenarios and cells_done count every grid cell, twins included.
   obs::Counter& m_scenarios = obs::metrics().counter("campaign.scenarios");
+  obs::Counter& m_reused = obs::metrics().counter("campaign.cells_reused");
   obs::Gauge& m_rate = obs::metrics().gauge("campaign.scenarios_per_s");
   // Live introspection: a /statusz scrape mid-run sees the grid size and a
   // completed-cell count (progress order-independent: cells only increment).
@@ -213,8 +235,9 @@ CampaignReport Campaign::run(const data::Dataset& test) {
   m_done.set(0);
   std::atomic<int64_t> cells_done{0};
 
-  runtime::parallel_indexed(n, conc, [&](int64_t i) {
-    const Cell& cell = cells[static_cast<size_t>(i)];
+  runtime::parallel_indexed(n_jobs, conc, [&](int64_t j) {
+    const Job& job = jobs[static_cast<size_t>(j)];
+    const Cell& cell = cells[job.cell];
     const FaultSpec& spec = faults_[cell.fi];
     const ModelEntry& me = models_[cell.mi];
     // Per-scenario seed depends on the fault index only: every protection
@@ -232,16 +255,18 @@ CampaignReport Campaign::run(const data::Dataset& test) {
     if (want_label) {
       label = "scenario " + spec.kind + "@" + json_num(spec.severity) + " x " +
               me.name +
-              (opts_.remap.enabled
-                   ? (cell.remap_on ? " x remap" : " x no-remap")
-                   : "");
+              (!opts_.remap.enabled ? ""
+               : job.twin           ? " x no-remap (+ inert remap twin)"
+               : cell.remap_on      ? " x remap"
+                                    : " x no-remap");
       // The Logger sink serializes concurrent lines; "[k/N]" carries the grid
       // index since completion order is scheduler-dependent.
-      obs::log_debug("[campaign] [" + std::to_string(i + 1) + "/" +
+      obs::log_debug("[campaign] [" + std::to_string(job.cell + 1) + "/" +
                      std::to_string(n) + "] " + label);
     }
     obs::Span cell_span(label, "campaign");
-    m_scenarios.add(1);
+    const int64_t covered = job.twin ? 2 : 1;
+    m_scenarios.add(static_cast<uint64_t>(covered));
     runtime::ChipFarmOptions fo;
     fo.instances = opts_.chips;
     fo.seed = scenario_seed;
@@ -275,10 +300,16 @@ CampaignReport Campaign::run(const data::Dataset& test) {
         res.residual += st.residual;
       }
     }
-    report.scenarios[static_cast<size_t>(i)] = std::move(res);
-    m_done.set(
-        static_cast<double>(cells_done.fetch_add(1, std::memory_order_relaxed) +
-                            1));
+    if (job.twin) {
+      // The remap-on row: same samples, nothing repaired.
+      ScenarioResult& on = report.scenarios[job.cell + 1];
+      on = res;
+      on.remapped = true;
+      m_reused.add(1);
+    }
+    report.scenarios[job.cell] = std::move(res);
+    m_done.set(static_cast<double>(
+        cells_done.fetch_add(covered, std::memory_order_relaxed) + covered));
   });
   report.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

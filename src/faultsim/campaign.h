@@ -8,10 +8,11 @@
 // the compensation-on/off comparison a matched-pairs experiment.
 //
 // The outer grid itself is embarrassingly parallel and is scheduled with
-// runtime::parallel_indexed: up to `parallel_scenarios` cells run
-// concurrently, each with its own farm/engine state, and every result is
-// written to its grid-order slot (deterministic reduction keyed by scenario
-// index, never by completion order). Per-scenario chip seeds depend only on
+// runtime::parallel_indexed, one job per distinct cell (an inert remap-on
+// twin rides with its remap-off cell; see CampaignOptions::remap): up to
+// `parallel_scenarios` jobs run concurrently, each with its own farm/engine
+// state, and every result is written to its grid-order slot (deterministic
+// reduction keyed by scenario index, never by completion order). Per-scenario chip seeds depend only on
 // (campaign seed, fault index), so the CampaignReport — including its JSON —
 // is byte-identical for any scheduling (asserted in tier-1:
 // Campaign.SequentialVsParallelReportsAreByteIdentical).
@@ -53,9 +54,14 @@ struct CampaignOptions {
   double catastrophic_below = 0.2;  // accuracy counted as catastrophic failure
   analog::RramDeviceParams dev;     // baseline device every scenario starts from
   // Fault-aware remapping protection axis: when `remap.enabled`, every
-  // (fault, model) cell runs twice — remap off, then remap on with these
+  // (fault, model) cell has two rows — remap off, then remap on with these
   // params — under the same per-scenario chip seeds, so the pair sees
   // identical defect maps (a matched-pairs experiment, like compensation).
+  // Inert-arm rule: where no model of the fault spec reports a defect map
+  // (analog::remap_can_act is false — the control, drift, IR drop,
+  // thermal), the matched pair makes the remap-on chips the remap-off chips
+  // bit for bit, so that pair is evaluated once and the remap-on row copies
+  // it with zero repair counts. Stuck-at cells run both arms.
   remap::RemapParams remap;
 };
 

@@ -1,6 +1,7 @@
 #include "nn/activations.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace cn::nn {
 
@@ -23,6 +24,8 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
+  if (mask_.empty() || mask_.size() != grad_out.size())
+    throw std::logic_error(label_ + ": backward without cached forward");
   Tensor gx = grad_out;
   for (int64_t i = 0; i < gx.size(); ++i) gx[i] *= mask_[i];
   return gx;

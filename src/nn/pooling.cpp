@@ -54,6 +54,8 @@ Tensor MaxPool2D::forward(const Tensor& x, bool train) {
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_out) {
+  if (argmax_.empty() || argmax_.size() != static_cast<size_t>(grad_out.size()))
+    throw std::logic_error(label_ + ": backward without cached forward");
   Tensor gx(in_shape_);
   for (int64_t i = 0; i < grad_out.size(); ++i)
     gx[argmax_[static_cast<size_t>(i)]] += grad_out[i];
@@ -92,8 +94,12 @@ Tensor AvgPool2D::forward(const Tensor& x, bool train) {
 }
 
 Tensor AvgPool2D::backward(const Tensor& grad_out) {
+  if (in_shape_.empty())
+    throw std::logic_error(label_ + ": backward without cached forward");
   const int64_t N = in_shape_[0], C = in_shape_[1], H = in_shape_[2], W = in_shape_[3];
   const int64_t OH = H / window_, OW = W / window_;
+  if (grad_out.size() != N * C * OH * OW)
+    throw std::logic_error(label_ + ": backward without cached forward");
   Tensor gx(in_shape_);
   const float inv = 1.0f / static_cast<float>(window_ * window_);
   int64_t oi = 0;

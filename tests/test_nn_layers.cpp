@@ -1,3 +1,5 @@
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "nn/activations.h"
@@ -123,6 +125,13 @@ TEST(ReLU, BackwardMasks) {
   EXPECT_FLOAT_EQ(g[1], 7.0f);
 }
 
+TEST(ReLU, BackwardWithoutCachedForwardThrows) {
+  ReLU r;
+  EXPECT_THROW(r.backward(Tensor::from({5, 7})), std::logic_error);
+  r.forward(Tensor::from({-1, 3}), true);
+  EXPECT_THROW(r.backward(Tensor::from({5, 7, 9})), std::logic_error);
+}
+
 TEST(Flatten, RoundTrip) {
   Flatten f;
   Tensor x({2, 3, 4, 5});
@@ -148,6 +157,16 @@ TEST(MaxPool, RejectsIndivisibleInput) {
   EXPECT_THROW(p.forward(Tensor({1, 1, 3, 4}), false), std::invalid_argument);
 }
 
+TEST(MaxPool, BackwardWithoutCachedForwardThrows) {
+  MaxPool2D p(2);
+  EXPECT_THROW(p.backward(Tensor({1, 1, 1, 1})), std::logic_error);
+  // An eval forward caches nothing to route gradients through.
+  p.forward(Tensor({1, 1, 2, 2}), false);
+  EXPECT_THROW(p.backward(Tensor({1, 1, 1, 1})), std::logic_error);
+  p.forward(Tensor({1, 1, 2, 2}), true);
+  EXPECT_THROW(p.backward(Tensor({2, 1, 1, 1})), std::logic_error);
+}
+
 TEST(AvgPool, Averages) {
   AvgPool2D p(2);
   Tensor x({1, 1, 2, 2}, std::vector<float>{1, 2, 3, 6});
@@ -160,6 +179,13 @@ TEST(AvgPool, BackwardDistributesUniformly) {
   p.forward(Tensor({1, 1, 2, 2}), true);
   Tensor g = p.backward(Tensor({1, 1, 1, 1}, std::vector<float>{4.0f}));
   for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(g[i], 1.0f);
+}
+
+TEST(AvgPool, BackwardWithoutCachedForwardThrows) {
+  AvgPool2D p(2);
+  EXPECT_THROW(p.backward(Tensor({1, 1, 1, 1})), std::logic_error);
+  p.forward(Tensor({1, 1, 2, 2}), true);
+  EXPECT_THROW(p.backward(Tensor({1, 1, 2, 1})), std::logic_error);
 }
 
 TEST(Sequential, ComposesAndClones) {

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "analog/crossbar_layers.h"
+#include "core/compensation.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "exec_testutil.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
+#include "obs/metrics.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
 #include "tensor/ops.h"
@@ -472,6 +474,100 @@ TEST(RemapCampaign, MatchedPairGridAbsorbsDefectsAndNeverTrailsRemapOff) {
   EXPECT_NE(j.find("\"total_absorbed\":"), std::string::npos);
   EXPECT_GT(r.mean_accuracy("baseline", true),
             r.mean_accuracy("baseline", false) - 1e-12);
+}
+
+TEST(RemapCampaign, InertRemapArmsEqualRealRemapOnChipsAndAreEvaluatedOnce) {
+  // Soft fault specs give remapping nothing to act on, so the campaign
+  // evaluates each such (fault, model) pair once and copies it into the
+  // remap-on row. Each copied row must equal a really remapped farm built
+  // independently with that cell's scenario seed, sample for sample.
+  auto& f = fixture();
+  Rng comp_rng(5);
+  const nn::Sequential corrected =
+      core::with_compensation(f.model, core::CompensationPlan{{{0, 2}}}, comp_rng);
+  faultsim::CampaignOptions co;
+  co.chips = 3;
+  co.seed = 1234;
+  co.batch_size = 32;
+  co.dev.program_sigma = 0.1f;
+  co.dev.readout.read_sigma = 0.05f;
+  co.remap = full_params(2, 2);
+  const std::vector<faultsim::FaultSpec> specs = {
+      faultsim::fault_free(), faultsim::drift(10.0), faultsim::drift(1000.0),
+      faultsim::ir_drop(0.1), faultsim::thermal(400.0), faultsim::stuck_at(0.05)};
+  const std::vector<std::pair<std::string, const nn::Sequential*>> models = {
+      {"baseline", &f.model}, {"corrected", &corrected}};
+  auto make = [&](int64_t parallel) {
+    faultsim::CampaignOptions o = co;
+    o.parallel_scenarios = parallel;
+    faultsim::Campaign c(o);
+    for (const auto& [name, m] : models) c.add_model(name, *m, name == "corrected");
+    for (const faultsim::FaultSpec& spec : specs) c.add_fault(spec);
+    return c;
+  };
+
+  obs::metrics().set_enabled(true);
+  const uint64_t reused0 = obs::metrics().counter("campaign.cells_reused").value();
+  const uint64_t jobs0 = obs::metrics().counter("sched.jobs").value();
+  const uint64_t cells0 = obs::metrics().counter("campaign.scenarios").value();
+  faultsim::Campaign seq = make(1);
+  ASSERT_EQ(seq.num_scenarios(), 24);  // 6 specs x 2 models x 2 remap arms
+  faultsim::CampaignReport r = seq.run(f.ds.test);
+  // 5 soft specs x 2 models reuse their remap-off row: 24 cells, 14 jobs.
+  EXPECT_EQ(obs::metrics().counter("campaign.cells_reused").value() - reused0, 10u);
+  EXPECT_EQ(obs::metrics().counter("sched.jobs").value() - jobs0, 14u);
+  EXPECT_EQ(obs::metrics().counter("campaign.scenarios").value() - cells0, 24u);
+  EXPECT_EQ(obs::metrics().gauge("campaign.cells_done").value(), 24.0);
+
+  ASSERT_EQ(r.scenarios.size(), 24u);
+  for (size_t fi = 0; fi < specs.size(); ++fi) {
+    const uint64_t scenario_seed =
+        mix64(co.seed ^ (0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(fi) + 1)));
+    for (size_t mi = 0; mi < models.size(); ++mi) {
+      const faultsim::ScenarioResult& off = r.scenarios[(fi * 2 + mi) * 2];
+      const faultsim::ScenarioResult& on = r.scenarios[(fi * 2 + mi) * 2 + 1];
+      ASSERT_EQ(off.fault_kind, specs[fi].kind);
+      ASSERT_EQ(on.fault_kind, specs[fi].kind);
+      ASSERT_EQ(on.model_name, models[mi].first);
+      ASSERT_FALSE(off.remapped);
+      ASSERT_TRUE(on.remapped);
+      if (specs[fi].kind == "stuck_at") {
+        // Stuck-at keeps both arms: the remap-on row was really repaired.
+        EXPECT_GT(on.defects, 0) << models[mi].first;
+        EXPECT_GT(on.absorbed, 0) << models[mi].first;
+        continue;
+      }
+      runtime::ChipFarmOptions fo;
+      fo.instances = co.chips;
+      fo.seed = scenario_seed;
+      fo.tile = co.tile;
+      fo.remap = co.remap;
+      const faultsim::FaultSpec& spec = specs[fi];
+      runtime::ChipFarm farm(*models[mi].second, co.dev, fo, spec.list());
+      runtime::McEngineOptions eo;
+      eo.batch_size = co.batch_size;
+      const core::McResult ref = runtime::McEngine(farm, eo).accuracy(f.ds.test);
+      RemapStats st;
+      for (int64_t s = 0; s < co.chips; ++s) st += farm.chip_remap_stats(s);
+      EXPECT_EQ(st.defects, 0) << spec.kind;
+      ASSERT_EQ(on.acc.samples.size(), ref.samples.size()) << spec.kind;
+      for (size_t s = 0; s < ref.samples.size(); ++s)
+        EXPECT_EQ(on.acc.samples[s], ref.samples[s])
+            << spec.kind << "@" << spec.severity << " x " << models[mi].first
+            << " chip " << s;
+      EXPECT_EQ(on.acc.mean, ref.mean) << spec.kind;
+      EXPECT_EQ(on.defects, 0) << spec.kind;
+      EXPECT_EQ(on.absorbed, 0) << spec.kind;
+      EXPECT_EQ(on.residual, 0) << spec.kind;
+    }
+  }
+
+  // The reused rows keep the report independent of scheduling.
+  faultsim::Campaign par = make(4);
+  faultsim::CampaignReport rp = par.run(f.ds.test);
+  r.wall_s = 0.0;
+  rp.wall_s = 0.0;
+  EXPECT_EQ(r.to_json(), rp.to_json());
 }
 
 TEST(RemapCampaign, ConfigKeysBuildTheAxisAndTyposFailLoudly) {
