@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, the digital conv and
-// dense kernels, crossbar MVM, the batched crossbar matmul, the simd tile
-// kernel, crossbar read-noise draws and programming
-// lognormals (scalar loop vs the Gaussian spans), tile programming, and
-// Monte-Carlo perturbation sampling.
+// dense kernels, the compensated conv's eval forward, crossbar MVM, the
+// batched crossbar matmul, the simd tile kernel, crossbar read-noise draws
+// and programming lognormals (scalar loop vs the Gaussian spans), tile
+// programming, and Monte-Carlo perturbation sampling.
 // Legs that run on the thread pool time real (wall) time: the main thread's
 // CPU time would leave out the workers' share.
 #include <benchmark/benchmark.h>
@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "analog/crossbar.h"
+#include "analog/crossbar_layers.h"
 #include "analog/variation.h"
+#include "core/compensation.h"
 #include "exec/digital_kernels.h"
 #include "exec/target.h"
 #include "nn/conv2d.h"
@@ -122,6 +124,30 @@ void BM_Conv2DBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2DBackward)->Arg(16)->Arg(32)->UseRealTime();
+
+// A compensated conv's eval forward: LeNet-5 conv1 (1 -> 6 channels, 5x5,
+// pad 2, 28x28) with m = 3 generator filters over 32 images. Arg 0 runs
+// the base conv digitally, arg 1 on a crossbar-programmed chip.
+void BM_CompensatedConv2D(benchmark::State& state) {
+  Rng rng(11);
+  nn::Sequential model("comp");
+  auto& conv = model.emplace<nn::Conv2D>(1, 6, 5, 1, 2, 28, 28, "conv1");
+  rng.fill_normal(conv.weight().value, 0.0f, 0.3f);
+  core::attach_compensation(model, 0, 3, rng);
+  if (state.range(0) == 1) {
+    analog::RramDeviceParams dev;
+    dev.program_sigma = 0.1f;
+    model = analog::program_to_crossbars(model, dev, rng);
+  }
+  Tensor x({32, 1, 28, 28});
+  rng.fill_normal(x, 0.0f, 1.0f);
+  for (auto _ : state) {
+    Tensor y = model.layer(0).forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_CompensatedConv2D)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_CrossbarMatvec(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -4,56 +4,87 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/digital_kernels.h"
 #include "nn/init.h"
 #include "tensor/ops.h"
+#include "tensor/threadpool.h"
 
 namespace cn::core {
+
+namespace {
+
+// Adaptive pooling windows along one axis: output cell o averages input
+// [start[o], end[o]). Computed once per forward and shared by the pool, its
+// backward and the compensation eval path, so all three agree on the bounds.
+struct Windows {
+  std::vector<int64_t> start, end;
+  bool identity = false;  // in == out: every window is [o, o + 1)
+};
+
+Windows adaptive_windows(int64_t in, int64_t out) {
+  Windows win;
+  win.identity = in == out;
+  win.start.resize(static_cast<size_t>(out));
+  win.end.resize(static_cast<size_t>(out));
+  for (int64_t o = 0; o < out; ++o) {
+    const int64_t s = o * in / out;
+    win.start[o] = s;
+    win.end[o] = std::max(s + 1, (o + 1) * in / out + (((o + 1) * in) % out ? 1 : 0));
+  }
+  return win;
+}
+
+// Pools one channel with W columns into `out` (oh x ow, dense). Each output
+// is 0.0f plus its window summed row-major, over float(area). An identity
+// window is therefore 0.0f + x (dividing by 1 is exact), which turns -0 into
+// +0: never a copy.
+void pool_channel(const float* chan, int64_t W, const Windows& wh, const Windows& ww,
+                  float* out) {
+  const int64_t oh_n = static_cast<int64_t>(wh.start.size());
+  const int64_t ow_n = static_cast<int64_t>(ww.start.size());
+  if (wh.identity && ww.identity) {
+    for (int64_t i = 0; i < oh_n * ow_n; ++i) out[i] = 0.0f + chan[i];
+    return;
+  }
+  for (int64_t oh = 0; oh < oh_n; ++oh) {
+    const int64_t h0 = wh.start[oh], h1 = wh.end[oh];
+    for (int64_t ow = 0; ow < ow_n; ++ow) {
+      const int64_t w0 = ww.start[ow], w1 = ww.end[ow];
+      float acc = 0.0f;
+      for (int64_t h = h0; h < h1; ++h)
+        for (int64_t w = w0; w < w1; ++w) acc += chan[h * W + w];
+      out[oh * ow_n + ow] = acc / static_cast<float>((h1 - h0) * (w1 - w0));
+    }
+  }
+}
+
+}  // namespace
 
 Tensor adaptive_avgpool(const Tensor& x, int64_t out_h, int64_t out_w) {
   if (x.rank() != 4) throw std::invalid_argument("adaptive_avgpool: expected NCHW");
   const int64_t N = x.dim(0), C = x.dim(1), H = x.dim(2), W = x.dim(3);
+  const Windows wh = adaptive_windows(H, out_h), ww = adaptive_windows(W, out_w);
   Tensor y({N, C, out_h, out_w});
-  for (int64_t n = 0; n < N; ++n) {
-    for (int64_t c = 0; c < C; ++c) {
-      const float* chan = x.data() + (n * C + c) * H * W;
-      float* out = y.data() + (n * C + c) * out_h * out_w;
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        const int64_t h0 = oh * H / out_h;
-        const int64_t h1 = std::max(h0 + 1, (oh + 1) * H / out_h + (((oh + 1) * H) % out_h ? 1 : 0));
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          const int64_t w0 = ow * W / out_w;
-          const int64_t w1 = std::max(w0 + 1, (ow + 1) * W / out_w + (((ow + 1) * W) % out_w ? 1 : 0));
-          float acc = 0.0f;
-          for (int64_t h = h0; h < h1; ++h)
-            for (int64_t w = w0; w < w1; ++w) acc += chan[h * W + w];
-          out[oh * out_w + ow] = acc / static_cast<float>((h1 - h0) * (w1 - w0));
-        }
-      }
-    }
-  }
+  for (int64_t nc = 0; nc < N * C; ++nc)
+    pool_channel(x.data() + nc * H * W, W, wh, ww, y.data() + nc * out_h * out_w);
   return y;
 }
 
 Tensor adaptive_avgpool_backward(const Tensor& grad_out, int64_t in_h, int64_t in_w) {
   const int64_t N = grad_out.dim(0), C = grad_out.dim(1);
   const int64_t out_h = grad_out.dim(2), out_w = grad_out.dim(3);
+  const Windows wh = adaptive_windows(in_h, out_h), ww = adaptive_windows(in_w, out_w);
   Tensor gx({N, C, in_h, in_w});
-  for (int64_t n = 0; n < N; ++n) {
-    for (int64_t c = 0; c < C; ++c) {
-      float* chan = gx.data() + (n * C + c) * in_h * in_w;
-      const float* g = grad_out.data() + (n * C + c) * out_h * out_w;
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        const int64_t h0 = oh * in_h / out_h;
-        const int64_t h1 =
-            std::max(h0 + 1, (oh + 1) * in_h / out_h + (((oh + 1) * in_h) % out_h ? 1 : 0));
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          const int64_t w0 = ow * in_w / out_w;
-          const int64_t w1 =
-              std::max(w0 + 1, (ow + 1) * in_w / out_w + (((ow + 1) * in_w) % out_w ? 1 : 0));
-          const float gv = g[oh * out_w + ow] / static_cast<float>((h1 - h0) * (w1 - w0));
-          for (int64_t h = h0; h < h1; ++h)
-            for (int64_t w = w0; w < w1; ++w) chan[h * in_w + w] += gv;
-        }
+  for (int64_t nc = 0; nc < N * C; ++nc) {
+    float* chan = gx.data() + nc * in_h * in_w;
+    const float* g = grad_out.data() + nc * out_h * out_w;
+    for (int64_t oh = 0; oh < out_h; ++oh) {
+      const int64_t h0 = wh.start[oh], h1 = wh.end[oh];
+      for (int64_t ow = 0; ow < out_w; ++ow) {
+        const int64_t w0 = ww.start[ow], w1 = ww.end[ow];
+        const float gv = g[oh * out_w + ow] / static_cast<float>((h1 - h0) * (w1 - w0));
+        for (int64_t h = h0; h < h1; ++h)
+          for (int64_t w = w0; w < w1; ++w) chan[h * in_w + w] += gv;
       }
     }
   }
@@ -116,30 +147,62 @@ CompensatedConv2D::CompensatedConv2D(std::unique_ptr<nn::Conv2D> base,
 }
 
 Tensor CompensatedConv2D::forward(const Tensor& x, bool train) {
-  in_h_ = x.dim(2);
-  in_w_ = x.dim(3);
+  const ConvGeom& g = base_->geom();
+  if (x.rank() != 4 || x.dim(1) != g.in_c || x.dim(2) != g.in_h || x.dim(3) != g.in_w)
+    throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
   // Substrate-backed chips execute the override (geometry mirrors base_).
   nn::Layer& analog_base =
       base_override_ ? *base_override_ : static_cast<nn::Layer&>(*base_);
   Tensor y = analog_base.forward(x, train);
+  if (!train) return compensate(x, y);
   Tensor xp = adaptive_avgpool(x, base_->out_h(), base_->out_w());
   Tensor gin = concat_channels(xp, y);
-  Tensor g = gen_->forward(gin, train);
+  Tensor gen = gen_->forward(gin, train);
   // ReLU on the generated compensation data (documented design choice:
   // the paper draws plain conv blocks; the nonlinearity lets the generator
   // encode signed corrections through the compensator).
-  if (train) {
-    relu_mask_ = Tensor(g.shape());
-    for (int64_t i = 0; i < g.size(); ++i) {
-      if (g[i] > 0.0f) relu_mask_[i] = 1.0f;
-      else g[i] = 0.0f;
-    }
-  } else {
-    for (int64_t i = 0; i < g.size(); ++i)
-      if (g[i] < 0.0f) g[i] = 0.0f;
+  relu_mask_ = Tensor(gen.shape());
+  for (int64_t i = 0; i < gen.size(); ++i) {
+    if (gen[i] > 0.0f) relu_mask_[i] = 1.0f;
+    else gen[i] = 0.0f;
   }
-  Tensor cin = concat_channels(y, g);
+  Tensor cin = concat_channels(y, gen);
   return comp_->forward(cin, train);
+}
+
+Tensor CompensatedConv2D::compensate(const Tensor& x, const Tensor& y) {
+  const ConvGeom& g = base_->geom();
+  const int64_t N = x.dim(0), l = g.in_c, n = base_->out_channels();
+  const int64_t OH = base_->out_h(), OW = base_->out_w(), P = OH * OW;
+  const int64_t ldc = exec::digital::round_up_block(P);
+  const Windows wh = adaptive_windows(g.in_h, OH), ww = adaptive_windows(g.in_w, OW);
+  const float* gw = gen_->live_weight().data();
+  const float* gb = gen_->bias().value.data();
+  const float* cw = comp_->live_weight().data();
+  const float* cb = comp_->bias().value.data();
+  Tensor out({N, n, OH, OW});
+  parallel_for(0, N, [&](int64_t lo, int64_t hi) {
+    // One image's 1x1-conv input rows, ldc floats apart: pooled input (l),
+    // base output (n), generator output (m). The generator reads rows
+    // [0, l + n) and writes rows [l + n, l + n + m) whole (nd = ldc, so its
+    // output rows are ldc apart too; the pad lanes it computes are never
+    // read into an output). The compensator reads rows [l, l + n + m).
+    std::vector<float> rows(static_cast<size_t>((l + n + m_) * ldc));
+    float* const y_rows = rows.data() + l * ldc;
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* img = x.data() + i * l * g.in_h * g.in_w;
+      for (int64_t c = 0; c < l; ++c)
+        pool_channel(img + c * g.in_h * g.in_w, g.in_w, wh, ww, rows.data() + c * ldc);
+      const float* yi = y.data() + i * n * P;
+      for (int64_t c = 0; c < n; ++c)
+        std::copy(yi + c * P, yi + (c + 1) * P, y_rows + c * ldc);
+      exec::digital::conv_gemm(gw, gb, m_, l + n, rows.data(), ldc, /*nd=*/ldc,
+                               /*relu=*/true, y_rows + n * ldc);
+      exec::digital::conv_gemm(cw, cb, n, n + m_, y_rows, ldc, P, /*relu=*/false,
+                               out.data() + i * n * P);
+    }
+  });
+  return out;
 }
 
 Tensor CompensatedConv2D::backward(const Tensor& grad_out) {
@@ -156,7 +219,7 @@ Tensor CompensatedConv2D::backward(const Tensor& grad_out) {
   split_channels(dgin, l, dxp, dy2);
   add_inplace(dy1, dy2);
   Tensor dx = base_->backward(dy1);
-  Tensor dx_pool = adaptive_avgpool_backward(dxp, in_h_, in_w_);
+  Tensor dx_pool = adaptive_avgpool_backward(dxp, base_->geom().in_h, base_->geom().in_w);
   add_inplace(dx, dx_pool);
   return dx;
 }

@@ -10,6 +10,22 @@
 // weights train (base weights frozen), with fresh variations sampled on the
 // base weights every batch. The compensator is initialized to the identity
 // on the base output channels so an untrained block is a no-op.
+//
+// Two forward paths, one result:
+//  - train composes tensors: adaptive_avgpool, concat_channels, the
+//    generator Conv2D, a ReLU pass that records the backward mask, a second
+//    concat and the compensator Conv2D. It is the bitwise reference.
+//  - eval runs one loop over the images. Each image's pooled input, base
+//    output and generator output are staged as rows of one reused buffer,
+//    padded to whole 16-pixel kernel blocks, and both 1x1 convs call
+//    exec::digital::conv_gemm on those rows directly (the generator with its
+//    relu epilogue). No pooled, concatenated or im2col'd tensor is built.
+//    Each output equals the composed path bit for bit, -0 and NaN included:
+//    the weights come from Conv2D::live_weight, an identity pooling window
+//    computes 0.0f + x (never a copy), and any other window divides its sum
+//    once by float(area). The generator relu is std::max(v, 0.0f), which
+//    passes NaN and -0; the train relu zeroes them to build its mask, so
+//    train and eval can differ where the generator's output is NaN or -0.
 #pragma once
 
 #include <memory>
@@ -62,6 +78,8 @@ class CompensatedConv2D final : public nn::Layer {
 
  private:
   CompensatedConv2D(const CompensatedConv2D&) = default;
+  /// Eval path: generator and compensator over base output `y` of input `x`.
+  Tensor compensate(const Tensor& x, const Tensor& y);
 
   std::unique_ptr<nn::Conv2D> base_;
   // Substrate override (visit_analog_bases): when set, executes instead of
@@ -72,9 +90,7 @@ class CompensatedConv2D final : public nn::Layer {
   std::unique_ptr<nn::Conv2D> gen_;   // digital: not collected as analog
   std::unique_ptr<nn::Conv2D> comp_;  // digital
   int64_t m_;
-  // caches for backward
-  Tensor relu_mask_;   // generator ReLU mask
-  int64_t in_h_ = 0, in_w_ = 0;
+  Tensor relu_mask_;  // generator ReLU mask, cached for backward
 };
 
 /// A compensation plan: generator filter count per model layer index

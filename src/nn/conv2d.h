@@ -65,12 +65,12 @@ class Conv2D final : public Layer, public PerturbableWeight {
   int64_t out_w() const { return geom_.out_w(); }
   Param& weight() { return w_; }
   Param& bias() { return b_; }
-
- private:
-  const Tensor& effective_weight() const { return var_active_ ? w_eff_ : w_.value; }
   /// The weight tensor a forward uses right now: refreshes w ∘ f in place
   /// when variation factors are active.
   const Tensor& live_weight();
+
+ private:
+  const Tensor& effective_weight() const { return var_active_ ? w_eff_ : w_.value; }
 
   ConvGeom geom_;
   int64_t out_c_;
