@@ -238,8 +238,9 @@ void BM_VariationSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_VariationSampling)->Arg(128)->Arg(512);
 
-// One crossbar row's read noise as CrossbarTile::finish_row draws it: 128
-// floats of normal(0, read_sigma) per call. `scalar` is the per-draw loop
+// One 128-column read-noise row drawn from a single stream: 128 floats of
+// normal(0, read_sigma) per call, what CrossbarTile::accumulate_rows draws
+// per item (BM_ReadNoiseRows times its 8-stream form). `scalar` is the per-draw loop
 // the span replaced, kept as the baseline; `span` is Rng::fill_normal (block
 // Box–Muller kernel at the auto-dispatched simd level). Both produce the
 // same bits; per_draw is the real time per draw.

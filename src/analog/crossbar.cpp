@@ -147,18 +147,10 @@ void CrossbarTile::apply_faults(const FaultList& faults,
   lower();
 }
 
-void CrossbarTile::accumulate_matvec(const float* x, float* y, Rng* read_rng) const {
-  std::vector<double> ip(static_cast<size_t>(cols_));
-  std::vector<double> in(static_cast<size_t>(cols_));
-  std::vector<float> cur(static_cast<size_t>(cols_));
-  accumulate_row(x, y, read_rng, ip.data(), in.data(), cur.data());
-}
-
-void CrossbarTile::accumulate_row(const float* x, float* y, Rng* read_rng,
-                                  double* ip, double* in_acc, float* currents) const {
+void CrossbarTile::accumulate_row(const float* x, float* y) const {
   // Currents on positive/negative bitlines.
-  std::fill(ip, ip + cols_, 0.0);
-  std::fill(in_acc, in_acc + cols_, 0.0);
+  std::vector<double> ip(static_cast<size_t>(cols_)), in(static_cast<size_t>(cols_));
+  std::vector<float> currents(static_cast<size_t>(cols_));
   for (int64_t r = 0; r < rows_; ++r) {
     const float v = x[r];
     if (v == 0.0f) continue;
@@ -166,27 +158,12 @@ void CrossbarTile::accumulate_row(const float* x, float* y, Rng* read_rng,
     const float* gn = g_neg_.data() + r * cols_;
     for (int64_t c = 0; c < cols_; ++c) {
       ip[c] += static_cast<double>(v) * gp[c];
-      in_acc[c] += static_cast<double>(v) * gn[c];
+      in[c] += static_cast<double>(v) * gn[c];
     }
   }
   for (int64_t c = 0; c < cols_; ++c)
-    currents[c] = static_cast<float>(ip[c] - in_acc[c]);
-  finish_row(currents, y, read_rng);
-}
-
-void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
-  if (read_rng && dev_.readout.read_sigma > 0.0f) {
-    // One span draw per chunk; fill_normal is bit-identical to a scalar
-    // normal(0, read_sigma) per current, however the row is split.
-    constexpr int64_t kChunk = 128;
-    float noise[kChunk];
-    for (int64_t c0 = 0; c0 < cols_; c0 += kChunk) {
-      const int64_t m = std::min(kChunk, cols_ - c0);
-      read_rng->fill_normal(noise, m, 0.0f, dev_.readout.read_sigma);
-      apply_read_noise(currents + c0, noise, m);
-    }
-  }
-  read_out(currents, y);
+    currents[c] = static_cast<float>(ip[c] - in[c]);
+  read_out(currents.data(), y);
 }
 
 void CrossbarTile::read_out(float* currents, float* y) const {
@@ -214,8 +191,7 @@ void CrossbarTile::accumulate_rows(const float* x, int64_t nitems,
     const int64_t rb = std::min<int64_t>(row_block, nitems - done);
     exec_->currents(x + done * x_item_stride, rb, x_item_stride, x_word_stride,
                     cur_scratch, cols_, scratch);
-    // Item i's noise row is what Rng(row_seeds[i]).fill_normal draws, the
-    // stream finish_row would read it from.
+    // Item i's noise row is what Rng(row_seeds[i]).fill_normal draws.
     if (noisy)
       Rng::fill_normal_rows(row_seeds + done, rb, cols_, 0.0f,
                             dev_.readout.read_sigma, noise, cols_);
@@ -285,16 +261,14 @@ CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev
     col_groups_[static_cast<size_t>(tiles_[t].col0 / tile)].push_back(t);
 }
 
-Tensor CrossbarArray::matvec(const Tensor& x, Rng* read_rng) const {
+Tensor CrossbarArray::matvec(const Tensor& x) const {
   if (x.size() != in_) throw std::invalid_argument("CrossbarArray::matvec: size mismatch");
   Tensor y({out_});
   // DAC quantization applies once to the shared input voltages.
   Tensor x_q = x;
   dac_quantize(x_q, dev_.readout.dac_bits);
-  for (const Placed& p : tiles_) {
-    p.tile.accumulate_matvec(x_q.data() + p.row0, y.data() + p.col0,
-                             read_rng);
-  }
+  for (const Placed& p : tiles_)
+    p.tile.accumulate_row(x_q.data() + p.row0, y.data() + p.col0);
   return y;
 }
 

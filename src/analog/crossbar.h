@@ -168,14 +168,10 @@ class CrossbarTile {
                     Rng& rng, const remap::RemapParams* remap = nullptr,
                     remap::RemapStats* stats = nullptr);
 
-  /// y_j += Σ_i x_i · w_eff(i,j); applies read noise/ADC if configured.
-  void accumulate_matvec(const float* x, float* y, Rng* read_rng) const;
-
-  /// accumulate_matvec with caller-provided scratch (each >= cols()): the
-  /// per-column path without re-allocation. Bit-identical to
-  /// accumulate_matvec for the same rng state.
-  void accumulate_row(const float* x, float* y, Rng* read_rng, double* ip,
-                      double* in_acc, float* currents) const;
+  /// y_j += Σ_i x_i · w_eff(i,j), noise-free: the scalar tile read.
+  /// Double accumulators per bitline in wordline order, then ADC (if
+  /// configured) and the scaled accumulation (read_out).
+  void accumulate_row(const float* x, float* y) const;
 
   /// Batched path: accumulates `nitems` input vectors into y rows (stride
   /// ldy) through the tile's lowered kernel, item-blocked so conductance
@@ -183,11 +179,13 @@ class CrossbarTile {
   /// wordline r) sits at x[i * x_item_stride + r * x_word_stride], which
   /// covers both row-major batches (item_stride = ld, word_stride = 1) and
   /// column-major ones like im2col outputs (item_stride = 1, word_stride =
-  /// ld). Each result row is bit-identical to accumulate_matvec (same
-  /// per-column wordline accumulation order).
+  /// ld). With `row_seeds` null each result row is bit-identical to
+  /// accumulate_row (same per-column wordline accumulation order).
   /// `row_seeds` (nullable) holds one read-noise seed per item: item i's
-  /// noise is what finish_row draws from a fresh Rng(row_seeds[i]), drawn
-  /// for a whole item block at once (Rng::fill_normal_rows).
+  /// noise row is what Rng(row_seeds[i]).fill_normal(row, cols(), 0,
+  /// read_sigma) draws, each current scaled by 1 + its noise, drawn for a
+  /// whole item block at once (Rng::fill_normal_rows). This is the one
+  /// read-noise stream of the simulator.
   /// `cur_scratch` must hold >= 16 * cols() floats (8 current rows, 8 noise
   /// rows), and `scratch` is the calling worker's kernel scratch.
   void accumulate_rows(const float* x, int64_t nitems, int64_t x_item_stride,
@@ -199,12 +197,8 @@ class CrossbarTile {
   Tensor effective_weights() const;
 
  private:
-  /// Read noise + ADC + scaled accumulation of one current row into y, the
-  /// matvec path's tail and the reference for the batched one (exact
-  /// parity): noise drawn from `read_rng`, then read_out.
-  void finish_row(float* currents, float* y, Rng* read_rng) const;
   /// ADC + scaled accumulation of one (noisy) current row into y: the tail
-  /// both paths share.
+  /// accumulate_row and accumulate_rows share.
   void read_out(float* currents, float* y) const;
 
   /// (Re-)lowers the programmed conductances into the simd kernel's padded
@@ -240,9 +234,10 @@ class CrossbarArray {
   int64_t out_dim() const { return out_; }
   int64_t num_tiles() const { return static_cast<int64_t>(tiles_.size()); }
 
-  /// y = W_eff · x, with optional read noise if `read_rng` provided and the
-  /// device has read_sigma > 0.
-  Tensor matvec(const Tensor& x, Rng* read_rng = nullptr) const;
+  /// y = W_eff · x, noise-free, one tile at a time (accumulate_row): the
+  /// scalar reference matmul / matmul_cols are held to bit for bit with
+  /// read noise off.
+  Tensor matvec(const Tensor& x) const;
 
   /// Y = X · W_eff^T for X (batch, in) -> Y (batch, out): every row of X is
   /// one wordline-voltage vector. Tile-blocked and threadpool-parallel over

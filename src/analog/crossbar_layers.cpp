@@ -25,31 +25,16 @@ Tensor CrossbarDense::forward_relu(const Tensor& x) {
 Tensor CrossbarDense::forward_impl(const Tensor& x, bool relu) {
   if (x.rank() != 2 || x.dim(1) != xbar_->in_dim())
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
-  const int64_t N = x.dim(0), out = xbar_->out_dim(), in = xbar_->in_dim();
-  Rng* rng = effective_read_rng();
-  if (batched_) {
-    Tensor y = xbar_->matmul(x, rng);
-    // (v + bias) then max: identical values to bias-add + standalone ReLU.
-    if (relu) {
-      for (int64_t n = 0; n < N; ++n)
-        for (int64_t o = 0; o < out; ++o)
-          y[n * out + o] = std::max(y[n * out + o] + bias_[o], 0.0f);
-    } else {
-      for (int64_t n = 0; n < N; ++n)
-        for (int64_t o = 0; o < out; ++o) y[n * out + o] += bias_[o];
-    }
-    return y;
-  }
-  Tensor y({N, out});
-  Tensor xi({in});
-  for (int64_t n = 0; n < N; ++n) {
-    std::copy(x.data() + n * in, x.data() + (n + 1) * in, xi.data());
-    Tensor yi = xbar_->matvec(xi, rng);
-    if (relu)
+  const int64_t N = x.dim(0), out = xbar_->out_dim();
+  Tensor y = xbar_->matmul(x, effective_read_rng());
+  // (v + bias) then max: identical values to bias-add + standalone ReLU.
+  if (relu) {
+    for (int64_t n = 0; n < N; ++n)
       for (int64_t o = 0; o < out; ++o)
-        y[n * out + o] = std::max(yi[o] + bias_[o], 0.0f);
-    else
-      for (int64_t o = 0; o < out; ++o) y[n * out + o] = yi[o] + bias_[o];
+        y[n * out + o] = std::max(y[n * out + o] + bias_[o], 0.0f);
+  } else {
+    for (int64_t n = 0; n < N; ++n)
+      for (int64_t o = 0; o < out; ++o) y[n * out + o] += bias_[o];
   }
   return y;
 }
@@ -93,44 +78,25 @@ Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu) {
   const int64_t img_in = geom_.in_c * geom_.in_h * geom_.in_w;
   Rng* rng = effective_read_rng();
   Tensor y({N, out_c_, OH, OW});
-  if (batched_) {
-    // One im2col matrix per image, fed to the crossbar column-major as it
-    // comes (P output pixels = P wordline vectors): whole tile passes
-    // instead of P independent MVMs, with no transpose pass. The staging
-    // tensor is a member so repeated forwards reuse its allocation.
-    if (cols_cm_.rank() != 2 || cols_cm_.dim(0) != K2 || cols_cm_.dim(1) != P)
-      cols_cm_ = Tensor({K2, P});
-    for (int64_t n = 0; n < N; ++n) {
-      im2col(x.data() + n * img_in, geom_, cols_cm_.data());
-      Tensor acts = xbar_->matmul_cols(cols_cm_, rng);  // (P, out_c)
-      float* out = y.data() + n * out_c_ * P;
-      // (v + bias) then max: identical values to bias-add + standalone ReLU.
-      if (relu) {
-        for (int64_t o = 0; o < out_c_; ++o)
-          for (int64_t p = 0; p < P; ++p)
-            out[o * P + p] = std::max(acts[p * out_c_ + o] + bias_[o], 0.0f);
-      } else {
-        for (int64_t o = 0; o < out_c_; ++o)
-          for (int64_t p = 0; p < P; ++p)
-            out[o * P + p] = acts[p * out_c_ + o] + bias_[o];
-      }
-    }
-    return y;
-  }
-  std::vector<float> cols(static_cast<size_t>(K2 * P));
-  Tensor col({K2});
+  // One im2col matrix per image, fed to the crossbar column-major as it
+  // comes (P output pixels = P wordline vectors): whole tile passes instead
+  // of P independent MVMs, with no transpose pass. The staging tensor is a
+  // member so repeated forwards reuse its allocation.
+  if (cols_cm_.rank() != 2 || cols_cm_.dim(0) != K2 || cols_cm_.dim(1) != P)
+    cols_cm_ = Tensor({K2, P});
   for (int64_t n = 0; n < N; ++n) {
-    im2col(x.data() + n * img_in, geom_, cols.data());
+    im2col(x.data() + n * img_in, geom_, cols_cm_.data());
+    Tensor acts = xbar_->matmul_cols(cols_cm_, rng);  // (P, out_c)
     float* out = y.data() + n * out_c_ * P;
-    // Each output pixel: one crossbar MVM over its im2col column.
-    for (int64_t p = 0; p < P; ++p) {
-      for (int64_t k = 0; k < K2; ++k) col[k] = cols[static_cast<size_t>(k * P + p)];
-      Tensor acts = xbar_->matvec(col, rng);
-      if (relu)
-        for (int64_t o = 0; o < out_c_; ++o)
-          out[o * P + p] = std::max(acts[o] + bias_[o], 0.0f);
-      else
-        for (int64_t o = 0; o < out_c_; ++o) out[o * P + p] = acts[o] + bias_[o];
+    // (v + bias) then max: identical values to bias-add + standalone ReLU.
+    if (relu) {
+      for (int64_t o = 0; o < out_c_; ++o)
+        for (int64_t p = 0; p < P; ++p)
+          out[o * P + p] = std::max(acts[p * out_c_ + o] + bias_[o], 0.0f);
+    } else {
+      for (int64_t o = 0; o < out_c_; ++o)
+        for (int64_t p = 0; p < P; ++p)
+          out[o * P + p] = acts[p * out_c_ + o] + bias_[o];
     }
   }
   return y;
@@ -215,10 +181,6 @@ void for_each_crossbar_layer(nn::Sequential& model, const Fn& fn) {
 void set_read_seeds(nn::Sequential& model, uint64_t seed) {
   Rng derive(seed);
   for_each_crossbar_layer(model, [&](auto& l) { l.set_read_seed(derive.next_u64()); });
-}
-
-void set_batched(nn::Sequential& model, bool batched) {
-  for_each_crossbar_layer(model, [&](auto& l) { l.set_batched(batched); });
 }
 
 remap::RemapStats collect_remap_stats(nn::Sequential& model) {

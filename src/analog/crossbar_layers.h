@@ -10,10 +10,10 @@
 // produce statistically indistinguishable accuracy (see
 // tests/test_crossbar_exec.cpp and examples/crossbar_inspect.cpp).
 //
-// Both layers default to the batched execution path (CrossbarArray::matmul,
-// whole batches per tile pass); set_batched(false) restores the original
-// per-column matvec loop, kept as the reference of the exact-equivalence
-// tests.
+// Both layers have one forward: whole batches per tile pass through
+// CrossbarArray::matmul (dense) or matmul_cols (conv, im2col columns). The
+// scalar CrossbarArray::matvec is the reference the exact-equivalence tests
+// hold them to with read noise off.
 #pragma once
 
 #include <memory>
@@ -55,8 +55,6 @@ class CrossbarDense final : public nn::Layer {
   /// stream state by value, so each clone draws independently — safe for
   /// concurrent chip instances (give every instance its own seed).
   void set_read_seed(uint64_t seed) { owned_read_rng_.emplace(seed); }
-  /// Switches between batched matmul (default) and per-column matvec.
-  void set_batched(bool batched) { batched_ = batched; }
 
  private:
   Rng* effective_read_rng() {
@@ -70,7 +68,6 @@ class CrossbarDense final : public nn::Layer {
   Tensor bias_;
   Rng* read_rng_ = nullptr;
   std::optional<Rng> owned_read_rng_;
-  bool batched_ = true;
 };
 
 /// Inference-only Conv2D executed on a programmed crossbar array
@@ -93,7 +90,6 @@ class CrossbarConv2D final : public nn::Layer {
   const CrossbarArray& array() const { return *xbar_; }
   void set_read_rng(Rng* rng) { read_rng_ = rng; }
   void set_read_seed(uint64_t seed) { owned_read_rng_.emplace(seed); }
-  void set_batched(bool batched) { batched_ = batched; }
 
  private:
   Rng* effective_read_rng() {
@@ -110,7 +106,6 @@ class CrossbarConv2D final : public nn::Layer {
   Tensor cols_cm_;  // per-image im2col staging, reused across forwards
   Rng* read_rng_ = nullptr;
   std::optional<Rng> owned_read_rng_;
-  bool batched_ = true;
 };
 
 /// Deep-copies `model`, replacing every Dense/Conv2D with its crossbar-backed
@@ -135,9 +130,6 @@ nn::Sequential program_to_crossbars(const nn::Sequential& model,
 /// its own read-noise stream, seeded deterministically from `seed`. Replaces
 /// the shared-Rng* pattern for concurrent chip instances.
 void set_read_seeds(nn::Sequential& model, uint64_t seed);
-
-/// Toggles batched vs per-column execution on every crossbar layer.
-void set_batched(nn::Sequential& model, bool batched);
 
 /// Sums the remap repair accounting over every crossbar layer of a chip
 /// (recursing into nested Sequentials and compensated-layer override slots).

@@ -160,11 +160,13 @@ Tensor CompensatedConv2D::forward(const Tensor& x, bool train) {
   Tensor gen = gen_->forward(gin, train);
   // ReLU on the generated compensation data (documented design choice:
   // the paper draws plain conv blocks; the nonlinearity lets the generator
-  // encode signed corrections through the compensator).
+  // encode signed corrections through the compensator). Only negatives are
+  // zeroed, so NaN and -0 pass as std::max(v, 0.0f) passes them in the eval
+  // forward; the gradient flows where gen > 0.
   relu_mask_ = Tensor(gen.shape());
   for (int64_t i = 0; i < gen.size(); ++i) {
     if (gen[i] > 0.0f) relu_mask_[i] = 1.0f;
-    else gen[i] = 0.0f;
+    else if (gen[i] < 0.0f) gen[i] = 0.0f;
   }
   Tensor cin = concat_channels(y, gen);
   return comp_->forward(cin, train);

@@ -24,8 +24,8 @@
 //    the weights come from Conv2D::live_weight, an identity pooling window
 //    computes 0.0f + x (never a copy), and any other window divides its sum
 //    once by float(area). The generator relu is std::max(v, 0.0f), which
-//    passes NaN and -0; the train relu zeroes them to build its mask, so
-//    train and eval can differ where the generator's output is NaN or -0.
+//    passes NaN and -0; the train relu zeroes only negatives too (its
+//    backward mask is gen > 0), so train and eval agree there as well.
 #pragma once
 
 #include <memory>

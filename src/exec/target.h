@@ -13,11 +13,13 @@
 // only name, and set_default_target changes nothing.
 //
 // Bit-exactness contract: the kernel reports bit_exact() and produces
-// currents bit-identical to CrossbarTile's per-column scalar reference under
-// every fault model and remap setting (per-column accumulation in ascending
-// wordline order, double accumulators, a fused multiply-add only where the
-// product is exact — see simd_target.cpp and the parity suites in
-// tests/test_crossbar_exec.cpp).
+// currents bit-identical to CrossbarTile::accumulate_row, the noise-free
+// scalar tile read behind CrossbarArray::matvec, under every fault model
+// and remap setting (per-column accumulation in ascending wordline order,
+// double accumulators, a fused multiply-add only where the product is exact
+// — see simd_target.cpp and the parity suites in
+// tests/test_crossbar_exec.cpp). Read noise is applied to the currents
+// afterwards, from the one per-item stream of CrossbarTile::accumulate_rows.
 #pragma once
 
 #include <cstdint>

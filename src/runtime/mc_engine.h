@@ -7,9 +7,10 @@
 // chip_seed(s) and results reduce in chip order, McResult.samples is
 // bit-identical for any thread count and any number of live slots.
 //
-// Crossbar chips run the one simd tile kernel, whose batched currents equal
-// the scalar matvec bit for bit, so McResult does not depend on the batched
-// path either.
+// Crossbar layers have one forward, the batched matmul over the simd tile
+// kernel. With read noise off its outputs equal the scalar
+// CrossbarArray::matvec bit for bit, so with read noise off McResult equals
+// a per-pixel matvec evaluation of every chip too (test_runtime pins it).
 #pragma once
 
 #include "core/montecarlo.h"

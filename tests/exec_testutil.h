@@ -2,6 +2,9 @@
 // execution paths (batched crossbar vs scalar matvec, fused vs unfused
 // graphs).
 //
+// per_column_forward runs a crossbar chip one CrossbarArray::matvec per
+// input vector: the reference a chip's batched forward is held to.
+//
 // for_each_simd_level runs a parity check once per exec::simd dispatch level
 // the build and host support, so one tier-1 run covers every kernel variant.
 //
@@ -11,15 +14,19 @@
 // per-element ASSERT_EQ spray.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analog/crossbar_layers.h"
 #include "exec/target.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace cn::testutil {
@@ -105,6 +112,57 @@ void for_each_simd_level(Fn&& fn) {
   }
   EXPECT_EQ(ran, exec::simd::max_level() + 1)
       << "a supported simd level could not be forced";
+}
+
+// Eval forward of `chip`, a program_to_crossbars(digital, ...) chip with
+// read noise off, through the scalar crossbar read: a CrossbarDense runs
+// one matvec per input row, a CrossbarConv2D one per output pixel over the
+// im2col column, and each adds the bias of `digital`'s layer at the same
+// index. Every other layer runs its own forward.
+inline Tensor per_column_forward(nn::Sequential& chip, nn::Sequential& digital,
+                                 const Tensor& x) {
+  EXPECT_EQ(chip.num_layers(), digital.num_layers());
+  Tensor h = x;
+  int64_t crossbar_layers = 0;
+  for (int64_t i = 0; i < chip.num_layers(); ++i) {
+    nn::Layer& layer = chip.layer(i);
+    if (const auto* d = dynamic_cast<analog::CrossbarDense*>(&layer)) {
+      const analog::CrossbarArray& xbar = d->array();
+      const Tensor& bias = dynamic_cast<nn::Dense&>(digital.layer(i)).bias().value;
+      const int64_t N = h.dim(0), in = xbar.in_dim(), out = xbar.out_dim();
+      Tensor y({N, out}), xi({in});
+      for (int64_t n = 0; n < N; ++n) {
+        std::copy(h.data() + n * in, h.data() + (n + 1) * in, xi.data());
+        const Tensor yi = xbar.matvec(xi);
+        for (int64_t o = 0; o < out; ++o) y[n * out + o] = yi[o] + bias[o];
+      }
+      h = std::move(y);
+      ++crossbar_layers;
+    } else if (const auto* c = dynamic_cast<analog::CrossbarConv2D*>(&layer)) {
+      const analog::CrossbarArray& xbar = c->array();
+      auto& src = dynamic_cast<nn::Conv2D&>(digital.layer(i));
+      const ConvGeom& g = src.geom();
+      const Tensor& bias = src.bias().value;
+      const int64_t N = h.dim(0), K = xbar.in_dim(), out = xbar.out_dim();
+      const int64_t P = g.out_h() * g.out_w(), img = g.in_c * g.in_h * g.in_w;
+      std::vector<float> cols(static_cast<size_t>(K * P));
+      Tensor y({N, out, g.out_h(), g.out_w()}), col({K});
+      for (int64_t n = 0; n < N; ++n) {
+        im2col(h.data() + n * img, g, cols.data());
+        for (int64_t p = 0; p < P; ++p) {
+          for (int64_t k = 0; k < K; ++k) col[k] = cols[static_cast<size_t>(k * P + p)];
+          const Tensor acts = xbar.matvec(col);
+          for (int64_t o = 0; o < out; ++o) y[(n * out + o) * P + p] = acts[o] + bias[o];
+        }
+      }
+      h = std::move(y);
+      ++crossbar_layers;
+    } else {
+      h = layer.forward(h, /*train=*/false);
+    }
+  }
+  EXPECT_GT(crossbar_layers, 0) << "per_column_forward visited no crossbar layer";
+  return h;
 }
 
 }  // namespace cn::testutil

@@ -272,8 +272,7 @@ nn::Sequential compensated_site(const Site& s, int64_t m, Base base, uint64_t se
 // Normal draws with exact zeros of both signs, and one NaN per image. The
 // NaN sits where every pooling window that reads it lies inside the conv
 // windows that read it, so wherever the generator sees NaN the base output
-// is NaN too: there the train relu (NaN -> 0) and the eval relu (NaN
-// passes) meet the same NaN in the compensator's sum.
+// is NaN too, and the compensator's sum meets it through both.
 Tensor parity_input(const Site& s, int64_t batch, uint64_t seed) {
   Rng rng(seed);
   Tensor x({batch, s.l, s.hw, s.hw});
@@ -311,12 +310,12 @@ TEST(CompensatedConvEval, MatchesTheComposedTrainPathBitwise) {
   }
 }
 
-TEST(CompensatedConvEval, MatchesTheComposedEvalPathWhereTrainDiffers) {
+TEST(CompensatedConvEval, GeneratorNaNReachesTheOutputInTrainAndEval) {
   // A 1x1 stride-2 conv reads only even pixels, so a NaN at input pixel
   // (1, 1) reaches the pooled input at (0, 0) but no conv window: only the
-  // generator sees it. The eval relu lets it pass to the output; the train
-  // relu zeroes it. The reference restates the composed eval path with the
-  // public pieces.
+  // generator sees it. Both relus zero only negatives, so it passes to the
+  // output in train and eval alike. The reference restates the composed
+  // path with the public pieces.
   const Site s = {2, 4, 1, 2, 0, 16};
   const int64_t m = 3;
   nn::Sequential model = compensated_site(s, m, Base::kDigital, 19);
@@ -343,7 +342,7 @@ TEST(CompensatedConvEval, MatchesTheComposedEvalPathWhereTrainDiffers) {
     testutil::expect_bitwise_equal(cc.forward(x, false), want,
                                    "level " + std::to_string(level));
   });
-  EXPECT_FALSE(std::isnan(cc.forward(x, true)[0]));
+  testutil::expect_bitwise_equal(cc.forward(x, true), want, "train");
 }
 
 TEST(CompensatedConvEval, IdentityWindowTurnsNegativeZeroPositive) {

@@ -93,14 +93,14 @@ TEST(CrossbarArray, ReadNoiseOnlyWithRng) {
   RramDeviceParams dev = ideal_device();
   dev.readout.read_sigma = 0.05f;
   CrossbarArray xbar(w, dev, rng, 4);
-  Tensor x({4}, 1.0f);
+  Tensor x({1, 4}, 1.0f);
   // Without read rng: deterministic.
-  Tensor y1 = xbar.matvec(x);
-  Tensor y2 = xbar.matvec(x);
+  Tensor y1 = xbar.matmul(x);
+  Tensor y2 = xbar.matmul(x);
   for (int64_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
   // With read rng: noisy.
   Rng read_rng(7);
-  Tensor y3 = xbar.matvec(x, &read_rng);
+  Tensor y3 = xbar.matmul(x, &read_rng);
   float diff = 0.0f;
   for (int64_t i = 0; i < y1.size(); ++i) diff += std::fabs(y3[i] - y1[i]);
   EXPECT_GT(diff, 1e-7f);

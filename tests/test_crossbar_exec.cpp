@@ -45,8 +45,8 @@ struct ParityShape {
 // Builds an array from (dev, faults) on the "simd" target and, at every simd
 // dispatch level the host supports, asserts y == matvec row by row for
 // matmul and matmul_cols on a random batch. matvec itself is
-// level-independent. Read noise stays off: with a noise stream the two paths
-// intentionally derive different per-row rngs.
+// level-independent and reads noise-free, so no read-noise stream is
+// handed to the batched paths either.
 void expect_paths_bit_identical(const RramDeviceParams& dev,
                                 const FaultList* faults, uint64_t seed,
                                 const std::string& what,
@@ -116,8 +116,8 @@ TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
       {"adc+variation", 8, 0, 0, 0.25f, 0.0f},
       {"dac+levels", 0, 6, 8, 0.0f, 0.0f},
       {"adc+dac+levels+variation", 6, 6, 16, 0.15f, 0.0f},
-      // read_sigma configured but no stream handed out: the noise gate in
-      // finish_row must stay off on both paths.
+      // read_sigma configured but no stream handed out: the batched noise
+      // gate must stay off, as matvec has none.
       {"read_sigma without stream", 6, 4, 0, 0.1f, 0.2f},
   };
   uint64_t seed = 100;
@@ -219,13 +219,13 @@ TEST(CrossbarExec, SpecialInputsKeepBatchedAndMatvecBitIdentical) {
 
 // A noisy forward against a reference kept here: the noiseless currents
 // times (1 + float(normal(0, read_sigma))), drawn with scalar Rng::normal in
-// each path's stream order. matvec draws every tile's row from the caller's
-// stream in tile order; matmul / matmul_cols take one u64 from it and give
-// item i of tile t its own stream Rng(mix64(base ^ (t * 0x100000001 + i))).
-// Both paths share finish_row, so batched == matvec parity cannot catch a
-// wrong draw; this can. The device maps weights to conductances with scale
-// exactly 1 (g in [0, 1], max |w| = 1), so a noiseless output is the raw
-// current, and odd tile widths (101, 101, 48) start tiles on a cached normal.
+// the stream order of the one read-noise path. matmul / matmul_cols take one
+// u64 from the caller's stream and give item i of tile t its own stream
+// Rng(mix64(base ^ (t * 0x100000001 + i))). Batched == matvec parity runs
+// with read noise off, so it cannot catch a wrong draw; this can. The device
+// maps weights to conductances with scale exactly 1 (g in [0, 1], max |w| =
+// 1), so a noiseless output is the raw current, and odd tile widths (101,
+// 101, 48) leave each row's last normal pair half used.
 TEST(CrossbarExec, ReadNoiseMatchesScalarNormalReference) {
   const int64_t kIn = 40, kOut = 250, kBatch = 5, kTile = 101;
   const float kSigma = 0.07f;
@@ -252,18 +252,6 @@ TEST(CrossbarExec, ReadNoiseMatchesScalarNormalReference) {
   };
   testutil::for_each_simd_level([&](int level) {
     const std::string at = " [simd level " + std::to_string(level) + "]";
-    Tensor xi({kIn});
-    for (int64_t n = 0; n < kBatch; ++n) {
-      std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-      Rng got_rng(800 + n), ref(800 + n);
-      const Tensor got = xbar.matvec(xi, &got_rng);
-      Tensor want({kOut});
-      for (int64_t c = 0; c < kOut; ++c) want[c] = noisy(cur[n * kOut + c], ref);
-      testutil::expect_bitwise_equal(got, want,
-                                     "matvec row " + std::to_string(n) + at);
-      EXPECT_EQ(got_rng.next_u64(), ref.next_u64()) << "matvec stream" << at;
-    }
-
     Rng rows_rng(900), cols_rng(900);
     const Tensor got_rows = xbar.matmul(x, &rows_rng);
     const Tensor got_cols = xbar.matmul_cols(x_cm, &cols_rng);
@@ -358,9 +346,8 @@ TEST(CrossbarExec, SmallTileShapesKeepBatchedAndMatvecBitIdentical) {
 }
 
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
-  // With read noise on, matvec and matmul use different stream derivations
-  // by design; what each must guarantee is exact reproducibility from the
-  // rng state.
+  // With read noise on, the batched read must be exactly reproducible from
+  // the rng state.
   RramDeviceParams dev = ideal();
   dev.readout.read_sigma = 0.1f;
   Rng rng(300);
@@ -375,19 +362,12 @@ TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   Tensor ya = xbar.matmul(x, &ra);
   Tensor yb = xbar.matmul(x, &rb);
   testutil::expect_bitwise_equal(ya, yb, "same-seed matmul reads");
-
-  Tensor xi({17});
-  std::copy(x.data(), x.data() + 17, xi.data());
-  Rng rc(78), rd(78);
-  Tensor yc = xbar.matvec(xi, &rc);
-  Tensor yd = xbar.matvec(xi, &rd);
-  testutil::expect_bitwise_equal(yc, yd, "same-seed matvec reads");
   // And the noise actually engages: a different seed changes the output.
   Rng re(79);
-  Tensor ye = xbar.matvec(xi, &re);
+  Tensor ye = xbar.matmul(x, &re);
   double diff = 0.0;
-  for (int64_t i = 0; i < yc.size(); ++i)
-    diff += std::abs(static_cast<double>(yc[i]) - ye[i]);
+  for (int64_t i = 0; i < ya.size(); ++i)
+    diff += std::abs(static_cast<double>(ya[i]) - ye[i]);
   EXPECT_GT(diff, 0.0);
 }
 

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "analog/crossbar_layers.h"
 #include "core/trainer.h"
 #include "exec_testutil.h"
+#include "data/batcher.h"
 #include "data/synthetic.h"
 #include "faultsim/fault_models.h"
 #include "models/lenet.h"
@@ -171,20 +173,31 @@ TEST(CrossbarMatmul, MatchesMatvecExactlyUnderQuantization) {
 }
 
 TEST(CrossbarLayers, BatchedForwardMatchesPerColumnPath) {
+  // A chip's batched forward == testutil::per_column_forward, one matvec per
+  // input vector. The second device has tile 16, so LeNet's conv2 and its
+  // dense layers span several tiles, and with its DAC on the convs run
+  // matmul_cols's DAC branch.
   auto& f = fixture();
-  analog::RramDeviceParams dev = quiet_dev();
-  dev.program_sigma = 0.3f;
-  Rng prog(21);
-  nn::Sequential chip = analog::program_to_crossbars(f.model, dev, prog);
+  analog::RramDeviceParams plain = quiet_dev();
+  plain.program_sigma = 0.3f;
+  analog::RramDeviceParams periphery = plain;
+  periphery.readout.dac_bits = 6;
+  periphery.readout.adc_bits = 8;
+  periphery.conductance_levels = 16;
+  const std::pair<analog::RramDeviceParams, int64_t> devices[] = {{plain, 128},
+                                                                  {periphery, 16}};
   Tensor x({4, 1, 28, 28});
   std::copy(f.ds.test.images.data(), f.ds.test.images.data() + x.size(), x.data());
-  analog::set_batched(chip, true);
-  Tensor y_batched = chip.forward(x, false);
-  analog::set_batched(chip, false);
-  Tensor y_columns = chip.forward(x, false);
-  ASSERT_EQ(y_batched.shape(), y_columns.shape());
-  for (int64_t i = 0; i < y_batched.size(); ++i)
-    EXPECT_EQ(y_batched[i], y_columns[i]) << "logit " << i;
+  for (const auto& [dev, tile] : devices) {
+    SCOPED_TRACE("tile " + std::to_string(tile));
+    Rng prog(21);
+    nn::Sequential chip = analog::program_to_crossbars(f.model, dev, prog, tile);
+    Tensor y_batched = chip.forward(x, false);
+    Tensor y_columns = testutil::per_column_forward(chip, f.model, x);
+    ASSERT_EQ(y_batched.shape(), y_columns.shape());
+    for (int64_t i = 0; i < y_batched.size(); ++i)
+      EXPECT_EQ(y_batched[i], y_columns[i]) << "logit " << i;
+  }
 }
 
 // ---------- ChipFarm ----------
@@ -258,7 +271,8 @@ TEST(McEngine, SamplesIdenticalAcrossThreadAndSlotCounts) {
 TEST(McEngine, CrossbarSamplesEqualTheSeedPathBitForBit) {
   // Runtime == seed path: with read noise off, McEngine's batched,
   // sample-parallel accuracies over programmed crossbar chips equal a
-  // sequential per-chip evaluate through the per-column matvec loop.
+  // sequential per-chip core::evaluate loop over per-column matvec logits
+  // (testutil::per_column_forward): same Batcher, batch 128, argmax_row.
   auto& f = fixture();
   analog::RramDeviceParams dev = quiet_dev();
   dev.program_sigma = 0.3f;
@@ -270,10 +284,18 @@ TEST(McEngine, CrossbarSamplesEqualTheSeedPathBitForBit) {
   ChipFarm farm(f.model, dev, fo);
   std::vector<double> seed_path;
   for (int64_t s = 0; s < kChips; ++s) {
-    analog::set_batched(farm.chip(s), false);
-    seed_path.push_back(core::evaluate(farm.chip(s), f.ds.test, 128));
+    nn::Sequential& chip = farm.chip(s);
+    data::Batcher batcher(f.ds.test, 128);
+    int64_t correct = 0;
+    for (int64_t b = 0; b < batcher.num_batches(); ++b) {
+      const data::Batch batch = batcher.get(b);
+      const Tensor logits = testutil::per_column_forward(chip, f.model, batch.images);
+      for (int64_t i = 0; i < batch.size(); ++i)
+        if (argmax_row(logits, i) == batch.labels[static_cast<size_t>(i)]) ++correct;
+    }
+    seed_path.push_back(static_cast<float>(correct) /
+                        static_cast<float>(f.ds.test.size()));
   }
-  for (int64_t s = 0; s < kChips; ++s) analog::set_batched(farm.chip(s), true);
   McEngineOptions eo;
   eo.batch_size = 128;
   const core::McResult rt = McEngine(farm, eo).accuracy(f.ds.test);
