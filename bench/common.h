@@ -1,16 +1,16 @@
-// Shared infrastructure for the experiment benches.
+// Shared infrastructure for the paper driver (bench/paper.cpp).
 //
-// Each bench binary regenerates one paper table/figure. The four
-// network-dataset pairs of the paper's evaluation map to:
+// Each `paper <figure>` subcommand regenerates one paper table/figure. The
+// four network-dataset pairs of the paper's evaluation map to:
 //   VGG16-Cifar100  -> VGG16-Objects100   (3x32x32, 100 classes)
 //   VGG16-Cifar10   -> VGG16-Objects10    (3x32x32, 10 classes)
 //   LeNet-5-Cifar10 -> LeNet5-Objects10   (3x32x32, 10 classes)
 //   LeNet-5-MNIST   -> LeNet5-Digits      (1x28x28, 10 classes)
 //
-// Trained models are cached under ./cnet_cache/ so benches share artifacts,
+// Trained models are cached under ./cnet_cache/ so the figures share them,
 // keyed on everything that decides their weights (train_key); delete the
-// directory to retrain from scratch. Every bench prints aligned
-// text tables (the paper's rows/series) and writes a CSV alongside.
+// directory to retrain from scratch. Every figure prints aligned text
+// tables (the paper's rows/series) and writes a CSV alongside.
 #pragma once
 
 #include <algorithm>
@@ -138,19 +138,9 @@ inline data::DigitsSpec digits_spec(
 inline data::ObjectsSpec objects_spec(
     const Workload& w,
     const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
-  data::ObjectsSpec spec;
-  spec.num_classes = w.num_classes;
+  data::ObjectsSpec spec = data::objects_preset(w.num_classes);
   spec.train_count = std::min(w.train_count, rc.train_cap);
   spec.test_count = std::min(w.test_count, rc.test_cap);
-  if (w.num_classes >= 100) {
-    spec.noise_std = 0.35f;
-    spec.class_similarity = 0.4f;
-    spec.jitter_frac = 0.1f;
-  } else {
-    spec.noise_std = 0.7f;
-    spec.class_similarity = 0.6f;
-    spec.jitter_frac = 0.15f;
-  }
   return spec;
 }
 
@@ -267,48 +257,9 @@ inline core::TrainConfig comp_train_config(const Workload& w, float sigma = 0.5f
   return cfg;
 }
 
-/// Trains (or loads from cache) the baseline network for a workload.
-inline nn::Sequential get_base_model(const Workload& w, const data::SplitDataset& ds) {
-  Rng rng(kBaseInitSeed);
-  nn::Sequential m = make_model(w, rng);
-  const std::string path =
-      cache_dir() + "/" +
-      cache_file(w, "base", train_key(w, base_train_config(w), kBaseInitSeed));
-  if (std::filesystem::exists(path)) {
-    nn::load_weights(m, path);
-    return m;
-  }
-  std::printf("  [train] %s baseline (%d epochs)...\n", w.name.c_str(),
-              base_train_config(w).epochs);
-  std::fflush(stdout);
-  core::train(m, ds.train, ds.test, base_train_config(w));
-  nn::save_weights(m, path);
-  return m;
-}
-
-/// Trains (or loads) the Lipschitz-regularized network.
-inline nn::Sequential get_lipschitz_model(const Workload& w,
-                                          const data::SplitDataset& ds) {
-  Rng rng(kLipInitSeed);
-  nn::Sequential m = make_model(w, rng);
-  const std::string path =
-      cache_dir() + "/" +
-      cache_file(w, "lip", train_key(w, lipschitz_train_config(w), kLipInitSeed));
-  if (std::filesystem::exists(path)) {
-    nn::load_weights(m, path);
-    return m;
-  }
-  std::printf("  [train] %s with Lipschitz regularization (%d epochs)...\n",
-              w.name.c_str(), lipschitz_train_config(w).epochs);
-  std::fflush(stdout);
-  core::train(m, ds.train, ds.test, lipschitz_train_config(w));
-  nn::save_weights(m, path);
-  return m;
-}
-
 /// The default compensation plan: fixed ratio on the first max_comp_layers
 /// candidate convs (Table I's RL-chosen layer counts are mirrored by
-/// max_comp_layers per workload; bench_fig10 runs the actual RL search).
+/// max_comp_layers per workload; `paper fig10` runs the actual RL search).
 inline core::CompensationPlan default_plan(const Workload& w, nn::Sequential& lip) {
   core::CompensationPlan plan;
   auto convs = core::conv_layer_indices(lip);
@@ -323,36 +274,59 @@ inline core::CompensationPlan default_plan(const Workload& w, nn::Sequential& li
   return plan;
 }
 
-/// Trains (or loads) the full CorrectNet model (suppression + compensation).
-inline nn::Sequential get_corrected_model(const Workload& w,
-                                          const data::SplitDataset& ds,
-                                          core::CompensationPlan* plan_out = nullptr) {
-  data::SplitDataset local;  // keep ds alive; nothing to copy
-  nn::Sequential lip = get_lipschitz_model(w, ds);
-  core::CompensationPlan plan = default_plan(w, lip);
-  if (plan_out) *plan_out = plan;
-  Rng rng(kCorrInitSeed);
-  nn::Sequential m = core::with_compensation(lip, plan, rng);
-  // Compensation trains on top of the Lipschitz model with this plan.
-  CacheKey key = train_key(w, comp_train_config(w), kCorrInitSeed);
-  key.add(train_key(w, lipschitz_train_config(w), kLipInitSeed).value());
-  for (const auto& [layer, filters] : plan.entries) key.add(layer).add(filters);
-  const std::string path = cache_dir() + "/" + cache_file(w, "corr", key);
+/// The cached training stages: the baseline, the Lipschitz-regularized
+/// network, and CorrectNet (suppression + compensation).
+enum class Stage { kBase, kLip, kCorr };
+
+/// Loads stage `stage` of workload `w` from cnet_cache/ when a run with the
+/// same key saved it, and otherwise trains it and saves it. kCorr trains
+/// compensation with default_plan (copied to `plan_out`) on top of kLip.
+inline nn::Sequential trained_model(const Workload& w, const data::SplitDataset& ds,
+                                    Stage stage,
+                                    core::CompensationPlan* plan_out = nullptr) {
+  static const char* const kFileStage[] = {"base", "lip", "corr"};
+  static const char* const kWhat[] = {"baseline", "with Lipschitz regularization",
+                                      "compensation blocks"};
+  nn::Sequential m;
+  core::TrainConfig cfg;
+  CacheKey key;
+  if (stage == Stage::kCorr) {
+    nn::Sequential lip = trained_model(w, ds, Stage::kLip);
+    const core::CompensationPlan plan = default_plan(w, lip);
+    if (plan_out) *plan_out = plan;
+    Rng rng(kCorrInitSeed);
+    m = core::with_compensation(lip, plan, rng);
+    cfg = comp_train_config(w);
+    key = train_key(w, cfg, kCorrInitSeed);
+    key.add(train_key(w, lipschitz_train_config(w), kLipInitSeed).value());
+    for (const auto& [layer, filters] : plan.entries) key.add(layer).add(filters);
+  } else {
+    const uint64_t seed = stage == Stage::kBase ? kBaseInitSeed : kLipInitSeed;
+    Rng rng(seed);
+    m = make_model(w, rng);
+    cfg = stage == Stage::kBase ? base_train_config(w) : lipschitz_train_config(w);
+    key = train_key(w, cfg, seed);
+  }
+  const auto i = static_cast<size_t>(stage);
+  const std::string path = cache_dir() + "/" + cache_file(w, kFileStage[i], key);
   if (std::filesystem::exists(path)) {
     nn::load_weights(m, path);
     return m;
   }
-  std::printf("  [train] %s compensation blocks (%d epochs)...\n", w.name.c_str(),
-              comp_train_config(w).epochs);
+  std::printf("  [train] %s %s (%d epochs)...\n", w.name.c_str(), kWhat[i],
+              cfg.epochs);
   std::fflush(stdout);
-  core::train_compensation(m, ds.train, ds.test, comp_train_config(w));
+  if (stage == Stage::kCorr)
+    core::train_compensation(m, ds.train, ds.test, cfg);
+  else
+    core::train(m, ds.train, ds.test, cfg);
   nn::save_weights(m, path);
   return m;
 }
 
 // ---------- output helpers ----------
 
-/// Minimal CSV writer: one file per bench, header + rows.
+/// Minimal CSV writer: one file per figure, header + rows.
 class Csv {
  public:
   explicit Csv(const std::string& path) : os_(path) {

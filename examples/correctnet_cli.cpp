@@ -346,20 +346,10 @@ int main(int argc, char** argv) {
     spec.test_count = args.test;
     ds = data::make_digits(spec);
   } else if (args.dataset == "objects10" || args.dataset == "objects100") {
-    data::ObjectsSpec spec;
-    spec.num_classes = (args.dataset == "objects100") ? 100 : 10;
-    num_classes = static_cast<int>(spec.num_classes);
+    num_classes = (args.dataset == "objects100") ? 100 : 10;
+    data::ObjectsSpec spec = data::objects_preset(num_classes);
     spec.train_count = args.train;
     spec.test_count = args.test;
-    if (num_classes >= 100) {
-      spec.noise_std = 0.35f;
-      spec.class_similarity = 0.4f;
-      spec.jitter_frac = 0.1f;
-    } else {
-      spec.noise_std = 0.7f;
-      spec.class_similarity = 0.6f;
-      spec.jitter_frac = 0.15f;
-    }
     ds = data::make_objects(spec);
     in_c = 3;
     in_hw = 32;

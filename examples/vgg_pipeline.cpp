@@ -11,13 +11,9 @@
 int main() {
   using namespace cn;
 
-  data::ObjectsSpec spec;
-  spec.num_classes = 10;
+  data::ObjectsSpec spec = data::objects_preset(10);
   spec.train_count = 3000;
   spec.test_count = 600;
-  spec.noise_std = 0.7f;
-  spec.class_similarity = 0.6f;
-  spec.jitter_frac = 0.15f;
   data::SplitDataset ds = data::make_objects(spec);
 
   core::PipelineConfig cfg;

@@ -277,4 +277,14 @@ SplitDataset make_objects(const ObjectsSpec& spec) {
   return out;
 }
 
+ObjectsSpec objects_preset(int64_t num_classes) {
+  ObjectsSpec spec;
+  spec.num_classes = num_classes;
+  const bool many = num_classes >= 100;
+  spec.noise_std = many ? 0.35f : 0.7f;
+  spec.class_similarity = many ? 0.4f : 0.6f;
+  spec.jitter_frac = many ? 0.1f : 0.15f;
+  return spec;
+}
+
 }  // namespace cn::data

@@ -1,18 +1,22 @@
-# Runs an example binary with malformed arguments or environment and checks
-# that each run exits 2 with the expected message on stderr and nothing on
-# stdout, i.e. before any dataset is built or any training starts.
+# Runs an example or bench binary with malformed arguments or environment and
+# checks that each run exits 2 with the expected message on stderr and
+# nothing on stdout, i.e. before any dataset is built or any training starts.
 #
-#   cmake -DCLI=<path to binary> [-DCHECKS=correctnet_cli|serve_demo|fault_sweep]
+#   cmake -DCLI=<path to binary>
+#         [-DCHECKS=correctnet_cli|serve_demo|fault_sweep|paper]
 #         -P tests/cli_bad_args.cmake
 #
 # CHECKS picks the binary's case list (default correctnet_cli).
 #
 # expect_rejected(<stderr substring> [ENV VAR=value...] [ARGS] <args...>)
-# runs the binary under `cmake -E env` with the given variables.
+# runs the binary under `cmake -E env` with the given variables, in
+# ${workdir} (default: the current directory).
+set(workdir "${CMAKE_CURRENT_BINARY_DIR}")
 function(expect_rejected expect_err)
   cmake_parse_arguments(PARSE_ARGV 1 run "" "" "ENV;ARGS")
   set(args ${run_ARGS} ${run_UNPARSED_ARGUMENTS})
   execute_process(COMMAND ${CMAKE_COMMAND} -E env ${run_ENV} "${CLI}" ${args}
+                  WORKING_DIRECTORY "${workdir}"
                   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err
                   TIMEOUT 60)
   list(JOIN args " " shown)
@@ -93,6 +97,24 @@ elseif(CHECKS STREQUAL "fault_sweep")
   expect_rejected("usage:" --parallel -1)
   expect_rejected("usage:" --rate 1.5)
   expect_rejected("usage:" --chips 0)
+elseif(CHECKS STREQUAL "paper")
+  # Every case runs in an empty directory that must stay empty: no CSV
+  # (not even a header row) and no cnet_cache/.
+  set(workdir "${CMAKE_CURRENT_BINARY_DIR}/paper_bad_args")
+  file(REMOVE_RECURSE "${workdir}")
+  file(MAKE_DIRECTORY "${workdir}")
+  expect_rejected("usage:")
+  expect_rejected("usage:" bogus)
+  expect_rejected("usage:" table1 fig2)
+  expect_rejected("CORRECTNET_MC expects an integer >= 0, got '1O'"
+                  ENV CORRECTNET_MC=1O ARGS table1)
+  expect_rejected("CORRECTNET_TEST expects an integer >= 1, got '0'"
+                  ENV CORRECTNET_TEST=0 ARGS all)
+  file(GLOB left "${workdir}/*")
+  if(left)
+    message(FATAL_ERROR "paper wrote files before failing: ${left}")
+  endif()
+  file(REMOVE_RECURSE "${workdir}")
 else()
   message(FATAL_ERROR "unknown CHECKS '${CHECKS}'")
 endif()

@@ -80,6 +80,25 @@ TEST(Objects, ShapesAndClassCount) {
   EXPECT_EQ(classes.size(), 7u);
 }
 
+TEST(Objects, PresetSetsTheDifficultyByClassCount) {
+  // The paper driver's cache names hash these values (bench/common.h
+  // train_key), so a change here retrains every cached objects model.
+  const ObjectsSpec defaults, few = objects_preset(10), many = objects_preset(100);
+  EXPECT_EQ(few.num_classes, 10);
+  EXPECT_EQ(few.noise_std, 0.7f);
+  EXPECT_EQ(few.class_similarity, 0.6f);
+  EXPECT_EQ(few.jitter_frac, 0.15f);
+  EXPECT_EQ(many.num_classes, 100);
+  EXPECT_EQ(many.noise_std, 0.35f);
+  EXPECT_EQ(many.class_similarity, 0.4f);
+  EXPECT_EQ(many.jitter_frac, 0.1f);
+  for (const ObjectsSpec& s : {few, many}) {
+    EXPECT_EQ(s.train_count, defaults.train_count);
+    EXPECT_EQ(s.test_count, defaults.test_count);
+    EXPECT_EQ(s.seed, defaults.seed);
+  }
+}
+
 TEST(Objects, RejectsDegenerateClassCount) {
   ObjectsSpec spec;
   spec.num_classes = 1;

@@ -273,6 +273,8 @@ TEST(McEngine, CrossbarSamplesEqualTheSeedPathBitForBit) {
   // sample-parallel accuracies over programmed crossbar chips equal a
   // sequential per-chip core::evaluate loop over per-column matvec logits
   // (testutil::per_column_forward): same Batcher, batch 128, argmax_row.
+  // Each chip's own eval forward must equal those logits bit for bit too,
+  // so a wrong logit that keeps the argmax still fails.
   auto& f = fixture();
   analog::RramDeviceParams dev = quiet_dev();
   dev.program_sigma = 0.3f;
@@ -290,6 +292,9 @@ TEST(McEngine, CrossbarSamplesEqualTheSeedPathBitForBit) {
     for (int64_t b = 0; b < batcher.num_batches(); ++b) {
       const data::Batch batch = batcher.get(b);
       const Tensor logits = testutil::per_column_forward(chip, f.model, batch.images);
+      testutil::expect_bitwise_equal(chip.forward(batch.images, false), logits,
+                                     "chip " + std::to_string(s) + " batch " +
+                                         std::to_string(b));
       for (int64_t i = 0; i < batch.size(); ++i)
         if (argmax_row(logits, i) == batch.labels[static_cast<size_t>(i)]) ++correct;
     }
