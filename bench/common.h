@@ -1,11 +1,8 @@
 // Shared infrastructure for the paper driver (bench/paper.cpp).
 //
-// Each `paper <figure>` subcommand regenerates one paper table/figure. The
-// four network-dataset pairs of the paper's evaluation map to:
-//   VGG16-Cifar100  -> VGG16-Objects100   (3x32x32, 100 classes)
-//   VGG16-Cifar10   -> VGG16-Objects10    (3x32x32, 10 classes)
-//   LeNet-5-Cifar10 -> LeNet5-Objects10   (3x32x32, 10 classes)
-//   LeNet-5-MNIST   -> LeNet5-Digits      (1x28x28, 10 classes)
+// Each `paper <figure>` subcommand regenerates one paper table/figure from
+// the four network-dataset pairs' recipes (core/recipe.h), scaled by the
+// CORRECTNET_* knobs (core/config.h).
 //
 // Trained models are cached under ./cnet_cache/ so the figures share them,
 // keyed on everything that decides their weights (train_key); delete the
@@ -16,8 +13,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -26,135 +25,47 @@
 #include "core/config.h"
 #include "core/lipschitz.h"
 #include "core/montecarlo.h"
+#include "core/recipe.h"
 #include "core/sensitivity.h"
 #include "core/trainer.h"
-#include "data/synthetic.h"
-#include "models/lenet.h"
-#include "models/vgg.h"
 #include "nn/serialize.h"
 
 namespace cn::bench {
 
-// ---------- workload definitions ----------
+// ---------- workloads ----------
 
-enum class Net { kLeNet, kVgg };
+/// One of the paper's four pairs at a CORRECTNET_* profile.
+using Workload = core::Recipe;
 
-struct Workload {
-  std::string name;        // e.g. "VGG16-Objects100"
-  std::string paper_name;  // e.g. "VGG16-Cifar100"
-  Net net = Net::kLeNet;
-  bool digits = false;     // digits vs objects dataset
-  int num_classes = 10;
-  // training recipe (tuned in DESIGN.md; epochs scale with CORRECTNET_EPOCHS)
-  int epochs = 6;
-  float lr = 1e-3f;
-  float lr_decay = 1.0f;
-  float lip_beta = 3e-2f;
-  float lip_lambda_min = 0.0f;
-  int lip_warmup = 0;  // epochs before the penalty switches on (deep nets)
-  int comp_epochs = 5;
-  float comp_lr = 2e-3f;
-  int64_t train_count = 4000;
-  int64_t test_count = 800;
-  float fixed_ratio = 0.5f;   // generator filters / base filters
-  int64_t max_comp_layers = 4;
-};
-
-inline Workload wl_lenet_digits() {
-  Workload w;
-  w.name = "LeNet5-Digits";
-  w.paper_name = "LeNet-5-MNIST";
-  w.net = Net::kLeNet;
-  w.digits = true;
-  w.epochs = 8;
-  w.train_count = 2500;
-  w.test_count = 600;
-  w.max_comp_layers = 2;
+/// `w` at the profile `rc`: epochs scaled, both datasets capped.
+inline Workload scaled(Workload w,
+                       const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
+  w.epochs = rc.epochs(w.epochs);
+  w.comp_epochs = rc.epochs(w.comp_epochs);
+  w.train_count = std::min(w.train_count, rc.train_cap);
+  w.test_count = std::min(w.test_count, rc.test_cap);
   return w;
 }
 
-inline Workload wl_lenet_obj10() {
-  Workload w;
-  w.name = "LeNet5-Objects10";
-  w.paper_name = "LeNet-5-Cifar10";
-  w.net = Net::kLeNet;
-  w.epochs = 10;
-  w.lr_decay = 0.85f;
-  w.train_count = 4000;
-  w.test_count = 800;
-  w.max_comp_layers = 1;
-  return w;
-}
+inline Workload wl_lenet_digits() { return scaled(core::recipe("lenet", "digits")); }
+inline Workload wl_lenet_obj10() { return scaled(core::recipe("lenet", "objects10")); }
+inline Workload wl_vgg_obj10() { return scaled(core::recipe("vgg", "objects10")); }
+inline Workload wl_vgg_obj100() { return scaled(core::recipe("vgg", "objects100")); }
 
-inline Workload wl_vgg_obj10() {
-  Workload w;
-  w.name = "VGG16-Objects10";
-  w.paper_name = "VGG16-Cifar10";
-  w.net = Net::kVgg;
-  w.epochs = 12;
-  w.lr_decay = 0.85f;
-  w.lip_lambda_min = 1.0f;  // deep net: unclamped λ collapses training
-  w.lip_warmup = 3;
-  w.train_count = 4000;
-  w.test_count = 800;
-  w.max_comp_layers = 3;
-  return w;
-}
-
-inline Workload wl_vgg_obj100() {
-  Workload w;
-  w.name = "VGG16-Objects100";
-  w.paper_name = "VGG16-Cifar100";
-  w.net = Net::kVgg;
-  w.num_classes = 100;
-  w.epochs = 14;
-  w.lr = 1.5e-3f;
-  w.lr_decay = 0.88f;
-  w.lip_lambda_min = 1.0f;
-  w.lip_warmup = 5;
-  w.train_count = 8000;  // 100 classes need >= 80 samples/class to converge
-  w.test_count = 800;
-  w.max_comp_layers = 4;
-  return w;
-}
-
+/// Table I's order.
 inline std::vector<Workload> all_workloads() {
   return {wl_vgg_obj100(), wl_vgg_obj10(), wl_lenet_obj10(), wl_lenet_digits()};
 }
 
-// ---------- dataset / model construction ----------
-
-// CORRECTNET_TRAIN / CORRECTNET_TEST cap both datasets' sizes; `rc` is a
-// parameter so tests can pass a config in.
-inline data::DigitsSpec digits_spec(
-    const Workload& w,
-    const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
-  data::DigitsSpec spec;
-  spec.train_count = std::min(w.train_count, rc.train_cap);
-  spec.test_count = std::min(w.test_count, rc.test_cap);
-  return spec;
+/// `w`'s dataset specs under the caps of `rc` (the dataset half of the
+/// cache key).
+inline data::DigitsSpec digits_spec(const Workload& w,
+                                    const core::RuntimeConfig& rc) {
+  return core::digits_spec(scaled(w, rc));
 }
-
-inline data::ObjectsSpec objects_spec(
-    const Workload& w,
-    const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
-  data::ObjectsSpec spec = data::objects_preset(w.num_classes);
-  spec.train_count = std::min(w.train_count, rc.train_cap);
-  spec.test_count = std::min(w.test_count, rc.test_cap);
-  return spec;
-}
-
-inline data::SplitDataset make_dataset(const Workload& w) {
-  return w.digits ? data::make_digits(digits_spec(w))
-                  : data::make_objects(objects_spec(w));
-}
-
-inline nn::Sequential make_model(const Workload& w, Rng& rng) {
-  if (w.net == Net::kLeNet)
-    return models::lenet5(w.digits ? 1 : 3, w.digits ? 28 : 32, w.num_classes, rng);
-  models::VggConfig cfg;
-  cfg.num_classes = w.num_classes;
-  return models::vgg16(cfg, rng);
+inline data::ObjectsSpec objects_spec(const Workload& w,
+                                      const core::RuntimeConfig& rc) {
+  return core::objects_spec(scaled(w, rc));
 }
 
 // ---------- cached training ----------
@@ -229,92 +140,73 @@ inline std::string cache_file(const Workload& w, const std::string& stage,
   return w.name + "_" + stage + "_" + hex + ".wts";
 }
 
-inline core::TrainConfig base_train_config(const Workload& w) {
-  const auto& rc = core::RuntimeConfig::get();
-  core::TrainConfig cfg;
-  cfg.epochs = rc.epochs(w.epochs);
-  cfg.lr = w.lr;
-  cfg.lr_decay = w.lr_decay;
-  return cfg;
-}
-
-inline core::TrainConfig lipschitz_train_config(const Workload& w, float sigma = 0.5f) {
-  core::TrainConfig cfg = base_train_config(w);
-  cfg.lipschitz.enabled = true;
-  cfg.lipschitz.sigma = sigma;
-  cfg.lipschitz.beta = w.lip_beta;
-  cfg.lipschitz.lambda_min = w.lip_lambda_min;
-  cfg.lipschitz_warmup_epochs = w.lip_warmup;
-  return cfg;
-}
-
-inline core::TrainConfig comp_train_config(const Workload& w, float sigma = 0.5f) {
-  const auto& rc = core::RuntimeConfig::get();
-  core::TrainConfig cfg;
-  cfg.epochs = rc.epochs(w.comp_epochs);
-  cfg.lr = w.comp_lr;
-  cfg.variation = analog::VariationModel{analog::VariationKind::kLognormal, sigma};
-  return cfg;
-}
-
-/// The default compensation plan: fixed ratio on the first max_comp_layers
-/// candidate convs (Table I's RL-chosen layer counts are mirrored by
-/// max_comp_layers per workload; `paper fig10` runs the actual RL search).
-inline core::CompensationPlan default_plan(const Workload& w, nn::Sequential& lip) {
-  core::CompensationPlan plan;
-  auto convs = core::conv_layer_indices(lip);
-  for (int64_t i = 0; i < std::min<int64_t>(w.max_comp_layers,
-                                            static_cast<int64_t>(convs.size()));
-       ++i) {
-    auto* conv = dynamic_cast<nn::Conv2D*>(&lip.layer(convs[static_cast<size_t>(i)]));
-    const int64_t m = std::max<int64_t>(
-        1, static_cast<int64_t>(w.fixed_ratio * conv->out_channels() + 0.5f));
-    plan.entries.emplace_back(convs[static_cast<size_t>(i)], m);
-  }
-  return plan;
-}
-
 /// The cached training stages: the baseline, the Lipschitz-regularized
 /// network, and CorrectNet (suppression + compensation).
 enum class Stage { kBase, kLip, kCorr };
 
+inline uint64_t init_seed(Stage stage) {
+  static const uint64_t kSeeds[] = {kBaseInitSeed, kLipInitSeed, kCorrInitSeed};
+  return kSeeds[static_cast<size_t>(stage)];
+}
+
+inline core::TrainConfig stage_config(const Workload& w, Stage stage) {
+  switch (stage) {
+    case Stage::kBase: return core::base_train_config(w);
+    case Stage::kLip: return core::lipschitz_train_config(w);
+    default: return core::comp_train_config(w);
+  }
+}
+
+/// The cache file of stage `stage` of `w`. kCorr starts from kLip and
+/// compensates `plan`, so its key adds both.
+inline std::string stage_file(
+    const Workload& w, Stage stage, const core::CompensationPlan& plan = {},
+    const core::RuntimeConfig& rc = core::RuntimeConfig::get()) {
+  static const char* const kFileStage[] = {"base", "lip", "corr"};
+  CacheKey key = train_key(w, stage_config(w, stage), init_seed(stage), rc);
+  if (stage == Stage::kCorr) {
+    key.add(train_key(w, stage_config(w, Stage::kLip), kLipInitSeed, rc).value());
+    for (const auto& [layer, filters] : plan.entries) key.add(layer).add(filters);
+  }
+  return cache_file(w, kFileStage[static_cast<size_t>(stage)], key);
+}
+
 /// Loads stage `stage` of workload `w` from cnet_cache/ when a run with the
-/// same key saved it, and otherwise trains it and saves it. kCorr trains
-/// compensation with default_plan (copied to `plan_out`) on top of kLip.
+/// same key saved it, and otherwise trains it and saves it. A cached file
+/// that fails to load counts as missing: one stderr line, then the stage
+/// retrains and overwrites it. kCorr trains compensation with the recipe's
+/// fixed-ratio plan (copied to `plan_out`) on top of kLip.
 inline nn::Sequential trained_model(const Workload& w, const data::SplitDataset& ds,
                                     Stage stage,
                                     core::CompensationPlan* plan_out = nullptr) {
-  static const char* const kFileStage[] = {"base", "lip", "corr"};
   static const char* const kWhat[] = {"baseline", "with Lipschitz regularization",
                                       "compensation blocks"};
-  nn::Sequential m;
-  core::TrainConfig cfg;
-  CacheKey key;
+  nn::Sequential lip;
+  core::CompensationPlan plan;
   if (stage == Stage::kCorr) {
-    nn::Sequential lip = trained_model(w, ds, Stage::kLip);
-    const core::CompensationPlan plan = default_plan(w, lip);
+    lip = trained_model(w, ds, Stage::kLip);
+    plan = core::fixed_ratio_plan(lip, w.fixed_ratio, w.max_comp_layers);
     if (plan_out) *plan_out = plan;
-    Rng rng(kCorrInitSeed);
-    m = core::with_compensation(lip, plan, rng);
-    cfg = comp_train_config(w);
-    key = train_key(w, cfg, kCorrInitSeed);
-    key.add(train_key(w, lipschitz_train_config(w), kLipInitSeed).value());
-    for (const auto& [layer, filters] : plan.entries) key.add(layer).add(filters);
-  } else {
-    const uint64_t seed = stage == Stage::kBase ? kBaseInitSeed : kLipInitSeed;
-    Rng rng(seed);
-    m = make_model(w, rng);
-    cfg = stage == Stage::kBase ? base_train_config(w) : lipschitz_train_config(w);
-    key = train_key(w, cfg, seed);
   }
-  const auto i = static_cast<size_t>(stage);
-  const std::string path = cache_dir() + "/" + cache_file(w, kFileStage[i], key);
+  auto fresh = [&] {
+    Rng rng(init_seed(stage));
+    return stage == Stage::kCorr ? core::with_compensation(lip, plan, rng)
+                                 : core::make_model(w, rng);
+  };
+  nn::Sequential m = fresh();
+  const std::string path = cache_dir() + "/" + stage_file(w, stage, plan);
   if (std::filesystem::exists(path)) {
-    nn::load_weights(m, path);
-    return m;
+    try {
+      nn::load_weights(m, path);
+      return m;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "  [cache] %s: %s; retraining\n", path.c_str(), e.what());
+      m = fresh();
+    }
   }
-  std::printf("  [train] %s %s (%d epochs)...\n", w.name.c_str(), kWhat[i],
-              cfg.epochs);
+  const core::TrainConfig cfg = stage_config(w, stage);
+  std::printf("  [train] %s %s (%d epochs)...\n", w.name.c_str(),
+              kWhat[static_cast<size_t>(stage)], cfg.epochs);
   std::fflush(stdout);
   if (stage == Stage::kCorr)
     core::train_compensation(m, ds.train, ds.test, cfg);
@@ -329,7 +221,9 @@ inline nn::Sequential trained_model(const Workload& w, const data::SplitDataset&
 /// Minimal CSV writer: one file per figure, header + rows.
 class Csv {
  public:
+  /// Throws std::runtime_error naming `path` when it cannot be opened.
   explicit Csv(const std::string& path) : os_(path) {
+    if (!os_) throw std::runtime_error("cannot open " + path + " for writing");
     std::printf("  (csv -> %s)\n", path.c_str());
   }
   void row(const std::vector<std::string>& cells) {

@@ -4,8 +4,9 @@
 //   ./build/bench/paper table1|fig2|fig7|fig8|fig9|fig10|ablation|all
 //
 // Each subcommand prints its table and writes bench_<name>.csv in the
-// working directory. Trained models are shared through ./cnet_cache/
-// (common.h); the CORRECTNET_* variables (core/config.h) scale the runs.
+// working directory. Every workload starts from its recipe (core/recipe.h);
+// the CORRECTNET_* variables (core/config.h) scale the runs, and trained
+// models are shared through ./cnet_cache/ (common.h).
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -132,7 +133,7 @@ void fig7() {
 // Fig. 8 — CorrectNet vs prior work at σ = 0.5: accuracy against weight
 // overhead, on the LeNet-Objects10 and VGG16-Objects10 pairs.
 //
-// Comparators (mechanism re-implementations, see DESIGN.md §2):
+// Comparators (mechanism re-implementations, src/core/baselines.h):
 //   [8]  important-weight replication into SRAM (top-|w| protection),
 //        with and without per-chip online adaptation;
 //   [9]  random sparse adaptation (random protection), with/without online
@@ -202,8 +203,8 @@ void fig8() {
     // Variation-aware training [11]: zero overhead.
     {
       Rng rng(79);
-      nn::Sequential init = make_model(w, rng);
-      core::TrainConfig cfg = base_train_config(w);
+      nn::Sequential init = core::make_model(w, rng);
+      core::TrainConfig cfg = core::base_train_config(w);
       cfg.epochs = std::max(1, cfg.epochs / 2);
       cfg.variation = vm;
       nn::Sequential aware =
@@ -291,7 +292,7 @@ void fig10() {
   cfg.reinforce.iterations = 6;
   cfg.reinforce.lr = 0.05f;
   cfg.comp_train.epochs = 1;
-  cfg.comp_train.lr = 2e-3f;
+  cfg.comp_train.lr = w.comp_lr;
   cfg.variation = lognormal(0.5f);
   cfg.mc = mc_options();
   cfg.mc.samples = std::max(4, cfg.mc.samples / 5);
@@ -320,7 +321,7 @@ void fig10() {
   // 0.5, each retrained on a larger split and evaluated on the full test set.
   data::Dataset train_final = ds.train.head(3000);
   core::SearchConfig full = cfg;
-  full.comp_train = comp_train_config(w);
+  full.comp_train = core::comp_train_config(w);
   full.comp_train.epochs = std::max(2, full.comp_train.epochs / 2);
   full.mc = mc_options();
   full.overhead_limit = 1.0f;  // evaluate regardless
@@ -342,7 +343,7 @@ void fig10() {
               "accuracy at lower overhead.\n");
 }
 
-// Ablations on the DESIGN.md design choices (not a paper figure):
+// Ablations on the reproduction's design choices (not a paper figure):
 //   A. regularization strength β — robustness vs clean accuracy trade-off;
 //   B. λ floor (the "modified" clamp) — unclamped Eq. 10 vs clamped;
 //   C. technique decomposition: none / suppression-only / compensation-only /
@@ -360,10 +361,9 @@ void ablation() {
 
   auto train_lip = [&](float beta, float lambda_min) {
     Rng rng(31);
-    nn::Sequential m = make_model(w, rng);
-    core::TrainConfig cfg = base_train_config(w);
+    nn::Sequential m = core::make_model(w, rng);
+    core::TrainConfig cfg = core::lipschitz_train_config(w);
     cfg.lipschitz.enabled = beta > 0.0f;
-    cfg.lipschitz.sigma = 0.5f;
     cfg.lipschitz.beta = beta;
     cfg.lipschitz.lambda_min = lambda_min;
     core::train(m, ds.train, ds.test, cfg);
@@ -399,24 +399,25 @@ void ablation() {
     nn::Sequential plain = train_lip(0.0f, 0.0f);
     report("decomposition", "none", plain);
 
-    nn::Sequential lip = train_lip(3e-2f, 0.0f);
+    nn::Sequential lip = train_lip(w.lip_beta, w.lip_lambda_min);
     report("decomposition", "suppression-only", lip);
 
     // Compensation on the plain model (no suppression).
     Rng crng(32);
-    core::CompensationPlan plan = default_plan(w, plain);
+    core::CompensationPlan plan =
+        core::fixed_ratio_plan(plain, w.fixed_ratio, w.max_comp_layers);
     nn::Sequential comp_only = core::with_compensation(plain, plan, crng);
-    core::train_compensation(comp_only, ds.train, ds.test, comp_train_config(w));
+    core::train_compensation(comp_only, ds.train, ds.test, core::comp_train_config(w));
     report("decomposition", "compensation-only", comp_only);
 
     nn::Sequential both = core::with_compensation(lip, plan, crng);
-    core::train_compensation(both, ds.train, ds.test, comp_train_config(w));
+    core::train_compensation(both, ds.train, ds.test, core::comp_train_config(w));
     report("decomposition", "both (CorrectNet)", both);
   }
 
   std::printf("\nD. Variation-model generality (suppression-only model):\n");
   {
-    nn::Sequential lip = train_lip(3e-2f, 0.0f);
+    nn::Sequential lip = train_lip(w.lip_beta, w.lip_lambda_min);
     for (auto kind : {analog::VariationKind::kLognormal,
                       analog::VariationKind::kGaussianMultiplicative}) {
       analog::VariationModel m{kind, 0.3f};
@@ -463,7 +464,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
   }
-  for (const auto& f : kFigures)
-    if (all || std::strcmp(which, f.name) == 0) f.run();
+  // A figure that cannot finish (say, its CSV cannot be opened) exits 1.
+  try {
+    for (const auto& f : kFigures)
+      if (all || std::strcmp(which, f.name) == 0) f.run();
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
   return 0;
 }

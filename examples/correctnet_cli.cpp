@@ -2,10 +2,9 @@
 //
 // Usage:
 //   correctnet_cli [--net lenet|vgg] [--dataset digits|objects10|objects100]
-//                  [--sigma 0.5] [--epochs 6] [--comp-epochs 5]
-//                  [--beta 3e-2] [--lambda-min 0] [--warmup 0]
-//                  [--ratio 0.5] [--max-layers 4] [--mc 15] [--rl]
-//                  [--train N] [--test N] [--save-prefix PATH]
+//                  [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]
+//                  [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]
+//                  [--train N] [--test N] [--mc 15] [--rl] [--save-prefix PATH]
 //                  [sink flags]
 //
 // Runs baseline -> suppression -> sensitivity -> compensation -> Monte-Carlo
@@ -17,8 +16,12 @@
 //                         [--sigma S] [--remap] [--parallel N]
 //                         [sink flags]
 //
-// Numeric flags must parse in full (KeyValueConfig's rule): `--chips 1O` or
-// `--epochs 3x` exits 2 naming the flag, before any training starts.
+// The defaults of the training flags (--sigma ... --test) come from the
+// (--net, --dataset) recipe, core::recipe (core/recipe.h); each flag
+// overrides one of its values. faults always trains LeNet on digits.
+// A network or dataset with no recipe (vgg on digits, lenet on objects100)
+// exits 2, and so does a numeric flag that does not parse in full
+// (KeyValueConfig's rule: `--chips 1O`, `--epochs 3x`), before any output.
 //
 // Observability (docs/OBSERVABILITY.md): every command, `--version`
 // included, reads the sink knob table (obs/sinks.h; docs/CONFIG.md lists
@@ -35,19 +38,18 @@
 // crossbar substrate — and writes a JSON CampaignReport. The scenario grid
 // comes from a key=value config file (see examples/fault_campaign.cfg); a
 // built-in quick grid is used when --config is omitted.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
 
 #include "cli_flags.h"
 #include "core/config.h"
 #include "core/pipeline.h"
-#include "data/synthetic.h"
 #include "faultsim/campaign.h"
-#include "models/lenet.h"
-#include "models/vgg.h"
 #include "nn/serialize.h"
 #include "obs/build_info.h"
 #include "obs/sinks.h"
@@ -58,21 +60,53 @@ namespace {
 using cn::examples::float_flag;
 using cn::examples::int_flag;
 
+// The training flags: each overrides one value of the recipe. faults takes
+// the first kFaultsRecipeFlags.
+constexpr const char* kRecipeFlags[] = {
+    "--epochs", "--comp-epochs", "--sigma", "--train",     "--test",
+    "--beta",   "--lambda-min",  "--warmup", "--ratio", "--max-layers"};
+constexpr size_t kFaultsRecipeFlags = 5;
+
+// (flag, value) pairs in command-line order, parsed once the recipe is known.
+using FlagValues = std::vector<std::pair<std::string, std::string>>;
+
+bool is_recipe_flag(const std::string& k, size_t count) {
+  return std::find(kRecipeFlags, kRecipeFlags + count, k) != kRecipeFlags + count;
+}
+
+// The recipe of `net` on `dataset` with `flags` over its values. A pair with
+// no recipe or a bad value exits 2.
+cn::core::Recipe recipe_from(const char* argv0, const std::string& net,
+                             const std::string& dataset, const FlagValues& flags) {
+  cn::core::Recipe r;
+  try {
+    r = cn::core::recipe(net, dataset);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+    std::exit(2);
+  }
+  for (const auto& [k, v] : flags) {
+    const char* s = v.c_str();
+    if (k == "--epochs") r.epochs = int_flag<int>(argv0, k, s);
+    else if (k == "--comp-epochs") r.comp_epochs = int_flag<int>(argv0, k, s);
+    else if (k == "--sigma") r.sigma = float_flag(argv0, k, s);
+    else if (k == "--train") r.train_count = int_flag<int64_t>(argv0, k, s);
+    else if (k == "--test") r.test_count = int_flag<int64_t>(argv0, k, s);
+    else if (k == "--beta") r.lip_beta = float_flag(argv0, k, s);
+    else if (k == "--lambda-min") r.lip_lambda_min = float_flag(argv0, k, s);
+    else if (k == "--warmup") r.lip_warmup = int_flag<int>(argv0, k, s);
+    else if (k == "--ratio") r.fixed_ratio = float_flag(argv0, k, s);
+    else r.max_comp_layers = int_flag<int64_t>(argv0, k, s);  // --max-layers
+  }
+  return r;
+}
+
 struct Args {
   std::string net = "lenet";
   std::string dataset = "digits";
-  float sigma = 0.5f;
-  int epochs = 6;
-  int comp_epochs = 5;
-  float beta = 3e-2f;
-  float lambda_min = 0.0f;
-  int warmup = 0;
-  float ratio = 0.5f;
-  int max_layers = 4;
+  FlagValues recipe_flags;
   int mc = 15;
   bool rl = false;
-  int64_t train = 2500;
-  int64_t test = 600;
   std::string save_prefix;
   cn::obs::SinkFlags sinks;
 };
@@ -123,18 +157,10 @@ Args parse(int argc, char** argv) {
     };
     if (k == "--net") a.net = next();
     else if (k == "--dataset") a.dataset = next();
-    else if (k == "--sigma") a.sigma = float_flag(argv[0], k, next());
-    else if (k == "--epochs") a.epochs = int_flag<int>(argv[0], k, next());
-    else if (k == "--comp-epochs") a.comp_epochs = int_flag<int>(argv[0], k, next());
-    else if (k == "--beta") a.beta = float_flag(argv[0], k, next());
-    else if (k == "--lambda-min") a.lambda_min = float_flag(argv[0], k, next());
-    else if (k == "--warmup") a.warmup = int_flag<int>(argv[0], k, next());
-    else if (k == "--ratio") a.ratio = float_flag(argv[0], k, next());
-    else if (k == "--max-layers") a.max_layers = int_flag<int>(argv[0], k, next());
+    else if (is_recipe_flag(k, std::size(kRecipeFlags)))
+      a.recipe_flags.emplace_back(k, next());
     else if (k == "--mc") a.mc = int_flag<int>(argv[0], k, next());
     else if (k == "--rl") a.rl = true;
-    else if (k == "--train") a.train = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--test") a.test = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--save-prefix") a.save_prefix = next();
     else if (cn::obs::is_sink_flag(k)) a.sinks.emplace_back(k, next());
     else usage(argv[0]);
@@ -151,11 +177,7 @@ struct FaultArgs {
   bool remap = false; // force the fault-aware remapping axis on
   bool parallel_set = false;  // --parallel given: override parallel_scenarios
   int64_t parallel = 0;       // passed through verbatim — negatives must throw
-  int epochs = 3;
-  int comp_epochs = 3;
-  float sigma = 0.5f;
-  int64_t train = 800;
-  int64_t test = 200;
+  FlagValues recipe_flags;
   cn::obs::SinkFlags sinks;  // beat the campaign config's sink keys
 };
 
@@ -182,11 +204,8 @@ FaultArgs parse_faults(int argc, char** argv) {
     else if (k == "--chips") a.chips = int_flag<int64_t>(argv[0], k, next());
     else if (k == "--remap") a.remap = true;
     else if (k == "--parallel") { a.parallel = int_flag<int64_t>(argv[0], k, next()); a.parallel_set = true; }
-    else if (k == "--epochs") a.epochs = int_flag<int>(argv[0], k, next());
-    else if (k == "--comp-epochs") a.comp_epochs = int_flag<int>(argv[0], k, next());
-    else if (k == "--train") a.train = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--test") a.test = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--sigma") a.sigma = float_flag(argv[0], k, next());
+    else if (is_recipe_flag(k, kFaultsRecipeFlags))
+      a.recipe_flags.emplace_back(k, next());
     else if (cn::obs::is_sink_flag(k)) a.sinks.emplace_back(k, next());
     else usage_faults(argv[0]);
   }
@@ -207,6 +226,8 @@ constexpr const char* kDefaultCampaign =
 int run_faults(int argc, char** argv) {
   using namespace cn;
   const FaultArgs args = parse_faults(argc, argv);
+  const core::Recipe recipe =
+      recipe_from(argv[0], "lenet", "digits", args.recipe_flags);
 
   // Load and parse the campaign grid and the sinks first: a bad --config
   // path or value must fail before minutes of training, not after. Flag
@@ -237,23 +258,12 @@ int run_faults(int argc, char** argv) {
   const obs::Sinks sinks =
       start_sinks(argv[0], campaign_cfg, args.sinks, obs::LogLevel::kDebug);
 
-  data::DigitsSpec spec;
-  spec.train_count = args.train;
-  spec.test_count = args.test;
-  data::SplitDataset ds = data::make_digits(spec);
-
+  const data::SplitDataset ds = core::make_dataset(recipe);
   core::PipelineConfig cfg;
-  cfg.name = "faults-lenet-digits";
-  cfg.sigma = args.sigma;
-  cfg.base_train.epochs = args.epochs;
-  cfg.lipschitz_train.epochs = args.epochs;
-  cfg.comp_train.epochs = args.comp_epochs;
-  cfg.comp_train.lr = 2e-3f;
+  cfg.recipe = recipe;
   cfg.mc.samples = 4;  // pipeline-internal MC; the campaign does the real sweep
-  cfg.plan_mode = core::PlanMode::kFixedRatio;
   cfg.log = [](const std::string& s) { std::printf("%s\n", s.c_str()); };
-  auto make_model = [](Rng& rng) { return models::lenet5(1, 28, 10, rng); };
-  core::PipelineResult r = core::run_correctnet(make_model, ds.train, ds.test, cfg);
+  core::PipelineResult r = core::run_correctnet(ds.train, ds.test, cfg);
 
   campaign.add_model("baseline", r.base_model, false);
   campaign.add_model("suppressed", r.lipschitz_model, false);
@@ -334,42 +344,14 @@ int main(int argc, char** argv) {
   }
   if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
   const Args args = parse(argc, argv);
+  const core::Recipe recipe =
+      recipe_from(argv[0], args.net, args.dataset, args.recipe_flags);
   const obs::Sinks sinks = start_sinks(argv[0], {}, args.sinks);
 
-  // Dataset.
-  data::SplitDataset ds;
-  int num_classes = 10;
-  int64_t in_c = 1, in_hw = 28;
-  if (args.dataset == "digits") {
-    data::DigitsSpec spec;
-    spec.train_count = args.train;
-    spec.test_count = args.test;
-    ds = data::make_digits(spec);
-  } else if (args.dataset == "objects10" || args.dataset == "objects100") {
-    num_classes = (args.dataset == "objects100") ? 100 : 10;
-    data::ObjectsSpec spec = data::objects_preset(num_classes);
-    spec.train_count = args.train;
-    spec.test_count = args.test;
-    ds = data::make_objects(spec);
-    in_c = 3;
-    in_hw = 32;
-  } else {
-    usage(argv[0]);
-  }
-
+  const data::SplitDataset ds = core::make_dataset(recipe);
   core::PipelineConfig cfg;
-  cfg.name = args.net + "-" + args.dataset;
-  cfg.sigma = args.sigma;
-  cfg.base_train.epochs = args.epochs;
-  cfg.lipschitz_train.epochs = args.epochs;
-  cfg.lipschitz_train.lipschitz.beta = args.beta;
-  cfg.lipschitz_train.lipschitz.lambda_min = args.lambda_min;
-  cfg.lipschitz_train.lipschitz_warmup_epochs = args.warmup;
-  cfg.comp_train.epochs = args.comp_epochs;
-  cfg.comp_train.lr = 2e-3f;
+  cfg.recipe = recipe;
   cfg.mc.samples = args.mc;
-  cfg.fixed_ratio = args.ratio;
-  cfg.max_candidates = args.max_layers;
   cfg.plan_mode = args.rl ? core::PlanMode::kRl : core::PlanMode::kFixedRatio;
   if (args.rl) {
     cfg.search.reinforce.iterations = 10;
@@ -378,20 +360,9 @@ int main(int argc, char** argv) {
     cfg.search.overhead_limit = 0.05f;
   }
   cfg.log = [](const std::string& s) { std::printf("%s\n", s.c_str()); };
+  core::PipelineResult r = core::run_correctnet(ds.train, ds.test, cfg);
 
-  auto make_model = [&](Rng& rng) -> nn::Sequential {
-    if (args.net == "vgg") {
-      models::VggConfig vcfg;
-      vcfg.num_classes = num_classes;
-      return models::vgg16(vcfg, rng);
-    }
-    return models::lenet5(in_c, in_hw, num_classes, rng);
-  };
-
-  core::PipelineResult r =
-      core::run_correctnet(make_model, ds.train, ds.test, cfg);
-
-  std::printf("\n==== %s, sigma = %.2f ====\n", cfg.name.c_str(), args.sigma);
+  std::printf("\n==== %s, sigma = %.2f ====\n", recipe.name.c_str(), recipe.sigma);
   std::printf("clean:       baseline %.2f%%, lipschitz %.2f%%\n",
               100.0 * r.clean_acc_base, 100.0 * r.clean_acc_lipschitz);
   std::printf("variations:  baseline %.2f%% +- %.2f%%\n", 100.0 * r.base_var.mean,
@@ -401,6 +372,8 @@ int main(int argc, char** argv) {
   std::printf("CorrectNet:  %.2f%% +- %.2f%%  (overhead %.2f%%, %lld layers)\n",
               100.0 * r.corrected_var.mean, 100.0 * r.corrected_var.stddev,
               100.0 * r.overhead, static_cast<long long>(r.comp_layers));
+  std::printf("recovery:    %.1f%% of clean accuracy\n",
+              100.0 * r.corrected_var.mean / r.clean_acc_base);
 
   if (!args.save_prefix.empty()) {
     nn::save_weights(r.base_model, args.save_prefix + "_base.wts");

@@ -53,8 +53,8 @@ int main() {
   report("4-bit DAC inputs", dev);
 
   // Relate crossbar programming variation to the weight-level factors the
-  // training pipeline uses (DESIGN.md: the fast path injects factors
-  // directly; the crossbar validates the substrate).
+  // training pipeline uses: the fast path (factor mode) injects the factors
+  // directly, and the crossbar validates that substrate.
   std::printf("\neffective-weight deviation at sigma=0.3 vs lognormal theory:\n");
   analog::RramDeviceParams vdev;
   vdev.program_sigma = 0.3f;

@@ -1,39 +1,32 @@
 // LeNet-5 robustness walk-through on the digit dataset:
 // trains baseline + Lipschitz models, runs the sensitivity sweep (Fig. 9
 // style), and prints a per-sigma comparison — a compact tour of the
-// error-suppression half of CorrectNet.
+// error-suppression half of CorrectNet, on the LeNet/digits recipe
+// (core/recipe.h).
 #include <cstdio>
 
 #include "core/lipschitz.h"
 #include "core/montecarlo.h"
+#include "core/recipe.h"
 #include "core/sensitivity.h"
-#include "core/trainer.h"
-#include "data/synthetic.h"
-#include "models/lenet.h"
 
 int main() {
   using namespace cn;
 
-  data::DigitsSpec spec;
-  spec.train_count = 2500;
-  spec.test_count = 600;
-  data::SplitDataset ds = data::make_digits(spec);
+  const core::Recipe recipe = core::recipe("lenet", "digits");
+  data::SplitDataset ds = core::make_dataset(recipe);
 
   // Baseline.
   Rng rng(7);
-  nn::Sequential base = models::lenet5(1, 28, 10, rng);
-  core::TrainConfig cfg;
-  cfg.epochs = 6;
-  core::TrainResult base_tr = core::train(base, ds.train, ds.test, cfg);
+  nn::Sequential base = core::make_model(recipe, rng);
+  core::TrainResult base_tr =
+      core::train(base, ds.train, ds.test, core::base_train_config(recipe));
 
-  // Error suppression (Eq. 11), unclamped lambda from Eq. 10.
+  // Error suppression (Eq. 11) with the recipe's β and λ floor.
   Rng rng2(8);
-  nn::Sequential lip = models::lenet5(1, 28, 10, rng2);
-  core::TrainConfig lcfg = cfg;
-  lcfg.lipschitz.enabled = true;
-  lcfg.lipschitz.sigma = 0.5f;
-  lcfg.lipschitz.beta = 3e-2f;
-  core::TrainResult lip_tr = core::train(lip, ds.train, ds.test, lcfg);
+  nn::Sequential lip = core::make_model(recipe, rng2);
+  core::TrainResult lip_tr =
+      core::train(lip, ds.train, ds.test, core::lipschitz_train_config(recipe));
 
   std::printf("clean accuracy: baseline %.2f%%, lipschitz %.2f%%\n",
               100.0 * base_tr.test_acc, 100.0 * lip_tr.test_acc);

@@ -1,28 +1,22 @@
-// RL placement search demo (paper Fig. 6/10 machinery) on a small
-// LeNet/digits workload, small enough to run in under a minute.
+// RL placement search demo (paper Fig. 6/10 machinery) on the LeNet/digits
+// recipe (core/recipe.h), shrunk to run in under a minute.
 #include <cstdio>
 
+#include "core/recipe.h"
 #include "core/search.h"
-#include "core/trainer.h"
-#include "data/synthetic.h"
-#include "models/lenet.h"
 
 int main() {
   using namespace cn;
 
-  data::DigitsSpec spec;
-  spec.train_count = 1200;
-  spec.test_count = 300;
-  data::SplitDataset ds = data::make_digits(spec);
+  core::Recipe recipe = core::recipe("lenet", "digits");
+  recipe.epochs = 4;
+  recipe.train_count = 1200;
+  recipe.test_count = 300;
+  data::SplitDataset ds = core::make_dataset(recipe);
 
   Rng rng(1);
-  nn::Sequential lip = models::lenet5(1, 28, 10, rng);
-  core::TrainConfig tcfg;
-  tcfg.epochs = 4;
-  tcfg.lipschitz.enabled = true;
-  tcfg.lipschitz.sigma = 0.5f;
-  tcfg.lipschitz.beta = 3e-2f;
-  core::train(lip, ds.train, ds.test, tcfg);
+  nn::Sequential lip = core::make_model(recipe, rng);
+  core::train(lip, ds.train, ds.test, core::lipschitz_train_config(recipe));
 
   core::SearchConfig cfg;
   cfg.candidate_layers = core::conv_layer_indices(lip);
@@ -30,9 +24,10 @@ int main() {
   cfg.overhead_limit = 0.05f;
   cfg.reinforce.iterations = 12;
   cfg.comp_train.epochs = 2;
-  cfg.comp_train.lr = 2e-3f;
+  cfg.comp_train.lr = recipe.comp_lr;
   cfg.mc.samples = 6;
-  cfg.variation = analog::VariationModel{analog::VariationKind::kLognormal, 0.5f};
+  cfg.variation =
+      analog::VariationModel{analog::VariationKind::kLognormal, recipe.sigma};
 
   std::printf("searching %zu candidate conv layers, %zu-way ratio menu, %d episodes\n",
               cfg.candidate_layers.size(), cfg.ratio_menu.size(),

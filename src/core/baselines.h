@@ -1,4 +1,5 @@
-// Fig. 8 comparators, re-implemented from their mechanisms (DESIGN.md §2):
+// Fig. 8 comparators, re-implemented from the mechanisms their papers
+// describe (no reference code is available offline):
 //
 //  - Weight protection [8] (Charan et al., DAC'20): the most important
 //    (largest-magnitude) weights are replicated into SRAM and therefore see

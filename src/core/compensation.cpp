@@ -310,6 +310,18 @@ std::vector<int64_t> conv_layer_indices(const nn::Sequential& model) {
   return idx;
 }
 
+CompensationPlan fixed_ratio_plan(const nn::Sequential& model, float ratio,
+                                  int64_t layers) {
+  CompensationPlan plan;
+  const std::vector<int64_t> convs = conv_layer_indices(model);
+  for (size_t i = 0; i < convs.size() && static_cast<int64_t>(i) < layers; ++i) {
+    const auto& conv = dynamic_cast<const nn::Conv2D&>(model.layer(convs[i]));
+    plan.entries.emplace_back(
+        convs[i], std::max<int64_t>(1, std::llround(ratio * conv.out_channels())));
+  }
+  return plan;
+}
+
 double compensation_overhead(nn::Sequential& model) {
   int64_t comp_weights = 0;
   for (int64_t i = 0; i < model.num_layers(); ++i) {

@@ -114,6 +114,12 @@ nn::Sequential with_compensation(const nn::Sequential& model,
 /// Indices of plain Conv2D layers in the model, execution order.
 std::vector<int64_t> conv_layer_indices(const nn::Sequential& model);
 
+/// The fixed-ratio plan: the first `layers` plain convs of `model` (all of
+/// them if it has fewer), each with max(1, round(ratio * out_channels))
+/// generator filters.
+CompensationPlan fixed_ratio_plan(const nn::Sequential& model, float ratio,
+                                  int64_t layers);
+
 /// Total weights in compensation blocks / weights in the original network.
 double compensation_overhead(nn::Sequential& model);
 

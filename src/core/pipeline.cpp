@@ -1,86 +1,73 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace cn::core {
 
 namespace {
 void say(const PipelineConfig& cfg, const std::string& msg) {
-  if (cfg.log) cfg.log("[" + cfg.name + "] " + msg);
+  if (cfg.log) cfg.log("[" + cfg.recipe.name + "] " + msg);
 }
 }  // namespace
 
-PipelineResult run_correctnet(const std::function<nn::Sequential(Rng&)>& make_model,
-                              const data::Dataset& train_set,
-                              const data::Dataset& test_set, PipelineConfig cfg) {
+PipelineResult run_correctnet(const data::Dataset& train_set,
+                              const data::Dataset& test_set,
+                              const PipelineConfig& cfg) {
+  const Recipe& recipe = cfg.recipe;
+  const analog::VariationModel variation{analog::VariationKind::kLognormal,
+                                         recipe.sigma};
   PipelineResult result;
-  cfg.variation.sigma = cfg.sigma;
   Rng rng(cfg.seed);
 
   // 1. Baseline network.
   say(cfg, "training baseline network");
-  result.base_model = make_model(rng);
-  TrainConfig base_cfg = cfg.base_train;
-  base_cfg.lipschitz.enabled = false;
-  const TrainResult base_tr = train(result.base_model, train_set, test_set, base_cfg);
+  result.base_model = make_model(recipe, rng);
+  const TrainResult base_tr = train(result.base_model, train_set, test_set,
+                                    base_train_config(recipe));
   result.clean_acc_base = base_tr.test_acc;
 
   say(cfg, "evaluating baseline under variations");
-  result.base_var = mc_accuracy(result.base_model, test_set, cfg.variation, cfg.mc);
+  result.base_var = mc_accuracy(result.base_model, test_set, variation, cfg.mc);
 
   // 2. Error suppression: Lipschitz-regularized training (Eq. 11).
   say(cfg, "training with Lipschitz regularization");
-  result.lipschitz_model = make_model(rng);
-  TrainConfig lip_cfg = cfg.lipschitz_train;
-  lip_cfg.lipschitz.enabled = true;
-  lip_cfg.lipschitz.sigma = cfg.sigma;
-  const TrainResult lip_tr =
-      train(result.lipschitz_model, train_set, test_set, lip_cfg);
+  result.lipschitz_model = make_model(recipe, rng);
+  const TrainResult lip_tr = train(result.lipschitz_model, train_set, test_set,
+                                   lipschitz_train_config(recipe));
   result.clean_acc_lipschitz = lip_tr.test_acc;
   result.lipschitz_var =
-      mc_accuracy(result.lipschitz_model, test_set, cfg.variation, cfg.mc);
+      mc_accuracy(result.lipschitz_model, test_set, variation, cfg.mc);
 
   // 3. Sensitivity sweep (Fig. 9) -> candidate prefix.
   say(cfg, "running sensitivity sweep");
   McOptions sweep_mc = cfg.mc;
   sweep_mc.samples = std::max(5, cfg.mc.samples / 2);
   result.sensitivity =
-      sensitivity_sweep(result.lipschitz_model, test_set, cfg.variation, sweep_mc);
+      sensitivity_sweep(result.lipschitz_model, test_set, variation, sweep_mc);
   result.candidate_sites = compensation_candidate_count(
       result.sensitivity, result.clean_acc_lipschitz, 0.95);
 
-  // Candidate conv layers: the convs among the first candidate_sites analog
-  // sites (sites and conv order coincide up to FC layers at the tail).
-  const std::vector<int64_t> convs = conv_layer_indices(result.lipschitz_model);
-  std::vector<int64_t> candidates;
-  for (int64_t i = 0;
-       i < std::min<int64_t>({static_cast<int64_t>(convs.size()),
-                              std::max<int64_t>(result.candidate_sites, 1),
-                              cfg.max_candidates});
-       ++i)
-    candidates.push_back(convs[static_cast<size_t>(i)]);
-
-  // 4-5. Plan selection + compensation training.
+  // 4. Plan selection. The candidates are the convs among the first
+  // candidate_sites analog sites (sites and conv order coincide up to FC
+  // layers at the tail): the fixed-ratio plan compensates each of them, the
+  // RL search picks among them.
+  result.plan = fixed_ratio_plan(
+      result.lipschitz_model, recipe.fixed_ratio,
+      std::min<int64_t>(std::max<int64_t>(result.candidate_sites, 1),
+                        recipe.max_comp_layers));
   if (cfg.plan_mode == PlanMode::kRl) {
     say(cfg, "RL search over compensation plans");
     SearchConfig scfg = cfg.search;
-    scfg.candidate_layers = candidates;
-    scfg.variation = cfg.variation;
-    if (scfg.comp_train.epochs == 0) scfg.comp_train = cfg.comp_train;
-    const SearchOutcome so =
-        rl_search(result.lipschitz_model, train_set, test_set, scfg);
-    result.plan = so.best_plan;
-  } else {
-    for (int64_t idx : candidates) {
-      const auto* conv = dynamic_cast<const nn::Conv2D*>(
-          &result.lipschitz_model.layer(idx));
-      const int64_t m = std::max<int64_t>(
-          1, std::llround(cfg.fixed_ratio * conv->out_channels()));
-      result.plan.entries.emplace_back(idx, m);
-    }
+    scfg.candidate_layers.clear();
+    for (const auto& [layer, filters] : result.plan.entries)
+      scfg.candidate_layers.push_back(layer);
+    scfg.variation = variation;
+    if (scfg.comp_train.epochs == 0) scfg.comp_train = comp_train_config(recipe);
+    result.plan =
+        rl_search(result.lipschitz_model, train_set, test_set, scfg).best_plan;
   }
 
+  // 5. Compensation training.
   say(cfg, "training compensation blocks");
   Rng comp_rng(cfg.seed ^ 0x5151ull);
   result.corrected_model =
@@ -88,14 +75,13 @@ PipelineResult run_correctnet(const std::function<nn::Sequential(Rng&)>& make_mo
   result.overhead = compensation_overhead(result.corrected_model);
   for (const auto& [idx, m] : result.plan.entries)
     if (m > 0) ++result.comp_layers;
-  TrainConfig comp_cfg = cfg.comp_train;
-  comp_cfg.variation = cfg.variation;
-  train_compensation(result.corrected_model, train_set, test_set, comp_cfg);
+  train_compensation(result.corrected_model, train_set, test_set,
+                     comp_train_config(recipe));
 
   // 6. Final Monte-Carlo evaluation.
   say(cfg, "evaluating CorrectNet under variations");
   result.corrected_var =
-      mc_accuracy(result.corrected_model, test_set, cfg.variation, cfg.mc);
+      mc_accuracy(result.corrected_model, test_set, variation, cfg.mc);
   return result;
 }
 

@@ -13,6 +13,7 @@
 
 #include "core/compensation.h"
 #include "core/montecarlo.h"
+#include "core/recipe.h"
 #include "core/search.h"
 #include "core/sensitivity.h"
 #include "core/trainer.h"
@@ -21,24 +22,17 @@ namespace cn::core {
 
 /// How step 4 picks the plan.
 enum class PlanMode {
-  kFixedRatio,  // compensate every candidate conv with `fixed_ratio`
+  kFixedRatio,  // compensate every candidate conv at recipe.fixed_ratio
   kRl,          // run the REINFORCE search (expensive)
 };
 
 struct PipelineConfig {
-  std::string name;  // e.g. "VGG16-Objects100"
-  float sigma = 0.5f;
-  analog::VariationModel variation{analog::VariationKind::kLognormal, 0.5f};
-
-  TrainConfig base_train;
-  TrainConfig lipschitz_train;  // .lipschitz is force-enabled by the pipeline
-  TrainConfig comp_train;
+  /// The network, the three training stages, σ and the fixed-ratio plan
+  /// (at most recipe.max_comp_layers candidate convs).
+  Recipe recipe;
   McOptions mc;
 
   PlanMode plan_mode = PlanMode::kFixedRatio;
-  float fixed_ratio = 0.5f;
-  /// Cap on how many candidate conv layers may receive compensation.
-  int64_t max_candidates = 6;
   SearchConfig search;  // used when plan_mode == kRl
 
   uint64_t seed = 2023;
@@ -63,10 +57,10 @@ struct PipelineResult {
   int64_t comp_layers = 0;  // layers that actually received compensation
 };
 
-/// Runs the full pipeline. `make_model` must build a freshly initialized
-/// network for the dataset (it is called twice: baseline + Lipschitz run).
-PipelineResult run_correctnet(const std::function<nn::Sequential(Rng&)>& make_model,
-                              const data::Dataset& train_set,
-                              const data::Dataset& test_set, PipelineConfig cfg);
+/// Runs the full pipeline on the recipe's network, under lognormal
+/// variations at recipe.sigma.
+PipelineResult run_correctnet(const data::Dataset& train_set,
+                              const data::Dataset& test_set,
+                              const PipelineConfig& cfg);
 
 }  // namespace cn::core

@@ -3,7 +3,7 @@
 // The paper evaluates on MNIST / CIFAR-10 / CIFAR-100, none of which are
 // available offline here. These generators produce classification tasks at
 // the same tensor shapes and class counts, with tunable difficulty, so the
-// robustness experiments exercise identical code paths (see DESIGN.md §2):
+// robustness experiments exercise identical code paths:
 //
 //  - make_digits:  1×28×28, 10 classes — stroke-segment glyphs with jitter,
 //    thickness and noise (MNIST stand-in; LeNet-5 reaches high-90s clean).

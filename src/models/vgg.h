@@ -2,8 +2,8 @@
 //
 // The paper trains full VGG16 on GPUs; depth (13 conv + 3 FC) is what drives
 // the error-amplification phenomenon the experiments probe, so we preserve
-// the exact topology and shrink channel counts to keep CPU training feasible
-// (DESIGN.md §2). `width` scales all channel counts: width=1 gives
+// the exact topology and shrink channel counts to keep CPU training
+// feasible. `width` scales all channel counts: width=1 gives
 // [16,16 | 32,32 | 64,64,64 | 96,96,96 | 96,96,96].
 #pragma once
 

@@ -73,6 +73,14 @@ if(CHECKS STREQUAL "correctnet_cli")
   file(REMOVE "${cfg}")
   # --quiet duplicated --log-level quiet and is gone.
   expect_rejected("usage:" faults --quiet)
+  # The network and dataset pick a recipe (core/recipe.h): an unknown name
+  # or a pair the paper does not train has none, and fails before any output.
+  expect_rejected("unknown network 'foo' (lenet|vgg)"
+                  --net foo --epochs 1 --train 64 --test 32 --mc 2)
+  expect_rejected("unknown dataset 'foo' (digits|objects10|objects100)"
+                  --dataset foo)
+  expect_rejected("no recipe for vgg on digits" --net vgg --dataset digits)
+  expect_rejected("no recipe for lenet on objects100" --dataset objects100)
 elseif(CHECKS STREQUAL "serve_demo")
   expect_rejected("--queue-limit expects an integer, got '6O'" --queue-limit 6O)
   expect_rejected("--linger-s expects a number, got '1s'" --linger-s 1s)

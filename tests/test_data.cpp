@@ -81,8 +81,10 @@ TEST(Objects, ShapesAndClassCount) {
 }
 
 TEST(Objects, PresetSetsTheDifficultyByClassCount) {
-  // The paper driver's cache names hash these values (bench/common.h
-  // train_key), so a change here retrains every cached objects model.
+  // Every objects recipe builds its dataset from this preset
+  // (core::objects_spec, core/recipe.h), and the paper driver's cache names
+  // hash its values (bench/common.h train_key), so a change here retrains
+  // every cached objects model.
   const ObjectsSpec defaults, few = objects_preset(10), many = objects_preset(100);
   EXPECT_EQ(few.num_classes, 10);
   EXPECT_EQ(few.noise_std, 0.7f);

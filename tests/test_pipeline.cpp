@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/synthetic.h"
-#include "models/lenet.h"
-
 namespace cn::core {
 namespace {
 
@@ -31,31 +28,26 @@ double mc_ordering_slack(const McResult& a, const McResult& b, int64_t n_test) {
 }
 
 TEST(Pipeline, FullRunRecoversAccuracy) {
-  data::DigitsSpec spec;
-  spec.train_count = 800;
-  spec.test_count = 200;
-  data::SplitDataset ds = data::make_digits(spec);
-
+  // The LeNet/digits recipe (β 3e-2, no λ floor, compensation lr 2e-3,
+  // ratio 0.5) at 3 epochs on 800 images, with up to 6 candidate convs.
   PipelineConfig cfg;
-  cfg.name = "test";
-  cfg.sigma = 0.5f;
-  cfg.base_train.epochs = 3;
-  cfg.lipschitz_train.epochs = 3;
-  cfg.lipschitz_train.lipschitz.beta = 3e-2f;
-  cfg.comp_train.epochs = 3;
-  cfg.comp_train.lr = 2e-3f;
+  cfg.recipe = recipe("lenet", "digits");
+  cfg.recipe.epochs = 3;
+  cfg.recipe.comp_epochs = 3;
+  cfg.recipe.train_count = 800;
+  cfg.recipe.test_count = 200;
+  cfg.recipe.max_comp_layers = 6;
+  data::SplitDataset ds = make_dataset(cfg.recipe);
   cfg.mc.samples = 32;  // the derived ordering slack scales as 1/sqrt(this);
                         // 32 keeps the 99.9% CI comfortably inside the true
                         // recovery margins (16 sat within one reseeding of
                         // the boundary; see perf notes)
   cfg.plan_mode = PlanMode::kFixedRatio;
-  cfg.fixed_ratio = 0.5f;
 
   std::vector<std::string> stages;
   cfg.log = [&](const std::string& s) { stages.push_back(s); };
 
-  auto make_model = [](Rng& rng) { return models::lenet5(1, 28, 10, rng); };
-  PipelineResult r = run_correctnet(make_model, ds.train, ds.test, cfg);
+  PipelineResult r = run_correctnet(ds.train, ds.test, cfg);
 
   // Clean accuracies in sane ranges.
   EXPECT_GT(r.clean_acc_base, 0.85f);
@@ -80,7 +72,8 @@ TEST(Pipeline, FullRunRecoversAccuracy) {
   EXPECT_FALSE(stages.empty());
 
   // The corrected model is runnable and consistent with the recorded stats.
-  McResult check = mc_accuracy(r.corrected_model, ds.test, cfg.variation, cfg.mc);
+  const analog::VariationModel vm{analog::VariationKind::kLognormal, 0.5f};
+  McResult check = mc_accuracy(r.corrected_model, ds.test, vm, cfg.mc);
   EXPECT_NEAR(check.mean, r.corrected_var.mean, 1e-9);
 }
 
