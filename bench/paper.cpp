@@ -312,7 +312,7 @@ void fig10() {
       filt += (i ? "," : "") + std::to_string(t.filters[i]);
     std::printf("  %-26s %10.2f %12.2f %10.2f %9.3f%s\n", filt.c_str(),
                 100.0 * t.overhead, 100.0 * t.acc_mean, 100.0 * t.acc_std,
-                t.reward, t.trained ? "" : "  (skipped: over budget)");
+                t.reward, t.over_budget ? "  (skipped: over budget)" : "");
     csv.row({"explored", filt, fmt(100.0 * t.overhead), fmt(100.0 * t.acc_mean),
              fmt(100.0 * t.acc_std), fmt(t.reward, 3)});
   }

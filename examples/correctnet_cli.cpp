@@ -1,27 +1,16 @@
 // Command-line front end for the CorrectNet pipeline.
 //
-// Usage:
-//   correctnet_cli [--net lenet|vgg] [--dataset digits|objects10|objects100]
-//                  [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]
-//                  [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]
-//                  [--train N] [--test N] [--mc 15] [--rl] [--save-prefix PATH]
-//                  [sink flags]
+//   correctnet_cli [flags]         baseline -> suppression -> sensitivity ->
+//                                  compensation -> Monte-Carlo, a summary and
+//                                  optionally the trained weights
+//   correctnet_cli faults [flags]  the fault campaign below
+//   correctnet_cli --version       the build identity line
 //
-// Runs baseline -> suppression -> sensitivity -> compensation -> Monte-Carlo
-// and prints a summary; optionally saves the trained weights.
-//
-// Subcommand:
-//   correctnet_cli faults [--config PATH] [--out PATH] [--chips N]
-//                         [--epochs N] [--comp-epochs N] [--train N] [--test N]
-//                         [--sigma S] [--remap] [--parallel N]
-//                         [sink flags]
-//
-// The defaults of the training flags (--sigma ... --test) come from the
-// (--net, --dataset) recipe, core::recipe (core/recipe.h); each flag
-// overrides one of its values. faults always trains LeNet on digits.
-// A network or dataset with no recipe (vgg on digits, lenet on objects100)
-// exits 2, and so does a numeric flag that does not parse in full
-// (KeyValueConfig's rule: `--chips 1O`, `--epochs 3x`), before any output.
+// Every flag is a row of the tables the command reads (cli_tables.h), and
+// so is the usage line. The training flags override the (network, dataset)
+// recipe (core/recipe.h); faults always trains LeNet on digits. A pair with
+// no recipe, an unknown flag or a value that does not parse in full ('1O')
+// exits 2 before any output.
 //
 // Observability (docs/OBSERVABILITY.md): every command, `--version`
 // included, reads the sink knob table (obs/sinks.h; docs/CONFIG.md lists
@@ -42,11 +31,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <optional>
 #include <string>
 
-#include "cli_flags.h"
+#include "cli_tables.h"
 #include "core/config.h"
 #include "core/pipeline.h"
 #include "faultsim/campaign.h"
@@ -57,87 +45,20 @@
 
 namespace {
 
-using cn::examples::float_flag;
-using cn::examples::int_flag;
-
-// The training flags: each overrides one value of the recipe. faults takes
-// the first kFaultsRecipeFlags.
-constexpr const char* kRecipeFlags[] = {
-    "--epochs", "--comp-epochs", "--sigma", "--train",     "--test",
-    "--beta",   "--lambda-min",  "--warmup", "--ratio", "--max-layers"};
-constexpr size_t kFaultsRecipeFlags = 5;
-
-// (flag, value) pairs in command-line order, parsed once the recipe is known.
-using FlagValues = std::vector<std::pair<std::string, std::string>>;
-
-bool is_recipe_flag(const std::string& k, size_t count) {
-  return std::find(kRecipeFlags, kRecipeFlags + count, k) != kRecipeFlags + count;
-}
-
-// The recipe of `net` on `dataset` with `flags` over its values. A pair with
-// no recipe or a bad value exits 2.
-cn::core::Recipe recipe_from(const char* argv0, const std::string& net,
-                             const std::string& dataset, const FlagValues& flags) {
-  cn::core::Recipe r;
-  try {
-    r = cn::core::recipe(net, dataset);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-    std::exit(2);
-  }
-  for (const auto& [k, v] : flags) {
-    const char* s = v.c_str();
-    if (k == "--epochs") r.epochs = int_flag<int>(argv0, k, s);
-    else if (k == "--comp-epochs") r.comp_epochs = int_flag<int>(argv0, k, s);
-    else if (k == "--sigma") r.sigma = float_flag(argv0, k, s);
-    else if (k == "--train") r.train_count = int_flag<int64_t>(argv0, k, s);
-    else if (k == "--test") r.test_count = int_flag<int64_t>(argv0, k, s);
-    else if (k == "--beta") r.lip_beta = float_flag(argv0, k, s);
-    else if (k == "--lambda-min") r.lip_lambda_min = float_flag(argv0, k, s);
-    else if (k == "--warmup") r.lip_warmup = int_flag<int>(argv0, k, s);
-    else if (k == "--ratio") r.fixed_ratio = float_flag(argv0, k, s);
-    else r.max_comp_layers = int_flag<int64_t>(argv0, k, s);  // --max-layers
-  }
-  return r;
-}
-
-struct Args {
-  std::string net = "lenet";
-  std::string dataset = "digits";
-  FlagValues recipe_flags;
-  int mc = 15;
-  bool rl = false;
-  std::string save_prefix;
-  cn::obs::SinkFlags sinks;
-};
-
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--net lenet|vgg] [--dataset digits|objects10|objects100]\n"
-               "          [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]\n"
-               "          [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]\n"
-               "          [--mc N] [--rl] [--train N] [--test N] [--save-prefix P]\n"
-               "          %s\n"
-               "       %s --version\n",
-               argv0, cn::obs::sink_flags_usage().c_str(), argv0);
-  std::exit(2);
-}
+using cn::examples::or_exit;
 
 // Reads the sink table over the environment, `cfg`'s sink keys and the sink
 // flags, then starts the sinks. A bad value, a port that cannot be bound or
 // a stream that cannot be opened exits 2 before any work starts.
 cn::obs::Sinks start_sinks(const char* argv0, const cn::core::KeyValueConfig& cfg,
-                           const cn::obs::SinkFlags& flags,
+                           const cn::core::Flags& flags,
                            std::optional<cn::obs::LogLevel> default_log = {}) {
-  try {
+  return or_exit(argv0, [&] {
     cn::obs::Sinks s = cn::obs::read_sinks(cfg, flags);
     if (!s.log) s.log = default_log;
     cn::obs::start(s);
     return s;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-    std::exit(2);
-  }
+  });
 }
 
 // Writes and stops every sink, then points at the files it wrote.
@@ -147,70 +68,7 @@ void finish_sinks(const cn::obs::Sinks& s) {
   if (!s.trace.empty()) std::printf("trace -> %s\n", s.trace.c_str());
 }
 
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (k == "--net") a.net = next();
-    else if (k == "--dataset") a.dataset = next();
-    else if (is_recipe_flag(k, std::size(kRecipeFlags)))
-      a.recipe_flags.emplace_back(k, next());
-    else if (k == "--mc") a.mc = int_flag<int>(argv[0], k, next());
-    else if (k == "--rl") a.rl = true;
-    else if (k == "--save-prefix") a.save_prefix = next();
-    else if (cn::obs::is_sink_flag(k)) a.sinks.emplace_back(k, next());
-    else usage(argv[0]);
-  }
-  return a;
-}
-
 // ---------- faults subcommand ----------
-
-struct FaultArgs {
-  std::string config;  // key=value campaign file; empty = built-in quick grid
-  std::string out = "faultsim_report.json";
-  int64_t chips = 0;  // >0 overrides the config's chip count
-  bool remap = false; // force the fault-aware remapping axis on
-  bool parallel_set = false;  // --parallel given: override parallel_scenarios
-  int64_t parallel = 0;       // passed through verbatim — negatives must throw
-  FlagValues recipe_flags;
-  cn::obs::SinkFlags sinks;  // beat the campaign config's sink keys
-};
-
-[[noreturn]] void usage_faults(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s faults [--config PATH] [--out PATH] [--chips N]\n"
-               "          [--epochs N] [--comp-epochs N] [--train N] [--test N]\n"
-               "          [--sigma S] [--remap] [--parallel N]\n"
-               "          %s\n",
-               argv0, cn::obs::sink_flags_usage().c_str());
-  std::exit(2);
-}
-
-FaultArgs parse_faults(int argc, char** argv) {
-  FaultArgs a;
-  for (int i = 2; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_faults(argv[0]);
-      return argv[++i];
-    };
-    if (k == "--config") a.config = next();
-    else if (k == "--out") a.out = next();
-    else if (k == "--chips") a.chips = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--remap") a.remap = true;
-    else if (k == "--parallel") { a.parallel = int_flag<int64_t>(argv[0], k, next()); a.parallel_set = true; }
-    else if (is_recipe_flag(k, kFaultsRecipeFlags))
-      a.recipe_flags.emplace_back(k, next());
-    else if (cn::obs::is_sink_flag(k)) a.sinks.emplace_back(k, next());
-    else usage_faults(argv[0]);
-  }
-  return a;
-}
 
 // The grid used when no --config is given: one severity ladder per fault
 // kind, small enough for smoke runs.
@@ -225,28 +83,25 @@ constexpr const char* kDefaultCampaign =
 
 int run_faults(int argc, char** argv) {
   using namespace cn;
-  const FaultArgs args = parse_faults(argc, argv);
+  const auto flags =
+      examples::scan_or_usage(argc, argv, 2, " faults", examples::faults_tables());
+  const examples::FaultsArgs args =
+      examples::read_or_exit(argv[0], examples::faults_table(), {}, flags[0]);
   const core::Recipe recipe =
-      recipe_from(argv[0], "lenet", "digits", args.recipe_flags);
+      examples::read_or_exit(argv[0], examples::faults_recipe_table(),
+                             or_exit(argv[0], [] { return core::recipe("lenet", "digits"); }),
+                             flags[2]);
 
   // Load and parse the campaign grid and the sinks first: a bad --config
-  // path or value must fail before minutes of training, not after. Flag
-  // overrides go through KeyValueConfig::set (the parser rejects duplicate
-  // keys).
+  // path or value must fail before minutes of training, not after. The
+  // campaign flags (--chips, --remap, --parallel) beat the file's keys.
   core::KeyValueConfig campaign_cfg;
   faultsim::Campaign campaign = [&] {
     try {
       campaign_cfg = args.config.empty()
           ? core::KeyValueConfig::from_string(kDefaultCampaign)
           : core::KeyValueConfig::from_file(args.config);
-      if (args.chips > 0) campaign_cfg.set("chips", std::to_string(args.chips));
-      if (args.remap) campaign_cfg.set("remap", "1");
-      // Passed through unvalidated on purpose: a bad value (e.g. negative)
-      // must throw from the Campaign ctor like its config-file twin would,
-      // not be silently dropped here.
-      if (args.parallel_set)
-        campaign_cfg.set("parallel_scenarios", std::to_string(args.parallel));
-      return faultsim::campaign_from_config(campaign_cfg);
+      return faultsim::campaign_from_config(campaign_cfg, flags[1]);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bad campaign config%s%s: %s\n",
                    args.config.empty() ? "" : " ", args.config.c_str(), e.what());
@@ -256,7 +111,7 @@ int run_faults(int argc, char** argv) {
   // The campaign's per-scenario progress logs at debug; faults keeps it
   // visible unless the environment, the config or a flag sets the level.
   const obs::Sinks sinks =
-      start_sinks(argv[0], campaign_cfg, args.sinks, obs::LogLevel::kDebug);
+      start_sinks(argv[0], campaign_cfg, flags[3], obs::LogLevel::kDebug);
 
   const data::SplitDataset ds = core::make_dataset(recipe);
   core::PipelineConfig cfg;
@@ -343,10 +198,15 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
-  const Args args = parse(argc, argv);
-  const core::Recipe recipe =
-      recipe_from(argv[0], args.net, args.dataset, args.recipe_flags);
-  const obs::Sinks sinks = start_sinks(argv[0], {}, args.sinks);
+  const auto flags = examples::scan_or_usage(
+      argc, argv, 1, "", examples::cli_tables(),
+      std::string("       ") + argv[0] + " --version\n");
+  const examples::CliArgs args =
+      examples::read_or_exit(argv[0], examples::cli_table(), {}, flags[0]);
+  const core::Recipe recipe = examples::read_or_exit(
+      argv[0], core::recipe_table(),
+      or_exit(argv[0], [&] { return core::recipe(args.net, args.dataset); }), flags[1]);
+  const obs::Sinks sinks = start_sinks(argv[0], {}, flags[2]);
 
   const data::SplitDataset ds = core::make_dataset(recipe);
   core::PipelineConfig cfg;

@@ -21,11 +21,10 @@
 // training.
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "cli_flags.h"
+#include "cli_tables.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "faultsim/fault_models.h"
@@ -67,35 +66,14 @@ std::vector<cn::core::SensitivityPoint> sweep_points(
 
 int main(int argc, char** argv) {
   using namespace cn;
-  using examples::int_flag;
-  using examples::number_flag;
-  double rate = 0.05;
-  int chips = 6;
-  std::optional<int64_t> spare;  // unset = remap comparison off
-  int64_t parallel = 1;          // sweep-point concurrency; 0 = auto
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s [--rate 0..1] [--chips N>=1] [--spare N>=0] "
-                 "[--parallel N>=0 (0 = auto)]\n",
-                 argv[0]);
-    std::exit(2);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (k == "--rate") rate = number_flag(argv[0], k, next());
-    else if (k == "--chips") chips = int_flag<int>(argv[0], k, next());
-    else if (k == "--spare") spare = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--parallel") parallel = int_flag<int64_t>(argv[0], k, next());
-    else usage();
-  }
+  const auto tables = examples::sweep_tables();
+  const auto flags = examples::scan_or_usage(argc, argv, 1, "", tables);
+  const examples::SweepArgs args =
+      examples::read_or_exit(argv[0], examples::sweep_table(), {}, flags[0]);
   // Out-of-range values fail before training, like correctnet_cli faults.
-  if (!(rate >= 0 && rate <= 1) || chips < 1 || spare.value_or(0) < 0 ||
-      parallel < 0)
-    usage();
+  if (!(args.rate >= 0 && args.rate <= 1) || args.chips < 1 ||
+      args.spare.value_or(0) < 0 || args.parallel < 0)
+    examples::usage(argv[0], "", tables);
 
   data::DigitsSpec spec;
   spec.train_count = 800;
@@ -109,35 +87,35 @@ int main(int argc, char** argv) {
   core::train(model, ds.train, ds.test, cfg);
   const float clean = core::evaluate(model, ds.test);
 
-  const faultsim::FaultSpec fault = faultsim::stuck_at(rate);
+  const faultsim::FaultSpec fault = faultsim::stuck_at(args.rate);
   const analog::FaultList flist = fault.list();
   const int64_t sites = static_cast<int64_t>(model.analog_sites().size());
   runtime::ChipFarmOptions fo;
-  fo.instances = chips;
+  fo.instances = args.chips;
   fo.seed = 42;
   const auto sweep =
-      sweep_points(model, flist, fo, ds.test, sites, /*base_seed=*/42, parallel);
+      sweep_points(model, flist, fo, ds.test, sites, /*base_seed=*/42, args.parallel);
 
-  const bool remapping = spare.has_value();
+  const bool remapping = args.spare.has_value();
   std::vector<core::SensitivityPoint> remapped;
   remap::RemapStats absorbed_at_full;
   if (remapping) {
     runtime::ChipFarmOptions ro = fo;
     ro.remap.enabled = true;
-    ro.remap.spare_rows = *spare;
-    ro.remap.spare_cols = *spare;
+    ro.remap.spare_rows = *args.spare;
+    ro.remap.spare_cols = *args.spare;
     // Same base seed: point i runs under the seed the unremapped sweep
     // used, so each pair of rows sees identical defect maps.
     remapped =
-        sweep_points(model, flist, ro, ds.test, sites, /*base_seed=*/42, parallel);
+        sweep_points(model, flist, ro, ds.test, sites, /*base_seed=*/42, args.parallel);
     // Repair accounting at the full-injection point (faults from site 0).
     runtime::ChipFarm rfarm(model, analog::RramDeviceParams{}, ro, flist);
-    for (int64_t s = 0; s < chips; ++s)
+    for (int64_t s = 0; s < args.chips; ++s)
       absorbed_at_full += rfarm.chip_remap_stats(s);
   }
 
   std::printf("\nstuck-at layer sensitivity (rate %.3f, %d chips, clean %.2f%%):\n",
-              rate, chips, 100.0f * clean);
+              args.rate, args.chips, 100.0f * clean);
   if (remapping)
     std::printf("  %-28s %-18s %s\n", "faults injected from site",
                 "no remap", "remap");
@@ -159,7 +137,7 @@ int main(int argc, char** argv) {
     std::printf("\nremap controller at full injection (%d chips, %lld spare "
                 "rows+cols per tile):\n  %lld defective devices, %lld absorbed "
                 "(%lld swapped, %lld spared), %lld residual\n",
-                chips, static_cast<long long>(*spare),
+                args.chips, static_cast<long long>(*args.spare),
                 static_cast<long long>(absorbed_at_full.defects),
                 static_cast<long long>(absorbed_at_full.absorbed()),
                 static_cast<long long>(absorbed_at_full.swapped),

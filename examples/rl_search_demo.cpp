@@ -41,7 +41,7 @@ int main() {
       std::printf("%s%lld", i ? ", " : "", static_cast<long long>(t.filters[i]));
     std::printf("]: overhead %.2f%%, acc %.2f%%, reward %.3f%s\n",
                 100.0 * t.overhead, 100.0 * t.acc_mean, t.reward,
-                t.trained ? "" : " (over budget, skipped)");
+                t.over_budget ? " (over budget, skipped)" : "");
   }
   std::printf("\nbest plan:");
   for (const auto& [idx, m] : out.best_plan.entries)

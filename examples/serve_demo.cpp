@@ -10,37 +10,28 @@
 // drill — N workers of one lane degraded/remapped/evicted between two
 // traffic phases while /healthz is queried through the degraded window.
 //
-// Flags (all optional; numbers parse in full, and a bad or unknown flag
-// exits 2 before training):
-//   sink flags           the observability knob table (obs/sinks.h,
-//                        docs/CONFIG.md), e.g. the /statusz port; /healthz
-//                        stays 503 until the farm is programmed
-//   --linger-s S         keep the process (and the exposition server) alive S
-//                        seconds after serving finishes — lets `curl` inspect
-//                        the endpoints post-run (CI does exactly this)
-//   --slo-p99-ms X       latency objective p99 < X ms (default 50; 0 = off)
-//   --models a,b         serving-policy mode: route across these model ids
-//   --config FILE        serving-policy mode: key=value serving config
-//                        (docs/CONFIG.md serving table); flags override
-//   --queue-limit N      admission: bounded per-model queue
-//   --queue-budget-us N  admission: estimated-wait latency budget
-//   --drill RATE         mid-traffic stuck-at drill at this cell-fault rate
-//   --drill-action A     degrade | evict | remap (default remap)
-//   --drill-hold-s S     hold the process S seconds inside the degraded
-//                        window (statusz live) so an external prober can
-//                        watch /healthz through it
+// Flags (all optional): the rows of serve_tables() (cli_tables.h) — the
+// demo's own (linger, default SLO, serving config file, drill hold), the
+// serving table's flag columns (runtime/serving_config.h: model list,
+// queue limit and budget, drill rate and action; they beat the config
+// file's keys) and the sink flags (obs/sinks.h, docs/CONFIG.md; /healthz
+// stays 503 until the farm is programmed). `--config` or any serving flag
+// selects serving-policy mode. `--linger-s` keeps the process (and the
+// exposition server) alive after serving so `curl` can inspect the
+// endpoints (CI does exactly this); `--drill-hold-s` holds it inside the
+// degraded window so an external prober can watch /healthz through it.
+// Numbers parse in full, and a bad, negative or unknown flag exits 2 before
+// training.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cli_flags.h"
+#include "cli_tables.h"
 #include "core/config.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -109,75 +100,26 @@ PhaseResult run_phase(cn::runtime::ModelRouter& router,
 
 int main(int argc, char** argv) {
   using namespace cn;
-  using examples::int_flag;
-  using examples::number_flag;
-
-  double linger_s = 0;
-  double slo_p99_ms = 50;  // small-model latencies are sub-ms; 50ms = healthy
-  std::string models_flag, config_path, drill_action_flag;
-  std::optional<int64_t> queue_limit, queue_budget_us;
-  double drill_rate = 0;
-  double drill_hold_s = 0;
-  obs::SinkFlags sink_flags;
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s [--linger-s S] [--slo-p99-ms X] [--models a,b] "
-                 "[--config FILE] [--queue-limit N] [--queue-budget-us N] "
-                 "[--drill RATE] [--drill-action degrade|evict|remap] "
-                 "[--drill-hold-s S]\n          %s\n",
-                 argv[0], obs::sink_flags_usage().c_str());
-    std::exit(2);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (k == "--linger-s") linger_s = number_flag(argv[0], k, next());
-    else if (k == "--slo-p99-ms") slo_p99_ms = number_flag(argv[0], k, next());
-    else if (k == "--models") models_flag = next();
-    else if (k == "--config") config_path = next();
-    else if (k == "--queue-limit") queue_limit = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--queue-budget-us") queue_budget_us = int_flag<int64_t>(argv[0], k, next());
-    else if (k == "--drill") drill_rate = number_flag(argv[0], k, next());
-    else if (k == "--drill-action") drill_action_flag = next();
-    else if (k == "--drill-hold-s") drill_hold_s = number_flag(argv[0], k, next());
-    else if (obs::is_sink_flag(k)) sink_flags.emplace_back(k, next());
-    else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], k.c_str());
-      usage();
-    }
-  }
-  if (linger_s < 0 || slo_p99_ms < 0 || drill_rate < 0 || drill_hold_s < 0)
-    usage();
-  const bool policy_mode =
-      !models_flag.empty() || !config_path.empty() || drill_rate > 0;
+  const auto tables = examples::serve_tables();
+  const auto flags = examples::scan_or_usage(argc, argv, 1, "", tables);
+  const examples::ServeArgs args =
+      examples::read_or_exit(argv[0], examples::serve_table(), {}, flags[0]);
+  if (args.linger_s < 0 || args.slo_p99_ms < 0 || args.drill_hold_s < 0)
+    examples::usage(argv[0], "", tables);
+  const bool policy_mode = !args.config.empty() || !flags[1].empty();
 
   // Everything that can reject the command line runs before training: the
   // serving config (file and flag overrides) and the sinks.
-  runtime::ServingConfig sc;
-  try {
-    if (policy_mode) {
-      core::KeyValueConfig kcfg;
-      if (!config_path.empty()) kcfg = core::KeyValueConfig::from_file(config_path);
-      if (!models_flag.empty()) kcfg.set("models", models_flag);
-      if (queue_limit) kcfg.set("queue_limit", std::to_string(*queue_limit));
-      if (queue_budget_us)
-        kcfg.set("queue_budget_us", std::to_string(*queue_budget_us));
-      if (drill_rate > 0) {
-        kcfg.set("drill.kind", "stuck_at");
-        kcfg.set("drill.severity", std::to_string(drill_rate));
-      }
-      if (!drill_action_flag.empty()) kcfg.set("drill.action", drill_action_flag);
-      sc = runtime::serving_from_config(kcfg);
-    }
-    // Not ready until an InferenceServer has programmed its chips.
-    obs::start(obs::read_sinks({}, sink_flags), /*ready=*/false);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
-  }
+  const runtime::ServingConfig sc = examples::or_exit(argv[0], [&] {
+    const core::KeyValueConfig kcfg = args.config.empty()
+        ? core::KeyValueConfig{}
+        : core::KeyValueConfig::from_file(args.config);
+    return runtime::serving_from_config(kcfg, flags[1]);
+  });
+  // Not ready until an InferenceServer has programmed its chips.
+  examples::or_exit(argv[0], [&] {
+    obs::start(obs::read_sinks({}, flags[2]), /*ready=*/false);
+  });
 
   std::printf("== serve_demo: micro-batched inference over a chip farm ==\n");
 
@@ -212,7 +154,7 @@ int main(int argc, char** argv) {
       so.queue_limit = sc.queue_limit;
       so.queue_budget_us = sc.queue_budget_us;
       so.admission_burn_max = sc.admission_burn_max;
-      so.slo_p99_ms = sc.slo_p99_ms > 0 ? sc.slo_p99_ms : slo_p99_ms;
+      so.slo_p99_ms = sc.slo_p99_ms > 0 ? sc.slo_p99_ms : args.slo_p99_ms;
       if (crossbar) {
         // Drills inject device faults: lanes need the crossbar substrate.
         analog::RramDeviceParams dev;
@@ -270,12 +212,12 @@ int main(int argc, char** argv) {
         srv->handle("/healthz", &code);
         std::printf("[drill] healthz during drill: %d\n", code);
       }
-      if (drill_hold_s > 0) {
+      if (args.drill_hold_s > 0) {
         std::printf("[drill] holding degraded window %.1fs for external "
                     "probes...\n",
-                    drill_hold_s);
+                    args.drill_hold_s);
         std::fflush(stdout);
-        std::this_thread::sleep_for(std::chrono::duration<double>(drill_hold_s));
+        std::this_thread::sleep_for(std::chrono::duration<double>(args.drill_hold_s));
       }
       std::printf("[serve] phase 2 (degraded): %lld ok, %lld rejected, "
                   "%lld failed, accuracy %.3f\n",
@@ -293,11 +235,11 @@ int main(int argc, char** argv) {
         static_cast<long long>(before.failed + after.failed);
     std::printf("[serve] failed futures: %lld\n", failed);
 
-    if (linger_s > 0) {
+    if (args.linger_s > 0) {
       std::printf("[obs] lingering %.1fs for endpoint inspection...\n",
-                  linger_s);
+                  args.linger_s);
       std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
+      std::this_thread::sleep_for(std::chrono::duration<double>(args.linger_s));
     }
     std::printf("done.\n");
     return failed == 0 ? 0 : 1;
@@ -318,7 +260,7 @@ int main(int argc, char** argv) {
   so.max_batch = 16;
   so.max_wait_us = 1500;
   so.workers = 2;
-  so.slo_p99_ms = slo_p99_ms;  // server ctor flips /healthz to ready
+  so.slo_p99_ms = args.slo_p99_ms;  // server ctor flips /healthz to ready
   runtime::InferenceServer server(farm, so);
 
   constexpr int kClients = 3;
@@ -360,12 +302,12 @@ int main(int argc, char** argv) {
   std::printf("[serve] accuracy under variation: %.3f\n",
               static_cast<double>(correct) / static_cast<double>(futs.size()));
 
-  if (linger_s > 0) {
+  if (args.linger_s > 0) {
     // The server object (and its /statusz section) stays alive through the
     // linger so curl sees the full page.
-    std::printf("[obs] lingering %.1fs for endpoint inspection...\n", linger_s);
+    std::printf("[obs] lingering %.1fs for endpoint inspection...\n", args.linger_s);
     std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
+    std::this_thread::sleep_for(std::chrono::duration<double>(args.linger_s));
   }
   std::printf("done.\n");
   return 0;

@@ -1,9 +1,7 @@
 #include "core/config.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,16 +9,85 @@
 namespace cn::core {
 
 namespace {
-int64_t env_int(const char* name, int64_t def, int64_t min) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return def;
+
+std::string trimmed(const std::string& s) {
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return "";
+  const auto e = s.find_last_not_of(" \t\r");
+  return s.substr(b, e - b + 1);
+}
+
+// The non-empty trimmed cells of a comma-separated list.
+std::vector<std::string> cells(const std::string& v) {
+  std::vector<std::string> out;
+  std::istringstream is(v);
+  std::string cell;
+  while (std::getline(is, cell, ','))
+    if (!(cell = trimmed(cell)).empty()) out.push_back(cell);
+  return out;
+}
+
+}  // namespace
+
+void bad_value(const std::string& want, const std::string& v) {
+  throw std::invalid_argument("expects " + want + ", got '" + v + "'");
+}
+
+// Each parse must consume all of `v` ('1O', '3x' and '' all fail), so a
+// typo can never silently parse as its prefix.
+int64_t integer_in(const std::string& v, int64_t lo, int64_t hi, bool show_floor) {
+  size_t pos = 0;
   int64_t n = 0;
-  if (!parse_integer(v, n) || n < min || n > std::numeric_limits<int>::max())
-    throw std::invalid_argument(std::string(name) + " expects an integer >= " +
-                                std::to_string(min) + ", got '" + v + "'");
+  try {
+    n = std::stoll(v, &pos);
+  } catch (...) {
+  }
+  if (pos == 0 || pos != v.size() || n < lo || n > hi)
+    bad_value(show_floor ? "an integer >= " + std::to_string(lo) : "an integer", v);
   return n;
 }
-}  // namespace
+
+double number(const std::string& v) {
+  size_t pos = 0;
+  double x = 0.0;
+  try {
+    x = std::stod(v, &pos);
+  } catch (...) {
+  }
+  if (pos == 0 || pos != v.size()) bad_value("a number", v);
+  return x;
+}
+
+bool switch01(const std::string& v) {
+  if (v != "0" && v != "1") bad_value("0 or 1", v);
+  return v == "1";
+}
+
+std::vector<int64_t> integers(const std::string& v) {
+  std::vector<int64_t> out;
+  for (const std::string& cell : cells(v)) out.push_back(integer<int64_t>(cell));
+  return out;
+}
+
+std::vector<double> numbers(const std::string& v) {
+  std::vector<double> out;
+  for (const std::string& cell : cells(v)) out.push_back(number(cell));
+  return out;
+}
+
+const Knobs<RuntimeConfig>& runtime_table() {
+  // MC = 0 skips Monte-Carlo; a zero epoch scale still trains one epoch.
+  using C = RuntimeConfig;
+  using V = const std::string&;
+  static const Knobs<RuntimeConfig> rows = {
+      {"CORRECTNET_MC", "", "", "", [](C& c, V v) { c.mc_samples = integer<int>(v, 0); }},
+      {"CORRECTNET_EPOCHS", "", "", "",
+       [](C& c, V v) { c.epoch_scale = integer<int>(v, 0) / 100.0; }},
+      {"CORRECTNET_TRAIN", "", "", "", [](C& c, V v) { c.train_cap = integer<int>(v, 1); }},
+      {"CORRECTNET_TEST", "", "", "", [](C& c, V v) { c.test_cap = integer<int>(v, 1); }},
+  };
+  return rows;
+}
 
 int RuntimeConfig::epochs(int base) const {
   return std::max(1, static_cast<int>(base * epoch_scale + 0.5));
@@ -28,12 +95,7 @@ int RuntimeConfig::epochs(int base) const {
 
 RuntimeConfig RuntimeConfig::from_env() {
   RuntimeConfig c;
-  // MC = 0 skips Monte-Carlo; a zero epoch scale still trains one epoch.
-  c.mc_samples = static_cast<int>(env_int("CORRECTNET_MC", c.mc_samples, 0));
-  c.epoch_scale =
-      static_cast<double>(env_int("CORRECTNET_EPOCHS", 100, 0)) / 100.0;
-  c.train_cap = env_int("CORRECTNET_TRAIN", c.train_cap, 1);
-  c.test_cap = env_int("CORRECTNET_TEST", c.test_cap, 1);
+  read_knobs(runtime_table(), c);
   return c;
 }
 
@@ -41,35 +103,6 @@ const RuntimeConfig& RuntimeConfig::get() {
   static const RuntimeConfig cfg = from_env();
   return cfg;
 }
-
-bool parse_integer(const std::string& s, int64_t& out) {
-  size_t pos = 0;
-  try {
-    out = std::stoll(s, &pos);
-  } catch (...) {
-    return false;
-  }
-  return pos == s.size();
-}
-
-bool parse_number(const std::string& s, double& out) {
-  size_t pos = 0;
-  try {
-    out = std::stod(s, &pos);
-  } catch (...) {
-    return false;
-  }
-  return pos == s.size();
-}
-
-namespace {
-std::string trimmed(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-}  // namespace
 
 KeyValueConfig KeyValueConfig::from_file(const std::string& path) {
   std::ifstream is(path);
@@ -115,16 +148,6 @@ KeyValueConfig KeyValueConfig::from_string(const std::string& text) {
   return cfg;
 }
 
-void KeyValueConfig::set(const std::string& key, const std::string& value) {
-  for (auto& kv : kv_) {
-    if (kv.first == key) {
-      kv.second = value;
-      return;
-    }
-  }
-  kv_.emplace_back(key, value);
-}
-
 void KeyValueConfig::validate_keys(const std::vector<std::string>& known) const {
   std::string unknown;
   for (const auto& kv : kv_) {
@@ -145,48 +168,6 @@ const std::string* KeyValueConfig::find(const std::string& key) const {
 std::string KeyValueConfig::str(const std::string& key, const std::string& def) const {
   const std::string* v = find(key);
   return v ? *v : def;
-}
-
-int64_t KeyValueConfig::integer(const std::string& key, int64_t def) const {
-  const std::string* v = find(key);
-  if (!v || v->empty()) return def;
-  int64_t parsed = 0;
-  // Partial parses fail loudly: '1O' silently meaning 1 would mis-size runs.
-  if (!parse_integer(*v, parsed))
-    throw std::runtime_error("KeyValueConfig: unparsable integer '" + *v +
-                             "' in key '" + key + "'");
-  return parsed;
-}
-
-double KeyValueConfig::number(const std::string& key, double def) const {
-  const std::string* v = find(key);
-  if (!v || v->empty()) return def;
-  double parsed = 0.0;
-  if (!parse_number(*v, parsed))
-    throw std::runtime_error("KeyValueConfig: unparsable number '" + *v +
-                             "' in key '" + key + "'");
-  return parsed;
-}
-
-std::vector<double> KeyValueConfig::numbers(const std::string& key,
-                                            std::vector<double> def) const {
-  const std::string* v = find(key);
-  if (!v) return def;
-  std::vector<double> out;
-  std::istringstream is(*v);
-  std::string cell;
-  while (std::getline(is, cell, ',')) {
-    cell = trimmed(cell);
-    if (cell.empty()) continue;
-    // A typo'd cell must fail loudly: silently dropping it would shrink a
-    // campaign grid with no trace in the report.
-    double parsed = 0.0;
-    if (!parse_number(cell, parsed))
-      throw std::runtime_error("KeyValueConfig: unparsable number '" + cell +
-                               "' in key '" + key + "'");
-    out.push_back(parsed);
-  }
-  return out;
 }
 
 }  // namespace cn::core

@@ -1,25 +1,175 @@
-// Experiment scaling knobs, read once from the environment.
-//
-// The paper's experiments (250 variation samples, full datasets, GPU
-// training) are scaled to CPU budgets by default; every knob can be raised
-// to paper fidelity:
-//   CORRECTNET_MC      Monte-Carlo variation samples per point (default 25)
-//   CORRECTNET_EPOCHS  multiplier (x100) on training epochs  (default 100 = 1.0x)
-//   CORRECTNET_TRAIN   training-set size cap                  (default none)
-//   CORRECTNET_TEST    test-set size cap                      (default 800)
-// Each value must parse in full as an integer (>= 0 for MC and EPOCHS, >= 1
-// for the caps): '1O' or 'abc' throws std::invalid_argument naming the
-// variable instead of running a prefix or the default.
+// The one knob table: every environment variable, config key and
+// command-line flag is one Knob row of a table over the struct it sets
+// (docs/CONFIG.md lists them all). A row parses its value with one strict
+// parser per type; a bad value throws std::invalid_argument naming the
+// spelling ("--chips expects an integer, got '1O'"). read_knobs layers the
+// environment, a KeyValueConfig, then flags (flag > key > env) without side
+// effects; the key lists, usage lines and the argv scanner derive from the
+// rows.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace cn::core {
 
+// ---------- strict value parsers: all of `v` or invalid_argument ----------
+
+/// Throws std::invalid_argument("expects <want>, got '<v>'").
+[[noreturn]] void bad_value(const std::string& want, const std::string& v);
+/// An integer in [lo, hi]; the message names "an integer >= lo" when
+/// `show_floor`, else "an integer".
+int64_t integer_in(const std::string& v, int64_t lo, int64_t hi, bool show_floor);
+/// An integer in the range of I and, when given, not below `floor`.
+template <typename I>
+I integer(const std::string& v, I floor = std::numeric_limits<I>::min()) {
+  static_assert(std::is_signed_v<I>, "knob integers are signed");
+  return static_cast<I>(integer_in(v, floor, std::numeric_limits<I>::max(),
+                                   floor != std::numeric_limits<I>::min()));
+}
+double number(const std::string& v);
+bool switch01(const std::string& v);  // "0" or "1"
+/// Comma-separated, whitespace-trimmed cells, each parsed as above; empty
+/// cells are skipped, so "" is the empty list.
+std::vector<int64_t> integers(const std::string& v);
+std::vector<double> numbers(const std::string& v);
+
+/// `key = value` config-file reader: one pair per line, '#' starts a comment,
+/// whitespace around keys and values is trimmed. A non-blank line without
+/// '=', a duplicate key and a config with no pairs (an empty file) throw
+/// std::runtime_error. read_knobs parses the values through the rows.
+class KeyValueConfig {
+ public:
+  KeyValueConfig() = default;
+  /// Throws std::runtime_error when the file cannot be opened or parsed.
+  static KeyValueConfig from_file(const std::string& path);
+  static KeyValueConfig from_string(const std::string& text);
+
+  bool has(const std::string& key) const { return find(key) != nullptr; }
+  /// Throws std::runtime_error naming every key not in `known` (knob_keys),
+  /// so an unknown (typo'd) key cannot be silently ignored.
+  void validate_keys(const std::vector<std::string>& known) const;
+  std::string str(const std::string& key, const std::string& def = "") const;
+
+ private:
+  const std::string* find(const std::string& key) const;
+  std::vector<std::pair<std::string, std::string>> kv_;
+};
+
+/// One knob over a target struct T: its env variable, config key and flag
+/// ("" when absent), and the flag's value in usage lines ("" makes the flag
+/// a switch that takes no value and reads as "1").
+template <typename T>
+struct Knob {
+  const char* env;
+  const char* key;
+  const char* flag;
+  const char* value;
+  void (*set)(T&, const std::string&);  // strict; throws on a bad value
+};
+template <typename T>
+using Knobs = std::vector<Knob<T>>;
+/// The tables one command reads, in scan order.
+template <typename... T>
+using KnobTables = std::tuple<const Knobs<T>&...>;
+/// Command-line (flag, value) pairs in the order given.
+using Flags = std::vector<std::pair<std::string, std::string>>;
+
+template <typename T>
+const Knob<T>* flag_row(const Knobs<T>& table, const std::string& flag) {
+  for (const Knob<T>& row : table)
+    if (*row.flag && flag == row.flag) return &row;
+  return nullptr;
+}
+
+template <typename T>
+std::vector<std::string> knob_keys(const Knobs<T>& table) {
+  std::vector<std::string> keys;
+  for (const Knob<T>& row : table)
+    if (*row.key) keys.emplace_back(row.key);
+  return keys;
+}
+
+/// Layers env < key < flag into `out`. An unset or empty env variable is no
+/// value; a flag with no row throws.
+template <typename T>
+void read_knobs(const Knobs<T>& table, T& out, const KeyValueConfig& cfg = {},
+                const Flags& flags = {}) {
+  auto apply = [&out](const Knob<T>& row, const std::string& spelling,
+                      const std::string& v) {
+    try {
+      row.set(out, v);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(spelling + " " + e.what());
+    }
+  };
+  for (const Knob<T>& row : table) {
+    const char* v = *row.env ? std::getenv(row.env) : nullptr;
+    if (v && *v) apply(row, row.env, v);
+  }
+  for (const Knob<T>& row : table)
+    if (*row.key && cfg.has(row.key)) apply(row, row.key, cfg.str(row.key));
+  for (const auto& [flag, v] : flags) {
+    const Knob<T>* row = flag_row(table, flag);
+    if (!row) throw std::invalid_argument("unknown flag " + flag);
+    apply(*row, flag, v);
+  }
+}
+
+/// "[--flag VALUE] [--switch] ..." per table with flags, joined by
+/// "\n" + indent.
+template <typename... T>
+std::string tables_usage(const KnobTables<T...>& tables, const std::string& indent) {
+  std::string out;
+  auto add = [&](const auto& table) {
+    std::string line;
+    for (const auto& row : table)
+      if (*row.flag)
+        line += std::string(line.empty() ? "[" : " [") + row.flag +
+                (*row.value ? std::string(" ") + row.value : "") + "]";
+    if (!line.empty()) out += (out.empty() ? "" : "\n" + indent) + line;
+  };
+  std::apply([&](const auto&... t) { (add(t), ...); }, tables);
+  return out;
+}
+
+/// Scans argv[first..] into one Flags list per table. An argument that is
+/// no table's flag, or a value flag at the end of argv, throws
+/// std::invalid_argument; read_knobs parses the values.
+template <typename... T>
+std::array<Flags, sizeof...(T)> scan_flags(int argc, char** argv, int first,
+                                           const KnobTables<T...>& tables) {
+  std::array<Flags, sizeof...(T)> out;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    bool found = false;
+    size_t k = 0;
+    auto try_table = [&](const auto& table) {
+      const auto* row = found ? nullptr : flag_row(table, arg);
+      if (row && !*row->value) out[k].emplace_back(arg, "1");
+      else if (row && i + 1 < argc) out[k].emplace_back(arg, argv[++i]);
+      else if (row) throw std::invalid_argument(arg + " needs a value");
+      found = found || row;
+      ++k;
+    };
+    std::apply([&](const auto&... t) { (try_table(t), ...); }, tables);
+    if (!found) throw std::invalid_argument("unknown flag " + arg);
+  }
+  return out;
+}
+
+/// Experiment scaling knobs, read once from the environment (runtime_table;
+/// docs/CONFIG.md). The paper's experiments (250 variation samples, full
+/// datasets, GPU training) are scaled to CPU budgets by default; every knob
+/// can be raised to paper fidelity.
 struct RuntimeConfig {
   int mc_samples = 25;
   double epoch_scale = 1.0;
@@ -35,51 +185,6 @@ struct RuntimeConfig {
   static const RuntimeConfig& get();
 };
 
-/// Full-consumption numeric parsing, shared by KeyValueConfig's getters and
-/// the CLI flags: false unless all of `s` is one number ('1O', '3x' and ''
-/// all fail), so a typo can never silently parse as its prefix.
-bool parse_integer(const std::string& s, int64_t& out);
-bool parse_number(const std::string& s, double& out);
-
-/// Minimal `key = value` config-file reader: one pair per line, '#' starts a
-/// comment, whitespace around keys and values is trimmed. The parser fails
-/// loudly on anything that would silently reshape an experiment: a non-blank
-/// line without '=', a key that appears twice, and a config with no pairs at
-/// all (e.g. an empty file) each throw std::runtime_error. Programmatic
-/// overrides (a CLI flag beating a file value) go through set(). Values
-/// parse on access: the caller default covers absent or empty keys, while a
-/// present value that does not fully parse throws. Drives the fault-campaign
-/// CLI (faultsim keys like `stuck.rates`, `drift.times`, `thermal.temps`;
-/// see faultsim::campaign_from_config). docs/CONFIG.md is the per-key
-/// reference; its campaign table is test-enforced against the declared
-/// validate_keys set (faultsim::campaign_config_keys).
-class KeyValueConfig {
- public:
-  KeyValueConfig() = default;
-  /// Throws std::runtime_error when the file cannot be opened or parsed.
-  static KeyValueConfig from_file(const std::string& path);
-  static KeyValueConfig from_string(const std::string& text);
-
-  bool has(const std::string& key) const { return find(key) != nullptr; }
-  /// Sets or replaces a key: the override layer on top of a parsed file.
-  void set(const std::string& key, const std::string& value);
-  /// Throws std::runtime_error naming every key not in `known` — consumers
-  /// declare their key set so an unknown (typo'd) key cannot be silently
-  /// ignored.
-  void validate_keys(const std::vector<std::string>& known) const;
-
-  std::string str(const std::string& key, const std::string& def = "") const;
-  int64_t integer(const std::string& key, int64_t def) const;
-  double number(const std::string& key, double def) const;
-  /// Comma-separated numeric list; `def` when the key is absent. Unlike the
-  /// scalar getters, an unparsable cell throws (a dropped severity value
-  /// would silently shrink a campaign grid).
-  std::vector<double> numbers(const std::string& key,
-                              std::vector<double> def = {}) const;
-
- private:
-  const std::string* find(const std::string& key) const;
-  std::vector<std::pair<std::string, std::string>> kv_;
-};
+const Knobs<RuntimeConfig>& runtime_table();
 
 }  // namespace cn::core

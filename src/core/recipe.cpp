@@ -55,6 +55,25 @@ Recipe recipe(const std::string& net, const std::string& dataset) {
   return r;
 }
 
+const Knobs<Recipe>& recipe_table() {
+  using R = Recipe;
+  using V = const std::string&;
+  static const Knobs<Recipe> rows = {
+      {"", "", "--epochs", "N", [](R& r, V v) { r.epochs = integer<int>(v); }},
+      {"", "", "--comp-epochs", "N", [](R& r, V v) { r.comp_epochs = integer<int>(v); }},
+      {"", "", "--sigma", "S", [](R& r, V v) { r.sigma = static_cast<float>(number(v)); }},
+      {"", "", "--train", "N", [](R& r, V v) { r.train_count = integer<int64_t>(v); }},
+      {"", "", "--test", "N", [](R& r, V v) { r.test_count = integer<int64_t>(v); }},
+      {"", "", "--beta", "B", [](R& r, V v) { r.lip_beta = static_cast<float>(number(v)); }},
+      {"", "", "--lambda-min", "L",
+       [](R& r, V v) { r.lip_lambda_min = static_cast<float>(number(v)); }},
+      {"", "", "--warmup", "N", [](R& r, V v) { r.lip_warmup = integer<int>(v); }},
+      {"", "", "--ratio", "R", [](R& r, V v) { r.fixed_ratio = static_cast<float>(number(v)); }},
+      {"", "", "--max-layers", "N", [](R& r, V v) { r.max_comp_layers = integer<int64_t>(v); }},
+  };
+  return rows;
+}
+
 data::DigitsSpec digits_spec(const Recipe& r) {
   data::DigitsSpec spec;
   spec.train_count = r.train_count;

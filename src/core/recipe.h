@@ -9,7 +9,8 @@
 // VGG on digits and LeNet on objects100 have no recipe.
 //
 // The paper driver, correctnet_cli and the examples all start from
-// recipe(); flags, CORRECTNET_* scaling and smoke sizes override its fields.
+// recipe(); flags (recipe_table), CORRECTNET_* scaling and smoke sizes
+// override its fields.
 // The paper driver's cache names hash these values (bench/common.h
 // train_key), so a change here retrains every cached model.
 #pragma once
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/config.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "nn/sequential.h"
@@ -50,6 +52,11 @@ struct Recipe {
 /// objects100). Throws std::invalid_argument naming an unknown value or a
 /// pair with no recipe.
 Recipe recipe(const std::string& net, const std::string& dataset);
+
+/// The training flags, each overriding one value of a recipe; `correctnet_cli
+/// faults` takes the first kSharedRecipeFlags.
+const Knobs<Recipe>& recipe_table();
+constexpr size_t kSharedRecipeFlags = 5;
 
 data::DigitsSpec digits_spec(const Recipe& r);
 /// data::objects_preset at the recipe's class count and sizes.

@@ -35,13 +35,12 @@ ExploredPlan evaluate_plan(const nn::Sequential& model, const data::Dataset& tra
 
   if (result.overhead > cfg.overhead_limit) {
     // Over budget: negative reward, skip training (paper's fast path).
+    result.over_budget = true;
     result.reward = -static_cast<float>(result.overhead);
     return result;
   }
-  if (!plan.empty()) {
+  if (!plan.empty())
     train_compensation(candidate, train_set, test_set, cfg.comp_train);
-    result.trained = true;
-  }
   const McResult mc = mc_accuracy(candidate, test_set, cfg.variation, cfg.mc);
   result.acc_mean = mc.mean;
   result.acc_std = mc.stddev;

@@ -40,7 +40,7 @@ struct ExploredPlan {
   double acc_mean = 0.0;
   double acc_std = 0.0;
   float reward = 0.0f;
-  bool trained = false;  // false when skipped for exceeding the limit
+  bool over_budget = false;  // over the limit: neither trained nor scored
 };
 
 struct SearchOutcome {

@@ -124,6 +124,8 @@ Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
   analog::validate_device(opts_.dev);
   if (opts_.chips < 1)
     throw std::invalid_argument("Campaign: need at least one chip per scenario");
+  if (opts_.batch_size < 1)
+    throw std::invalid_argument("Campaign: batch must be >= 1");
   if (opts_.parallel_scenarios < 0)
     throw std::invalid_argument(
         "Campaign: parallel_scenarios must be >= 0 (0 = auto)");
@@ -318,56 +320,64 @@ CampaignReport Campaign::run(const data::Dataset& test) {
   return report;
 }
 
-const std::vector<std::string>& campaign_config_keys() {
-  // The single source of truth for the campaign's own keys: validate_keys
-  // enforces them (with the sink keys) at parse time and tests/test_config.cpp
-  // diffs docs/CONFIG.md against them, so a key added here without
-  // documentation (or vice versa) fails tier-1.
-  static const std::vector<std::string> keys = {
-      "chips", "seed", "batch", "catastrophic", "tile", "control",
-      "parallel_scenarios",
-      "program_sigma", "read_sigma", "adc_bits", "dac_bits", "levels",
-      "stuck.rates", "stuck.high_fraction", "drift.times", "drift.nu",
-      "drift.nu_sigma", "ir.alphas", "thermal.temps", "thermal.t0",
-      "remap", "remap.spare_rows", "remap.spare_cols", "remap.pair_swap",
+const core::Knobs<CampaignSpec>& campaign_table() {
+  using core::integer, core::number, core::numbers;
+  using S = CampaignSpec;
+  using V = const std::string&;
+  static const core::Knobs<CampaignSpec> rows = {
+      {"", "chips", "--chips", "N", [](S& s, V v) { s.opts.chips = integer<int64_t>(v); }},
+      {"", "seed", "", "",
+       [](S& s, V v) { s.opts.seed = static_cast<uint64_t>(integer<int64_t>(v)); }},
+      {"", "batch", "", "", [](S& s, V v) { s.opts.batch_size = integer<int64_t>(v); }},
+      {"", "catastrophic", "", "", [](S& s, V v) { s.opts.catastrophic_below = number(v); }},
+      {"", "tile", "", "", [](S& s, V v) { s.opts.tile = integer<int64_t>(v); }},
+      {"", "control", "", "", [](S& s, V v) { s.control = integer<int64_t>(v) != 0; }},
+      {"", "parallel_scenarios", "--parallel", "N",
+       [](S& s, V v) { s.opts.parallel_scenarios = integer<int64_t>(v); }},
+      {"", "program_sigma", "", "",
+       [](S& s, V v) { s.opts.dev.program_sigma = static_cast<float>(number(v)); }},
+      {"", "read_sigma", "", "",
+       [](S& s, V v) { s.opts.dev.readout.read_sigma = static_cast<float>(number(v)); }},
+      {"", "adc_bits", "", "", [](S& s, V v) { s.opts.dev.readout.adc_bits = integer<int>(v); }},
+      {"", "dac_bits", "", "", [](S& s, V v) { s.opts.dev.readout.dac_bits = integer<int>(v); }},
+      {"", "levels", "", "", [](S& s, V v) { s.opts.dev.conductance_levels = integer<int>(v); }},
+      {"", "stuck.rates", "", "", [](S& s, V v) { s.stuck_rates = numbers(v); }},
+      {"", "stuck.high_fraction", "", "", [](S& s, V v) { s.stuck_high_fraction = number(v); }},
+      {"", "drift.times", "", "", [](S& s, V v) { s.drift_times = numbers(v); }},
+      {"", "drift.nu", "", "", [](S& s, V v) { s.drift_nu = number(v); }},
+      {"", "drift.nu_sigma", "", "", [](S& s, V v) { s.drift_nu_sigma = number(v); }},
+      {"", "ir.alphas", "", "", [](S& s, V v) { s.ir_alphas = numbers(v); }},
+      {"", "thermal.temps", "", "", [](S& s, V v) { s.thermal_temps = numbers(v); }},
+      {"", "thermal.t0", "", "", [](S& s, V v) { s.thermal_t0 = number(v); }},
+      {"", "remap", "--remap", "",
+       [](S& s, V v) { s.opts.remap.enabled = integer<int64_t>(v) != 0; }},
+      {"", "remap.spare_rows", "", "",
+       [](S& s, V v) { s.opts.remap.spare_rows = integer<int64_t>(v); }},
+      {"", "remap.spare_cols", "", "",
+       [](S& s, V v) { s.opts.remap.spare_cols = integer<int64_t>(v); }},
+      {"", "remap.pair_swap", "", "",
+       [](S& s, V v) { s.opts.remap.pair_swap = integer<int64_t>(v) != 0; }},
   };
-  return keys;
+  return rows;
 }
 
-Campaign campaign_from_config(const core::KeyValueConfig& cfg) {
+std::vector<std::string> campaign_config_keys() { return core::knob_keys(campaign_table()); }
+
+Campaign campaign_from_config(const core::KeyValueConfig& cfg, const core::Flags& flags) {
   // A typo'd key must fail loudly, not silently drop a scenario axis. Sink
   // keys belong to the frontend's obs::read_sinks, not to the campaign.
   std::vector<std::string> known = campaign_config_keys();
   for (std::string& k : obs::sink_config_keys()) known.push_back(std::move(k));
   cfg.validate_keys(known);
-  CampaignOptions opts;
-  opts.chips = cfg.integer("chips", opts.chips);
-  opts.seed = static_cast<uint64_t>(cfg.integer("seed", static_cast<int64_t>(opts.seed)));
-  opts.batch_size = cfg.integer("batch", opts.batch_size);
-  opts.tile = cfg.integer("tile", opts.tile);
-  opts.parallel_scenarios =
-      cfg.integer("parallel_scenarios", opts.parallel_scenarios);
-  opts.catastrophic_below = cfg.number("catastrophic", opts.catastrophic_below);
-  opts.dev.program_sigma = static_cast<float>(cfg.number("program_sigma", 0.0));
-  opts.dev.readout.read_sigma = static_cast<float>(cfg.number("read_sigma", 0.0));
-  opts.dev.readout.adc_bits = static_cast<int>(cfg.integer("adc_bits", 0));
-  opts.dev.readout.dac_bits = static_cast<int>(cfg.integer("dac_bits", 0));
-  opts.dev.conductance_levels = static_cast<int>(cfg.integer("levels", 0));
-  opts.remap.enabled = cfg.integer("remap", 0) != 0;
-  opts.remap.spare_rows = cfg.integer("remap.spare_rows", opts.remap.spare_rows);
-  opts.remap.spare_cols = cfg.integer("remap.spare_cols", opts.remap.spare_cols);
-  opts.remap.pair_swap = cfg.integer("remap.pair_swap", 1) != 0;
+  CampaignSpec s;
+  core::read_knobs(campaign_table(), s, cfg, flags);
 
-  Campaign c(opts);
-  if (cfg.integer("control", 1) != 0) c.add_fault(fault_free());
-  const double high_frac = cfg.number("stuck.high_fraction", 0.5);
-  for (double r : cfg.numbers("stuck.rates")) c.add_fault(stuck_at(r, high_frac));
-  const double nu = cfg.number("drift.nu", 0.05);
-  const double nu_sigma = cfg.number("drift.nu_sigma", 0.02);
-  for (double t : cfg.numbers("drift.times")) c.add_fault(drift(t, nu, nu_sigma));
-  for (double a : cfg.numbers("ir.alphas")) c.add_fault(ir_drop(a));
-  const double t0 = cfg.number("thermal.t0", 300.0);
-  for (double t : cfg.numbers("thermal.temps")) c.add_fault(thermal(t, t0));
+  Campaign c(s.opts);
+  if (s.control) c.add_fault(fault_free());
+  for (double r : s.stuck_rates) c.add_fault(stuck_at(r, s.stuck_high_fraction));
+  for (double t : s.drift_times) c.add_fault(drift(t, s.drift_nu, s.drift_nu_sigma));
+  for (double a : s.ir_alphas) c.add_fault(ir_drop(a));
+  for (double t : s.thermal_temps) c.add_fault(thermal(t, s.thermal_t0));
   return c;
 }
 

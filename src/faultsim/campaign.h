@@ -131,6 +131,8 @@ class Campaign {
   bool remap_enabled() const { return opts_.remap.enabled; }
   /// The scenario-concurrency knob (0 = auto); frontends print it.
   int64_t parallel_scenarios() const { return opts_.parallel_scenarios; }
+  /// Chip instances per scenario.
+  int64_t chips() const { return opts_.chips; }
   /// Grid size = fault specs x protection variants x remap variants.
   int64_t num_scenarios() const {
     return num_models() * num_faults() * (opts_.remap.enabled ? 2 : 1);
@@ -160,30 +162,35 @@ class Campaign {
   std::vector<FaultSpec> faults_;
 };
 
-/// The campaign's own config keys. campaign_from_config validates a config
-/// against these plus the sink table's keys (obs::sink_config_keys), which
-/// it accepts but leaves to the frontend's obs::read_sinks. Exposed so
-/// docs/CONFIG.md can be test-enforced against the code
-/// (tests/test_config.cpp diffs the documented table against this list).
-const std::vector<std::string>& campaign_config_keys();
+/// What a campaign config describes: the options plus the fault grid.
+struct CampaignSpec {
+  CampaignOptions opts;
+  bool control = true;  // include the fault-free control scenario
+  std::vector<double> stuck_rates;
+  double stuck_high_fraction = 0.5;
+  std::vector<double> drift_times;
+  double drift_nu = 0.05;
+  double drift_nu_sigma = 0.02;
+  std::vector<double> ir_alphas;
+  std::vector<double> thermal_temps;
+  double thermal_t0 = 300.0;
+};
 
-/// Builds a campaign grid from config-file keys (core::KeyValueConfig);
-/// docs/CONFIG.md is the per-key reference (type, default, validation),
-/// kept honest by a tier-1 test. Summary:
-///   chips, seed, batch, catastrophic, tile    — CampaignOptions scalars
-///   parallel_scenarios = 0|1|N — scenario-level concurrency (0 = auto)
-///   program_sigma, read_sigma, adc_bits, dac_bits, levels — baseline device
-///   control = 0|1            — include the fault-free control scenario (default 1)
-///   stuck.rates = 0.001,0.01 — stuck-at severity grid (stuck.high_fraction)
-///   drift.times = 10,1000    — drift t/t0 grid (drift.nu, drift.nu_sigma)
-///   ir.alphas = 0.05,0.1     — IR-drop attenuation grid
-///   thermal.temps = 350,400  — temperature grid (thermal.t0)
-///   remap = 0|1              — fault-aware remapping protection axis
-///     (remap.spare_rows / remap.spare_cols — per-tile spare budget,
-///      remap.pair_swap = 0|1 — differential-pair partner re-programming)
-/// Sink keys are accepted and ignored; reading them has no side effect.
-/// Unknown keys throw (validate_keys): a typo must not silently drop a
-/// scenario axis. Models are registered by the caller, not the config.
-Campaign campaign_from_config(const core::KeyValueConfig& cfg);
+/// The campaign's config keys, one core::Knob row each; `--chips`,
+/// `--remap` and `--parallel` are the flag columns of three of them.
+/// docs/CONFIG.md's campaign table (type, default, validation per key) is
+/// diffed against the keys in tier-1 (tests/test_config.cpp).
+const core::Knobs<CampaignSpec>& campaign_table();
+/// The table's keys: campaign_from_config validates a config against these
+/// plus the sink table's keys (obs::sink_config_keys), which it accepts but
+/// leaves to the frontend's obs::read_sinks.
+std::vector<std::string> campaign_config_keys();
+
+/// Builds a campaign grid from config-file keys with `flags` over them.
+/// Sink keys are accepted and ignored (no side effect); unknown keys throw,
+/// so a typo cannot silently drop a scenario axis. The Campaign ctor and the
+/// grid builders check what parses. Models are registered by the caller.
+Campaign campaign_from_config(const core::KeyValueConfig& cfg,
+                              const core::Flags& flags = {});
 
 }  // namespace cn::faultsim

@@ -16,36 +16,19 @@ namespace cn::obs {
 
 namespace {
 
-[[noreturn]] void bad(const char* want, const std::string& v) {
-  throw std::invalid_argument(std::string("expects ") + want + ", got '" + v +
-                              "'");
-}
-
 void set_log(Sinks& s, const std::string& v) {
   s.log.reset();
   try {
     if (!v.empty()) s.log = parse_log_level(v);
   } catch (const std::invalid_argument&) {
-    bad("quiet|info|debug", v);
+    core::bad_value("quiet|info|debug", v);
   }
 }
 
 void set_port(Sinks& s, const std::string& v) {
-  int64_t port = -1;
-  if (!v.empty() && !core::parse_integer(v, port)) bad("an integer", v);
-  if (!v.empty() && (port < 0 || port > 65535)) bad("a port in 0..65535", v);
+  const int64_t port = v.empty() ? -1 : core::integer<int64_t>(v);
+  if (!v.empty() && (port < 0 || port > 65535)) core::bad_value("a port in 0..65535", v);
   s.statusz_port = static_cast<int>(port);
-}
-
-void set_switch(Sinks& s, const std::string& v) {
-  if (!v.empty() && v != "0" && v != "1") bad("0 or 1", v);
-  s.signal_flush = v == "1";
-}
-
-const SinkRow* find_flag(const std::string& arg) {
-  for (const SinkRow& row : sink_table())
-    if (*row.flag && arg == row.flag) return &row;
-  return nullptr;
 }
 
 // What the last start() turned on, for finish() and the signal flush.
@@ -79,8 +62,8 @@ void flush_and_reraise(int sig) {
 
 }  // namespace
 
-const std::vector<SinkRow>& sink_table() {
-  static const std::vector<SinkRow> rows = {
+const core::Knobs<Sinks>& sink_table() {
+  static const core::Knobs<Sinks> rows = {
       {"CORRECTNET_METRICS", "metrics_out", "--metrics-out", "FILE",
        [](Sinks& s, const std::string& v) { s.metrics = v; }},
       {"CORRECTNET_TRACE", "trace_out", "--trace-out", "FILE",
@@ -91,48 +74,21 @@ const std::vector<SinkRow>& sink_table() {
        set_port},
       {"CORRECTNET_METRICS_STREAM", "metrics_stream", "--metrics-stream",
        "FILE", [](Sinks& s, const std::string& v) { s.metrics_stream = v; }},
-      {"CORRECTNET_SIGNAL_FLUSH", "", "", "", set_switch},
+      {"CORRECTNET_SIGNAL_FLUSH", "", "", "",
+       [](Sinks& s, const std::string& v) { s.signal_flush = core::switch01(v); }},
   };
   return rows;
 }
 
-std::vector<std::string> sink_config_keys() {
-  std::vector<std::string> keys;
-  for (const SinkRow& row : sink_table())
-    if (*row.key) keys.emplace_back(row.key);
-  return keys;
-}
+std::vector<std::string> sink_config_keys() { return core::knob_keys(sink_table()); }
 
-bool is_sink_flag(const std::string& arg) { return find_flag(arg) != nullptr; }
-
-std::string sink_flags_usage() {
-  std::string out;
-  for (const SinkRow& row : sink_table())
-    if (*row.flag)
-      out += std::string(out.empty() ? "[" : " [") + row.flag + " " +
-             row.value + "]";
-  return out;
+bool is_sink_flag(const std::string& arg) {
+  return core::flag_row(sink_table(), arg) != nullptr;
 }
 
 Sinks read_sinks(const core::KeyValueConfig& cfg, const SinkFlags& flags) {
   Sinks s;
-  auto apply = [&s](const SinkRow& row, const std::string& spelling,
-                    const std::string& v) {
-    try {
-      row.set(s, v);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(spelling + " " + e.what());
-    }
-  };
-  for (const SinkRow& row : sink_table())
-    if (const char* v = std::getenv(row.env)) apply(row, row.env, v);
-  for (const SinkRow& row : sink_table())
-    if (*row.key && cfg.has(row.key)) apply(row, row.key, cfg.str(row.key));
-  for (const auto& [flag, v] : flags) {
-    const SinkRow* row = find_flag(flag);
-    if (!row) throw std::invalid_argument(flag + " is not a sink flag");
-    apply(*row, flag, v);
-  }
+  core::read_knobs(sink_table(), s, cfg, flags);
   return s;
 }
 

@@ -6,11 +6,11 @@
 // nothing else spells them, and docs/CONFIG.md's sink table is diffed
 // against the rows in tier-1 (tests/test_config.cpp).
 //
-// read_sinks() layers the environment, then a KeyValueConfig, then flags
-// (flag > key > env) into a plain Sinks value, without side effects. Each
-// value type has one strict parser; the first bad value throws
-// std::invalid_argument naming its spelling. An empty value switches a sink
-// off, so a higher layer can undo a lower one. start() turns a Sinks value
+// read_sinks() is core::read_knobs over these rows: the environment, then a
+// KeyValueConfig, then flags (flag > key > env) into a plain Sinks value,
+// without side effects; the first bad value throws std::invalid_argument
+// naming its spelling. An empty key or flag value switches a sink off, so
+// a higher layer can undo a lower one. start() turns a Sinks value
 // on; finish() writes the metrics and trace files and stops the stream and
 // the server. finish() also runs at exit and is a no-op until the next
 // start(). Sinks are timing-only: no result byte depends on them.
@@ -18,7 +18,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -35,23 +34,13 @@ struct Sinks {
   bool signal_flush = false;    // SIGINT/SIGTERM write every sink, re-raise
 };
 
-/// One sink's spellings; `key` and `flag` are "" when absent. Every flag
-/// takes one value, named `value` in usage lines.
-struct SinkRow {
-  const char* env;
-  const char* key;
-  const char* flag;
-  const char* value;
-  void (*set)(Sinks&, const std::string&);  // strict; throws on a bad value
-};
+/// The sink rows are core::Knob rows (core/config.h) over Sinks.
+using SinkRow = core::Knob<Sinks>;
+using SinkFlags = core::Flags;
 
-const std::vector<SinkRow>& sink_table();
+const core::Knobs<Sinks>& sink_table();
 std::vector<std::string> sink_config_keys();
 bool is_sink_flag(const std::string& arg);
-std::string sink_flags_usage();  // "[--flag VALUE] ..." for usage lines
-
-/// Command-line sink flags in the order given: (flag, value) pairs.
-using SinkFlags = std::vector<std::pair<std::string, std::string>>;
 
 Sinks read_sinks(const core::KeyValueConfig& cfg = {},
                  const SinkFlags& flags = {});

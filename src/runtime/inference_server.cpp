@@ -376,7 +376,6 @@ void InferenceServer::run_batch(nn::Sequential& chip, std::vector<Request>& batc
     for (const auto& req : batch) {
       const double lat_us =
           std::chrono::duration<double, std::micro>(done - req.enqueued).count();
-      stats_.total_latency_us += lat_us;
       latency_us_.record(lat_us);
       m_latency_us_.record(lat_us);
     }
@@ -492,10 +491,14 @@ ServerStats InferenceServer::stats() const {
     max_depth = max_queue_depth_;
   }
   ServerStats out;
+  obs::LatencyHistogram::Snapshot s;
   {
+    // run_batch records under this lock too: the sum covers `requests`.
     std::lock_guard<std::mutex> lk(stats_mu_);
     out = stats_;
+    s = latency_us_.snapshot();
   }
+  out.total_latency_us = static_cast<double>(s.sum_us);
   out.model = opts_.model;
   out.admission_configured = admission_armed();
   out.accepting = accepting_.load(std::memory_order_relaxed);
@@ -507,9 +510,7 @@ ServerStats InferenceServer::stats() const {
   for (const auto& ctl : worker_ctl_)
     if (ctl->drilled.load(std::memory_order_relaxed)) ++out.drilled_workers;
   out.drills = drill_count_.load(std::memory_order_relaxed);
-  // Percentiles come from this server's own histogram (snapshot once so all
-  // three quantiles read one coherent set of bucket counts).
-  const obs::LatencyHistogram::Snapshot s = latency_us_.snapshot();
+  // One snapshot: all three quantiles read one coherent set of buckets.
   out.p50_latency_us = s.percentile(0.50);
   out.p99_latency_us = s.percentile(0.99);
   out.p999_latency_us = s.percentile(0.999);

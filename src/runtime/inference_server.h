@@ -105,7 +105,7 @@ struct ServerStats {
   uint64_t requests = 0;       // completed requests
   uint64_t batches = 0;        // forward passes executed
   uint64_t full_batches = 0;   // batches that hit max_batch
-  double total_latency_us = 0; // submit -> completion, summed over requests
+  double total_latency_us = 0; // submit -> completion: the histogram's sum
   double wall_seconds = 0;     // first submit -> last completion
   // Enqueue->complete latency percentiles from the server's histogram
   // (exact-rank extraction, see obs::LatencyHistogram); 0 until the first

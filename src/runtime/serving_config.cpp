@@ -30,23 +30,48 @@ std::vector<std::string> split_ids(const std::string& s) {
 
 }  // namespace
 
-const std::vector<std::string>& serving_config_keys() {
-  // Single source of truth for the serving key set: validate_keys enforces
-  // it at parse time and tests/test_config.cpp diffs docs/CONFIG.md against
-  // it, so a key added here without documentation (or vice versa) fails
-  // tier-1.
-  static const std::vector<std::string> keys = {
-      "models", "chips", "live_slots", "workers", "max_batch", "max_wait_us",
-      "queue_limit", "queue_budget_us", "admission.burn_max", "slo_p99_ms",
-      "drill.kind", "drill.severity", "drill.workers", "drill.action",
+const core::Knobs<ServingConfig>& serving_table() {
+  using core::integer, core::number;
+  using S = ServingConfig;
+  using V = const std::string&;
+  static const core::Knobs<ServingConfig> rows = {
+      {"", "models", "--models", "a,b", [](S& s, V v) { s.models = split_ids(v); }},
+      {"", "chips", "", "", [](S& s, V v) { s.chips = integer<int64_t>(v); }},
+      {"", "live_slots", "", "", [](S& s, V v) { s.live_slots = integer<int64_t>(v); }},
+      {"", "workers", "", "", [](S& s, V v) { s.workers = integer<int64_t>(v); }},
+      {"", "max_batch", "", "", [](S& s, V v) { s.max_batch = integer<int64_t>(v); }},
+      {"", "max_wait_us", "", "", [](S& s, V v) { s.max_wait_us = integer<int64_t>(v); }},
+      {"", "queue_limit", "--queue-limit", "N",
+       [](S& s, V v) { s.queue_limit = integer<int64_t>(v); }},
+      {"", "queue_budget_us", "--queue-budget-us", "N",
+       [](S& s, V v) { s.queue_budget_us = integer<int64_t>(v); }},
+      {"", "admission.burn_max", "", "", [](S& s, V v) { s.admission_burn_max = number(v); }},
+      {"", "slo_p99_ms", "", "", [](S& s, V v) { s.slo_p99_ms = number(v); }},
+      {"", "drill.kind", "", "", [](S& s, V v) { s.drill_kind = v; }},
+      {"", "drill.severity", "", "", [](S& s, V v) { s.drill_severity = number(v); }},
+      {"", "drill.workers", "", "", [](S& s, V v) { s.drill_workers = core::integers(v); }},
+      {"", "drill.action", "--drill-action", "degrade|evict|remap",
+       [](S& s, V v) { s.drill_action = v; }},
+      // A stuck-at drill at this cell-fault rate; 0 leaves the drill as is.
+      {"", "", "--drill", "RATE",
+       [](S& s, V v) {
+         const double rate = number(v);
+         if (rate < 0) core::bad_value("a rate >= 0", v);
+         if (rate > 0) {
+           s.drill_kind = "stuck_at";
+           s.drill_severity = rate;
+         }
+       }},
   };
-  return keys;
+  return rows;
 }
 
-ServingConfig serving_from_config(const core::KeyValueConfig& cfg) {
+std::vector<std::string> serving_config_keys() { return core::knob_keys(serving_table()); }
+
+ServingConfig serving_from_config(const core::KeyValueConfig& cfg, const core::Flags& flags) {
   cfg.validate_keys(serving_config_keys());
   ServingConfig sc;
-  if (cfg.has("models")) sc.models = split_ids(cfg.str("models"));
+  core::read_knobs(serving_table(), sc, cfg, flags);
   {
     std::set<std::string> seen;
     for (const std::string& id : sc.models)
@@ -54,23 +79,6 @@ ServingConfig serving_from_config(const core::KeyValueConfig& cfg) {
         throw std::runtime_error("serving config: duplicate model id \"" + id +
                                  "\"");
   }
-  sc.chips = cfg.integer("chips", sc.chips);
-  sc.live_slots = cfg.integer("live_slots", sc.live_slots);
-  sc.workers = cfg.integer("workers", sc.workers);
-  sc.max_batch = cfg.integer("max_batch", sc.max_batch);
-  sc.max_wait_us = cfg.integer("max_wait_us", sc.max_wait_us);
-  sc.queue_limit = cfg.integer("queue_limit", sc.queue_limit);
-  sc.queue_budget_us = cfg.integer("queue_budget_us", sc.queue_budget_us);
-  sc.admission_burn_max = cfg.number("admission.burn_max", sc.admission_burn_max);
-  sc.slo_p99_ms = cfg.number("slo_p99_ms", sc.slo_p99_ms);
-  sc.drill_kind = cfg.str("drill.kind", sc.drill_kind);
-  sc.drill_severity = cfg.number("drill.severity", sc.drill_severity);
-  if (cfg.has("drill.workers")) {
-    sc.drill_workers.clear();
-    for (double v : cfg.numbers("drill.workers"))
-      sc.drill_workers.push_back(static_cast<int64_t>(v));
-  }
-  sc.drill_action = cfg.str("drill.action", sc.drill_action);
 
   if (sc.models.empty())
     throw std::runtime_error("serving config: no models");

@@ -3,11 +3,10 @@
 // control, the shared live-slot budget, and an optional fault drill to
 // rehearse against live traffic).
 //
-// Follows the campaign-config contract (src/faultsim/campaign.cpp):
-// serving_config_keys() is the single source of truth — validate_keys
-// enforces it at parse time and tests/test_config.cpp diffs the
-// docs/CONFIG.md serving table against it, so an undocumented key (or a
-// documented ghost key) fails tier-1. Consumed by `serve_demo --config`.
+// Each key is one core::Knob row of serving_table() (core/config.h), four
+// with a flag column, plus the flag-only `--drill RATE` (a stuck-at drill).
+// tests/test_config.cpp diffs the docs/CONFIG.md serving table against the
+// keys. Consumed by `serve_demo`.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +36,15 @@ struct ServingConfig {
   std::string drill_action = "remap";        // degrade | evict | remap
 };
 
-/// The declared serving key set (docs/CONFIG.md serving table, test-enforced).
-const std::vector<std::string>& serving_config_keys();
+const core::Knobs<ServingConfig>& serving_table();
+/// The table's keys (docs/CONFIG.md serving table, test-enforced).
+std::vector<std::string> serving_config_keys();
 
-/// Builds a ServingConfig from a parsed key=value file. Unknown keys, empty
-/// or duplicate model ids, non-positive scheduler knobs, negative admission
-/// thresholds, and an unknown drill.action all throw.
-ServingConfig serving_from_config(const core::KeyValueConfig& cfg);
+/// Builds a ServingConfig from a key=value file with `flags` over it.
+/// Unknown keys, unparsable values, empty or duplicate model ids,
+/// non-positive scheduler knobs, negative admission thresholds, and an
+/// unknown drill.action all throw.
+ServingConfig serving_from_config(const core::KeyValueConfig& cfg,
+                                  const core::Flags& flags = {});
 
 }  // namespace cn::runtime

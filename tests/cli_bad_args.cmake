@@ -81,6 +81,13 @@ if(CHECKS STREQUAL "correctnet_cli")
                   --dataset foo)
   expect_rejected("no recipe for vgg on digits" --net vgg --dataset digits)
   expect_rejected("no recipe for lenet on objects100" --dataset objects100)
+  # --chips is the flag column of the campaign's chips row: 0 fails like
+  # `chips = 0` (it was ignored unless positive). A zero batch size failed
+  # only after training, with SIGFPE.
+  expect_rejected("need at least one chip per scenario" faults --chips 0)
+  file(WRITE "${cfg}" "stuck.rates = 0.01\nbatch = 0\n")
+  expect_rejected("batch must be >= 1" faults --config "${cfg}")
+  file(REMOVE "${cfg}")
 elseif(CHECKS STREQUAL "serve_demo")
   expect_rejected("--queue-limit expects an integer, got '6O'" --queue-limit 6O)
   expect_rejected("--linger-s expects a number, got '1s'" --linger-s 1s)

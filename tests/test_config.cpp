@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cli_tables.h"
 #include "faultsim/campaign.h"
 #include "obs/sinks.h"
 #include "runtime/serving_config.h"
@@ -94,31 +95,21 @@ TEST(KeyValueConfig, ParsesCommentsWhitespaceAndEmptyValues) {
       "\n"
       "   \t\n");
   EXPECT_TRUE(cfg.has("chips"));
-  EXPECT_EQ(cfg.integer("chips", -1), 8);
+  EXPECT_EQ(integer<int64_t>(cfg.str("chips")), 8);
   EXPECT_EQ(cfg.str("name", "x"), "lenet");
-  EXPECT_DOUBLE_EQ(cfg.number("rate", 0.0), 0.5);
-  const std::vector<double> list = cfg.numbers("list");
+  EXPECT_DOUBLE_EQ(number(cfg.str("rate")), 0.5);
+  const std::vector<double> list = numbers(cfg.str("list"));
   ASSERT_EQ(list.size(), 3u);
   EXPECT_DOUBLE_EQ(list[1], 2.5);
   EXPECT_TRUE(cfg.has("empty"));
   EXPECT_EQ(cfg.str("empty", "d"), "");
-  EXPECT_EQ(cfg.integer("empty", 4), 4);  // empty value -> default
+  EXPECT_TRUE(numbers(cfg.str("empty")).empty());  // an empty list
   EXPECT_FALSE(cfg.has("missing"));
-  EXPECT_TRUE(cfg.numbers("missing").empty());
-  EXPECT_EQ(cfg.numbers("missing", {7.0}).size(), 1u);
-}
-
-TEST(KeyValueConfig, SetOverridesOrAppends) {
-  // The override layer the CLI flags use now that duplicate keys throw.
-  KeyValueConfig cfg = KeyValueConfig::from_string("chips = 8\n");
-  cfg.set("chips", "12");
-  EXPECT_EQ(cfg.integer("chips", -1), 12);
-  cfg.set("remap", "1");
-  EXPECT_EQ(cfg.integer("remap", 0), 1);
+  EXPECT_EQ(cfg.str("missing", "d"), "d");
 }
 
 TEST(KeyValueConfig, DuplicateKeyThrows) {
-  // Two values for one knob must not silently race; overrides go via set().
+  // Two values for one knob must not silently race; overrides are flags.
   EXPECT_THROW(KeyValueConfig::from_string("chips = 8\nchips = 12\n"),
                std::runtime_error);
 }
@@ -151,16 +142,153 @@ TEST(KeyValueConfig, UnparsableListCellThrows) {
   // A typo'd severity must not silently shrink a campaign grid.
   const KeyValueConfig cfg =
       KeyValueConfig::from_string("rates = 0.1, o.2\ntrailing = 0.5x\n");
-  EXPECT_THROW(cfg.numbers("rates"), std::runtime_error);
-  EXPECT_THROW(cfg.numbers("trailing"), std::runtime_error);
+  EXPECT_THROW(numbers(cfg.str("rates")), std::invalid_argument);
+  EXPECT_THROW(numbers(cfg.str("trailing")), std::invalid_argument);
 }
 
 TEST(KeyValueConfig, PartialScalarParsesThrow) {
   // 'chips = 1O' must not silently run with 1 chip instead of 10.
   const KeyValueConfig cfg =
       KeyValueConfig::from_string("chips = 1O\nrate = 0.5x\n");
-  EXPECT_THROW(cfg.integer("chips", 8), std::runtime_error);
-  EXPECT_THROW(cfg.number("rate", 0.0), std::runtime_error);
+  EXPECT_THROW(integer<int64_t>(cfg.str("chips")), std::invalid_argument);
+  EXPECT_THROW(number(cfg.str("rate")), std::invalid_argument);
+}
+
+// ---------- the knob rows, their reader and scanner ----------
+
+struct Toy {
+  int n = 3;
+  double x = 0.0;
+  bool on = false;
+  std::vector<int64_t> ids;
+};
+
+const Knobs<Toy>& toy_table() {
+  static const Knobs<Toy> rows = {
+      {"CN_TEST_TOY_N", "n", "--n", "N",
+       [](Toy& t, const std::string& v) { t.n = integer<int>(v, 1); }},
+      {"", "x", "--x", "X", [](Toy& t, const std::string& v) { t.x = number(v); }},
+      {"", "", "--on", "", [](Toy& t, const std::string& v) { t.on = switch01(v); }},
+      {"", "ids", "", "", [](Toy& t, const std::string& v) { t.ids = integers(v); }},
+  };
+  return rows;
+}
+
+std::string toy_error(const std::string& text, const Flags& flags = {}) {
+  try {
+    Toy t;
+    read_knobs(toy_table(), t, KeyValueConfig::from_string(text), flags);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Knobs, FlagBeatsKeyBeatsEnvAndEveryParserIsStrict) {
+  ::setenv("CN_TEST_TOY_N", "5", 1);
+  Toy t;
+  read_knobs(toy_table(), t);
+  EXPECT_EQ(t.n, 5);
+  read_knobs(toy_table(), t, KeyValueConfig::from_string("n = 6\nids = 1, 2\n"));
+  EXPECT_EQ(t.n, 6);
+  EXPECT_EQ(t.ids, (std::vector<int64_t>{1, 2}));
+  read_knobs(toy_table(), t, KeyValueConfig::from_string("n = 6\n"),
+             {{"--n", "7"}, {"--on", "1"}, {"--x", "-2.5"}});
+  EXPECT_EQ(t.n, 7);
+  EXPECT_TRUE(t.on);
+  EXPECT_DOUBLE_EQ(t.x, -2.5);
+  ::setenv("CN_TEST_TOY_N", "", 1);  // an empty variable is no value
+  Toy fresh;
+  read_knobs(toy_table(), fresh);
+  EXPECT_EQ(fresh.n, 3);
+  ::unsetenv("CN_TEST_TOY_N");
+
+  EXPECT_EQ(toy_error("n = 0\n"), "n expects an integer >= 1, got '0'");
+  EXPECT_EQ(toy_error("n = 99999999999\n"),
+            "n expects an integer >= 1, got '99999999999'");
+  EXPECT_EQ(toy_error("x = 1\n", {{"--n", "2x"}}),
+            "--n expects an integer >= 1, got '2x'");
+  EXPECT_EQ(toy_error("x = 1x\n"), "x expects a number, got '1x'");
+  EXPECT_EQ(toy_error("x =\n"), "x expects a number, got ''");
+  EXPECT_EQ(toy_error("x = 1\n", {{"--on", "yes"}}), "--on expects 0 or 1, got 'yes'");
+  EXPECT_EQ(toy_error("ids = 0, 0.5\n"), "ids expects an integer, got '0.5'");
+  EXPECT_EQ(toy_error("x = 1\n", {{"--ids", "1"}}), "unknown flag --ids");
+  EXPECT_EQ(toy_error("ids = 1,, 2\n"), "");  // empty cells are skipped
+}
+
+TEST(Knobs, KeysUsageAndTheArgvScannerDeriveFromTheRows) {
+  EXPECT_EQ(knob_keys(toy_table()), (std::vector<std::string>{"n", "x", "ids"}));
+  const KnobTables<Toy, obs::Sinks> tables{toy_table(), obs::sink_table()};
+  EXPECT_EQ(tables_usage(tables, "  "),
+            "[--n N] [--x X] [--on]\n  [--metrics-out FILE] [--trace-out FILE] "
+            "[--log-level quiet|info|debug] [--statusz-port PORT] "
+            "[--metrics-stream FILE]");
+  std::vector<std::string> args = {"prog", "--on", "--log-level", "quiet", "--n", "4"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const auto flags = scan_flags(static_cast<int>(argv.size()), argv.data(), 1, tables);
+  EXPECT_EQ(flags[0], (Flags{{"--on", "1"}, {"--n", "4"}}));
+  EXPECT_EQ(flags[1], (Flags{{"--log-level", "quiet"}}));
+
+  auto scan_error = [&](std::vector<std::string> words) {
+    std::vector<char*> v;
+    for (std::string& w : words) v.push_back(w.data());
+    try {
+      scan_flags(static_cast<int>(v.size()), v.data(), 1, tables);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(scan_error({"prog", "--n"}), "--n needs a value");
+  EXPECT_EQ(scan_error({"prog", "--bogus", "1"}), "unknown flag --bogus");
+  EXPECT_EQ(scan_error({"prog", "4"}), "unknown flag 4");
+}
+
+// Throws std::logic_error when an env variable, key or flag appears twice
+// across `tables`: the scanner would hand a flag to the first table only.
+template <typename... T>
+void check_distinct(const KnobTables<T...>& tables) {
+  std::set<std::string> seen;
+  auto add = [&seen](const auto& table) {
+    for (const auto& row : table)
+      for (const char* s : {row.env, row.key, row.flag})
+        if (*s && !seen.insert(s).second)
+          throw std::logic_error(std::string("knob '") + s + "' appears twice");
+  };
+  std::apply([&](const auto&... t) { (add(t), ...); }, tables);
+}
+
+template <typename T>
+size_t count_flags(const Knobs<T>& table) {
+  size_t n = 0;
+  for (const Knob<T>& row : table) n += *row.flag ? 1 : 0;
+  return n;
+}
+
+TEST(Knobs, NoSpellingAppearsTwiceAcrossTheTablesOneCommandReads) {
+  // Each command scans exactly these tables (examples/cli_tables.h); the
+  // paper driver reads only the runtime table.
+  EXPECT_NO_THROW(check_distinct(examples::cli_tables()));
+  EXPECT_NO_THROW(check_distinct(examples::faults_tables()));
+  EXPECT_NO_THROW(check_distinct(examples::serve_tables()));
+  EXPECT_NO_THROW(check_distinct(examples::sweep_tables()));
+  EXPECT_NO_THROW(check_distinct(KnobTables<RuntimeConfig>{runtime_table()}));
+  // The same flags as before the tables: main 5 own + 10 recipe + 5 sink,
+  // faults 2 own + 3 campaign + 5 recipe + 5 sink, serve_demo 4 own + 5
+  // serving + 5 sink, fault_sweep 4 own.
+  auto flag_count = [](const auto& tables) {
+    size_t n = 0;
+    std::apply([&](const auto&... t) { ((n += count_flags(t)), ...); }, tables);
+    return n;
+  };
+  EXPECT_EQ(flag_count(examples::cli_tables()), 20u);
+  EXPECT_EQ(flag_count(examples::faults_tables()), 15u);
+  EXPECT_EQ(flag_count(examples::serve_tables()), 14u);
+  EXPECT_EQ(flag_count(examples::sweep_tables()), 4u);
+  EXPECT_THROW(check_distinct(KnobTables<obs::Sinks, obs::Sinks>{obs::sink_table(),
+                                                                 obs::sink_table()}),
+               std::logic_error);
 }
 
 TEST(ConfigDocs, CampaignTableMatchesDeclaredKeySet) {
@@ -259,6 +387,24 @@ TEST(CampaignConfig, UnknownKeyThrows) {
                std::runtime_error);
 }
 
+TEST(CampaignConfig, TheExampleConfigBuildsItsGridAndAFlagBeatsItsKey) {
+  // README advertises examples/fault_campaign.cfg; CI runs it with
+  // `--chips 2`, the flag column of the chips row.
+  const KeyValueConfig cfg = KeyValueConfig::from_file(
+      std::string(CN_SOURCE_DIR) + "/examples/fault_campaign.cfg");
+  const faultsim::Campaign c = faultsim::campaign_from_config(cfg);
+  // control + 3 stuck-at + 3 drift + 2 IR drop + 2 thermal
+  EXPECT_EQ(c.num_faults(), 11);
+  EXPECT_EQ(c.chips(), 6);
+  EXPECT_FALSE(c.remap_enabled());
+  const faultsim::Campaign flagged = faultsim::campaign_from_config(
+      cfg, {{"--chips", "2"}, {"--remap", "1"}, {"--parallel", "2"}});
+  EXPECT_EQ(flagged.num_faults(), 11);
+  EXPECT_EQ(flagged.chips(), 2);
+  EXPECT_TRUE(flagged.remap_enabled());
+  EXPECT_EQ(flagged.parallel_scenarios(), 2);
+}
+
 TEST(KeyValueConfig, MissingFileThrows) {
   EXPECT_THROW(KeyValueConfig::from_file("/nonexistent/campaign.cfg"),
                std::runtime_error);
@@ -338,6 +484,9 @@ TEST(ServingConfig, RejectsMalformedDeployments) {
                std::runtime_error)
       << "drill worker index outside [0, workers)";
   EXPECT_THROW(parse("models = a\nbogus_key = 1\n"), std::runtime_error);
+  // Worker indices are integers: 0.5 and 1.9 were truncated to 0 and 1.
+  EXPECT_THROW(parse("models = a\ndrill.workers = 0.5\n"), std::invalid_argument);
+  EXPECT_THROW(parse("models = a\ndrill.workers = 0, 1.9\n"), std::invalid_argument);
 }
 
 }  // namespace

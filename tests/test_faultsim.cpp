@@ -426,7 +426,7 @@ TEST(FaultGrid, CampaignConfigRejectsDegenerateValuesBeforeRunning) {
        {"drift.times = 0\n", "drift.times = 10, nan\n", "thermal.temps = 0\n",
         "ir.alphas = nan\n", "stuck.rates = -1\n", "stuck.rates = 0.1\nstuck.high_fraction = 2\n",
         "thermal.temps = 400\nthermal.t0 = 0\n", "program_sigma = nan\n",
-        "program_sigma = -0.1\n", "read_sigma = nan\n"}) {
+        "program_sigma = -0.1\n", "read_sigma = nan\n", "batch = 0\n"}) {
     EXPECT_THROW(campaign_from_config(core::KeyValueConfig::from_string(bad)),
                  std::invalid_argument)
         << bad;

@@ -63,7 +63,7 @@ TEST(EvaluatePlan, OverBudgetSkipsTrainingWithNegativeReward) {
   cfg.overhead_limit = 1e-6f;  // everything is over budget
   CompensationPlan plan = plan_from_actions(f.model, cfg, {1, 1});
   ExploredPlan ep = evaluate_plan(f.model, f.ds.train, f.ds.test, cfg, plan);
-  EXPECT_FALSE(ep.trained);
+  EXPECT_TRUE(ep.over_budget);
   EXPECT_LT(ep.reward, 0.0f);
   EXPECT_FLOAT_EQ(ep.reward, -static_cast<float>(ep.overhead));
 }
@@ -73,7 +73,7 @@ TEST(EvaluatePlan, EmptyPlanEvaluatesWithoutTraining) {
   SearchConfig cfg = quick_config(f.model);
   CompensationPlan plan = plan_from_actions(f.model, cfg, {0, 0});
   ExploredPlan ep = evaluate_plan(f.model, f.ds.train, f.ds.test, cfg, plan);
-  EXPECT_FALSE(ep.trained);
+  EXPECT_FALSE(ep.over_budget);
   EXPECT_DOUBLE_EQ(ep.overhead, 0.0);
   EXPECT_GT(ep.acc_mean, 0.0);
   // Reward = acc_mean - acc_std - overhead (Eq. 12).
@@ -85,9 +85,26 @@ TEST(EvaluatePlan, WithinBudgetTrainsAndReportsOverhead) {
   SearchConfig cfg = quick_config(f.model);
   CompensationPlan plan = plan_from_actions(f.model, cfg, {1, 0});
   ExploredPlan ep = evaluate_plan(f.model, f.ds.train, f.ds.test, cfg, plan);
-  EXPECT_TRUE(ep.trained);
+  EXPECT_FALSE(ep.over_budget);
   EXPECT_GT(ep.overhead, 0.0);
   EXPECT_LE(ep.overhead, cfg.overhead_limit);
+}
+
+TEST(EvaluatePlan, OnlyAnOverLimitPlanIsFlaggedOverBudget) {
+  // The explored-plan tables print "over budget, skipped" from this flag:
+  // the empty plan costs nothing and is scored, a plan over the limit is
+  // neither trained nor scored.
+  auto& f = fixture();
+  SearchConfig cfg = quick_config(f.model);
+  cfg.overhead_limit = 1e-6f;
+  const ExploredPlan empty = evaluate_plan(
+      f.model, f.ds.train, f.ds.test, cfg, plan_from_actions(f.model, cfg, {0, 0}));
+  EXPECT_FALSE(empty.over_budget);
+  EXPECT_GT(empty.acc_mean, 0.0);
+  const ExploredPlan over = evaluate_plan(
+      f.model, f.ds.train, f.ds.test, cfg, plan_from_actions(f.model, cfg, {1, 1}));
+  EXPECT_TRUE(over.over_budget);
+  EXPECT_EQ(over.acc_mean, 0.0);
 }
 
 TEST(RlSearch, ProducesBestPlanAndTrace) {
